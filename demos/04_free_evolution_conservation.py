@@ -2,8 +2,9 @@
 """
 Exact free evolution and the conserved quantities.
 
-The propagator is built per Fourier mode from the Hermitian
-eigendecomposition of H(k), so evolution is exact in time: norm, energy and
+The propagator acts per Fourier mode in the closed form
+exp(-iHt) = P_T[cos wt - i (sin wt / w) H] + P_L exp(-imt b), which follows
+from (a.k)^2 = |k|^2 P_T and {a_k, b} = 0, so evolution is exact in time: norm, energy and
 the divergence constraints hold to round-off over arbitrarily long times,
 the probability density stays pointwise nonnegative, and the continuity
 equation d_t rho + div j = 0 converges at second order in the finite

@@ -3,20 +3,37 @@ Command-line front end: subcommand dispatch, JSON configs and reports, CSV
 diagnostics, binary snapshots.
 
 Exit codes: 0 all checks passed, 1 a verification failed (the report is
-still emitted), 2 usage or configuration error.  SPIN1_THREADS caps the
-worker-thread pools of the numerics libraries (0 or unset = automatic);
-heavy imports happen after the cap is applied, so keep them inside main().
+still emitted, or a typed numerical error is printed as one line), 2 usage
+or configuration error.  SPIN1_THREADS caps the worker-thread pools of the
+numerics libraries (0 or unset = automatic); heavy imports happen after the
+cap is applied, so keep them inside main().
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
+from .errors import CurrentMismatch, NoConvergence, NonFiniteState
+
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _config_errors(what: str):
+    """Report the lookup and conversion errors raised while a config is
+    parsed and its inputs are built as ConfigError.  Wrap no numerics in it:
+    StepTooLarge, for one, is a ValueError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} config missing key: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {what} config: {exc}") from exc
 
 
 def _apply_thread_cap() -> None:
@@ -170,16 +187,12 @@ def _cmd_chain_check(args) -> int:
 def _build_grid(cfg: dict):
     from . import fields
 
-    try:
+    with _config_errors("grid"):
         g = cfg["grid"]
         return fields.Grid(
             int(g["nx"]), int(g["ny"]), int(g["nz"]),
             float(g["lx"]), float(g["ly"]), float(g["lz"]),
         )
-    except KeyError as exc:
-        raise ConfigError(f"grid config missing key: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}")
 
 
 def _build_external(cfg: dict, grid, charge: float):
@@ -258,22 +271,21 @@ def _cmd_evolve(args) -> int:
 
     cfg = _load_json(args.config)
     grid = _build_grid(cfg)
-    mass = float(cfg.get("mass", 0.0))
-    if mass < 0:
-        raise ConfigError("mass must be >= 0")
-    charge = float(cfg.get("charge", 0.0))
-    evo = cfg.get("evolution", {})
-    try:
+    with _config_errors("evolve"):
+        mass = float(cfg.get("mass", 0.0))
+        if mass < 0:
+            raise ConfigError("mass must be >= 0")
+        charge = float(cfg.get("charge", 0.0))
+        evo = cfg.get("evolution", {})
         t_final = float(evo["t_final"])
         dt = float(evo["dt"])
         stride = int(evo.get("diag_stride", 1))
-    except KeyError as exc:
-        raise ConfigError(f"evolution config missing key: {exc}")
-    if t_final < 0 or dt <= 0 or stride <= 0:
-        raise ConfigError("evolution needs t_final >= 0, dt > 0, diag_stride > 0")
-
-    psi = _build_initial(cfg, grid, mass)
-    ext = _build_external(cfg, grid, charge)
+        if t_final < 0 or dt <= 0 or stride <= 0:
+            raise ConfigError("evolution needs t_final >= 0, dt > 0, diag_stride > 0")
+        psi = _build_initial(cfg, grid, mass)
+        ext = _build_external(cfg, grid, charge)
+        if ext is not None:
+            em_coupling.step_count(t_final, dt)
 
     out_cfg = cfg.get("output", {})
     snap_path = args.out or out_cfg.get("snapshot")
@@ -332,13 +344,14 @@ def _cmd_em_check(args) -> int:
 
     cfg = _load_json(args.config)
     grid = _build_grid(cfg)
-    mass = float(cfg.get("mass", 1.0))
-    charge = float(cfg.get("charge", 0.0))
-    seed = cfg.get("seed")
-    if seed is None:
-        raise ConfigError("em-check config requires a seed")
-    trials = int(cfg.get("trials", 5))
-    ext = _build_external(cfg, grid, charge)
+    with _config_errors("em-check"):
+        mass = float(cfg.get("mass", 1.0))
+        charge = float(cfg.get("charge", 0.0))
+        seed = cfg.get("seed")
+        if seed is None:
+            raise ConfigError("em-check config requires a seed")
+        trials = int(cfg.get("trials", 5))
+        ext = _build_external(cfg, grid, charge)
     if ext is None:
         ext = em_coupling.ExternalField.zero(grid, charge)
     sections = {
@@ -445,12 +458,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (CurrentMismatch, NonFiniteState, NoConvergence) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

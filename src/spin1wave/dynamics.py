@@ -3,9 +3,15 @@ Exact free evolution of the six-component state and the conservation,
 constraint, and symmetry diagnostics.
 
 Evolution is per Fourier mode: Psi_hat(k, t) = exp(-i H(k) t) Psi_hat(k, 0)
-with the 6x6 exponential built from the Hermitian eigendecomposition of
-H(k) = a.k + m b, so there is no time-step error anywhere in this module;
-the only approximation is the finite grid.
+with H(k) = a.k + m b.  The exponential has a closed form, because
+(a.k)^2 = |k|^2 P_T and {a_k, b} = 0 give H(k)^2 = w^2 = |k|^2 + m^2 on the
+transverse subspace P_T, while on the longitudinal one P_L = khat khat^T
+(per block) H(k) reduces to m b:
+
+    exp(-i H t) = P_T [cos wt - i (sin wt / w) H] + P_L exp(-i m t b).
+
+There is no time-step error anywhere in this module; the only approximation
+is the finite grid.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, fields
-from .errors import StepTooLarge
+from .errors import CurrentMismatch, StepTooLarge
 from .fields import WaveField, VectorField
 
 
@@ -24,15 +30,24 @@ def omega_max(grid: fields.Grid, mass: float) -> float:
     return float(np.sqrt(np.max(k2) + mass**2))
 
 
+def _hamiltonian_symbol(k: np.ndarray, mass: float, sh: np.ndarray) -> np.ndarray:
+    """H(k) = a.k + m b applied per mode to a spectral (6, nx, ny, nz) stack:
+    upper -> k x v + m u, lower -> -k x u - m v."""
+    u, v = sh[:3], sh[3:]
+    out = np.empty_like(sh)
+    out[:3] = np.cross(k, v, axisa=0, axisb=0, axisc=0)
+    out[3:] = np.cross(u, k, axisa=0, axisb=0, axisc=0)
+    if mass:
+        out[:3] += mass * u
+        out[3:] -= mass * v
+    return out
+
+
 def apply_hamiltonian_stack(grid: fields.Grid, mass: float, stack: np.ndarray) -> np.ndarray:
     """(a.p + m b) applied spectrally to a (6, nx, ny, nz) stack:
     upper -> -i rot v + m u, lower -> i rot u - m v."""
     k = fields.wavevectors(grid)
-    sh = fields.fftn(stack)
-    out = np.empty_like(sh)
-    out[:3] = np.cross(k, sh[3:], axisa=0, axisb=0, axisc=0) + mass * sh[:3]
-    out[3:] = -np.cross(k, sh[:3], axisa=0, axisb=0, axisc=0) - mass * sh[3:]
-    return fields.ifftn(out)
+    return fields.ifftn(_hamiltonian_symbol(k, mass, fields.fftn(stack)))
 
 
 def apply_free_hamiltonian(psi: WaveField) -> WaveField:
@@ -41,31 +56,56 @@ def apply_free_hamiltonian(psi: WaveField) -> WaveField:
 
 
 class FreePropagator:
-    """Cached per-mode eigendecomposition of H(k) for one grid and mass.
+    """Closed-form exp(-i H(k) t) per Fourier mode for one grid and mass.
 
-    Build cost is one batched 6x6 Hermitian eigensolve over all modes;
-    evolving to any time is then two small einsums plus an FFT round trip.
+    Building stores only the per-mode frequency w(k) = sqrt(|k|^2 + m^2) and
+    the unit wavevector khat (zero at k = 0, where P_L = 0); evolving to any
+    time is an FFT, the closed form above, and an inverse FFT.  The
+    wavevectors are the Nyquist-zeroed ones of every first-derivative
+    operator, so H(k) here is the symbol of apply_hamiltonian_stack.
     """
 
     def __init__(self, grid: fields.Grid, mass: float):
         self.grid = grid
         self.mass = float(mass)
-        ms = algebra.matrix_set()
-        k = fields.wavevectors(grid).reshape(3, -1)
-        hmat = np.einsum("jm,jab->mab", k, ms.a_stack())
-        hmat += self.mass * ms.b_complex()
-        self.evals, self.evecs = np.linalg.eigh(hmat)
+        k = fields.wavevectors(grid)
+        knorm = np.sqrt(np.sum(k * k, axis=0))
+        # evals holds w(k) and evecs holds khat.  The names are those of the
+        # per-mode eigendecomposition the closed form replaced; they stay
+        # because perfbench/probe.py sizes the propagator from these arrays.
+        self.evals = np.sqrt(knorm**2 + self.mass**2)
+        self.evecs = k / np.where(knorm > 0.0, knorm, 1.0)
+
+    def evolve_spectrum(self, sh: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H(k) t) applied to a spectral (6, nx, ny, nz) stack.
+
+        With H = m b + a.k and (a.k) P_L = 0, the closed form expands to
+        (c - i s m b) - i s a.k + P_L (exp(-i m t b) - c + i s m b), where
+        c = cos wt and s = sin(wt)/w; b is +1 on u and -1 on v, so the v
+        block takes the complex conjugates of the u block's coefficients.
+        """
+        m, khat = self.mass, self.evecs
+        wt = self.evals * t
+        c = np.cos(wt)
+        s = t * np.sinc(wt / np.pi)  # sin(wt)/w, finite at w = 0
+        alpha = c - 1j * m * s
+        delta = np.exp(-1j * m * t) - alpha
+        out = _hamiltonian_symbol(fields.wavevectors(self.grid), 0.0, sh)
+        out *= -1j * s
+        u, v = sh[:3], sh[3:]
+        out[:3] += alpha * u + khat * (delta * np.sum(khat * u, axis=0))
+        out[3:] += alpha.conj() * v + khat * (delta.conj() * np.sum(khat * v, axis=0))
+        return out
 
     def evolve_stack(self, stack: np.ndarray, t: float) -> np.ndarray:
-        sh = fields.fftn(stack).reshape(6, -1).T  # (M, 6)
-        coef = np.einsum("mji,mj->mi", self.evecs.conj(), sh)
-        coef *= np.exp(-1j * self.evals * t)
-        sh = np.einsum("mij,mj->mi", self.evecs, coef)
-        return fields.ifftn(sh.T.reshape(6, *self.grid.shape))
+        return fields.ifftn(self.evolve_spectrum(fields.fftn(stack), t))
 
-    def evolve(self, psi: WaveField, t: float) -> WaveField:
+    def check_state(self, psi: WaveField) -> None:
         if psi.grid != self.grid or psi.mass != self.mass:
             raise ValueError("propagator was built for a different grid or mass")
+
+    def evolve(self, psi: WaveField, t: float) -> WaveField:
+        self.check_state(psi)
         out = self.evolve_stack(psi.stack(), t)
         return WaveField.from_stack(self.grid, out, self.mass, psi.time + t)
 
@@ -97,9 +137,14 @@ def probability_current_matrix_form(psi: WaveField) -> np.ndarray:
 
 def energy(psi: WaveField) -> float:
     """<Psi| H |Psi> under the grid inner product (with the 1/sqrt(2))."""
-    stack = psi.stack()
-    h = apply_hamiltonian_stack(psi.grid, psi.mass, stack)
-    return float(0.5 * np.vdot(stack, h).real * psi.grid.cell_volume)
+    return _spectral_energy(psi.grid, psi.mass, fields.fftn(psi.stack()))
+
+
+def _spectral_energy(grid: fields.Grid, mass: float, sh: np.ndarray) -> float:
+    """energy() from the spectrum sh of the stack, by Parseval: the grid sum
+    of conj(f) g equals the mode sum of conj(f_hat) g_hat / npoints."""
+    h = _hamiltonian_symbol(fields.wavevectors(grid), mass, sh)
+    return float(0.5 * np.vdot(sh, h).real * grid.cell_volume / grid.npoints)
 
 
 @dataclass
@@ -148,17 +193,24 @@ def diagnostics(
 
     The current is computed both from the cross-product form and from the
     matrix form Psi^dag a Psi; they must agree to 1e-12, which guards the
-    equivalence of the two published definitions on every call.
+    equivalence of the two published definitions on every call (raises
+    CurrentMismatch otherwise).  The energy and the divergence residuals
+    come from one forward FFT of the state.
     """
     rho = probability_density(psi)
     j = probability_current(psi)
     j_mat = probability_current_matrix_form(psi)
     scale = max(float(np.max(rho)), 1e-300)
     dev = float(np.max(np.abs(j - j_mat)))
-    assert dev <= 1e-12 * scale, f"current formulas disagree: {dev:.3e} vs scale {scale:.3e}"
+    if not dev <= 1e-12 * scale:
+        raise CurrentMismatch(f"current formulas disagree: {dev:.3e} vs scale {scale:.3e}")
 
-    dv = psi.grid.cell_volume
-    div_u, div_v = fields.divergence_residuals(psi)
+    grid = psi.grid
+    dv = grid.cell_volume
+    sh = fields.fftn(psi.stack())
+    k = fields.wavevectors(grid)
+    div = fields.ifftn(1j * np.sum(k[None] * sh.reshape(2, 3, *grid.shape), axis=1))
+    div_u, div_v = (float(np.max(np.abs(d))) for d in div)
     cres = float("nan")
     if continuity_dt is not None:
         cres = continuity_residual(psi, continuity_dt, propagator=propagator)
@@ -166,7 +218,7 @@ def diagnostics(
         time=psi.time,
         total_probability=float(np.sum(rho) * dv),
         total_current=np.sum(j, axis=(1, 2, 3)) * dv,
-        energy=energy(psi),
+        energy=_spectral_energy(grid, psi.mass, sh),
         div_u_res=div_u,
         div_v_res=div_v,
         continuity_res=cres,
@@ -177,16 +229,22 @@ def continuity_residual(
     psi: WaveField, dt: float, propagator: FreePropagator | None = None
 ) -> float:
     """L2 norm of d_t rho + div j, with d_t rho estimated by a central
-    difference of exactly evolved states.  Converges as O(dt^2)."""
+    difference of exactly evolved states, both evolved from one forward FFT
+    of psi.  Converges as O(dt^2)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     bound = 0.1 / omega_max(psi.grid, psi.mass)
     if dt > bound:
         raise StepTooLarge(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
     prop = propagator or FreePropagator(psi.grid, psi.mass)
-    rho_p = probability_density(prop.evolve(psi, dt))
-    rho_m = probability_density(prop.evolve(psi, -dt))
-    drho = (rho_p - rho_m) / (2.0 * dt)
+    prop.check_state(psi)
+    sh = fields.fftn(psi.stack())
+
+    def rho_at(t: float) -> np.ndarray:
+        stack = fields.ifftn(prop.evolve_spectrum(sh, t))
+        return probability_density(WaveField.from_stack(psi.grid, stack, psi.mass))
+
+    drho = (rho_at(dt) - rho_at(-dt)) / (2.0 * dt)
     divj = fields.divergence(VectorField(psi.grid, probability_current(psi).astype(complex))).real
     res = drho + divj
     return float(np.sqrt(np.sum(res**2) * psi.grid.cell_volume))

@@ -487,6 +487,15 @@ def _em_diagnostics(psi: WaveField, ext: ExternalField, dt: float) -> dynamics.D
     )
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """Number of RK4 steps of size dt to t_final; ValueError unless t_final
+    is an integer multiple of dt."""
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ValueError("t_final must be an integer multiple of dt")
+    return n_steps
+
+
 def evolve_em(
     psi: WaveField,
     ext: ExternalField,
@@ -504,9 +513,7 @@ def evolve_em(
     bound = stability_bound(psi.grid, psi.mass, ext)
     if dt > bound:
         raise StepTooLarge(f"dt={dt:.3e} exceeds the RK4 stability bound {bound:.3e}")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be an integer multiple of dt")
+    n_steps = step_count(t_final, dt)
 
     stack = psi.stack()
     t0 = psi.time

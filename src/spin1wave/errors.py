@@ -21,5 +21,9 @@ class NonFiniteState(RuntimeError):
     """Time evolution produced NaN or Inf field values."""
 
 
+class CurrentMismatch(RuntimeError):
+    """The cross-product and matrix forms of the probability current disagree."""
+
+
 class FormatError(ValueError):
     """A snapshot file does not conform to the S1WF format."""

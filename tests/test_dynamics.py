@@ -1,9 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from spin1wave import dynamics, fields
+import spin1wave
+from spin1wave import algebra, dynamics, fields
 from spin1wave.dynamics import FreePropagator
-from spin1wave.errors import StepTooLarge
+from spin1wave.errors import CurrentMismatch, StepTooLarge
 
 GRID = fields.Grid.cubic(16)
 MASS = 1.0
@@ -178,3 +184,85 @@ def test_evolve_free_matches_propagator(psi_t, prop):
     b = prop.evolve(psi_t, 0.9)
     assert np.max(np.abs(a.stack() - b.stack())) == 0.0
     assert a.time == psi_t.time + 0.9
+
+
+def eigh_evolve_stack(grid, mass, stack, t):
+    """Oracle for the closed form: exp(-i H(k) t) per mode from a batched 6x6
+    Hermitian eigendecomposition of H(k) built from the actual matrices."""
+    ms = algebra.matrix_set()
+    k = fields.wavevectors(grid).reshape(3, -1)
+    hmat = np.einsum("jm,jab->mab", k, ms.a_stack()) + mass * ms.b_complex()
+    evals, evecs = np.linalg.eigh(hmat)
+    sh = fields.fftn(stack).reshape(6, -1).T  # (M, 6)
+    coef = np.einsum("mji,mj->mi", evecs.conj(), sh) * np.exp(-1j * evals * t)
+    sh = np.einsum("mij,mj->mi", evecs, coef)
+    return fields.ifftn(sh.T.reshape(6, *grid.shape))
+
+
+# Both routes lose about eps * omega_max * |t| of phase to round-off, so the
+# largest time keeps omega_max * |t| (about 240 here, 38 periods of the
+# fastest mode) well inside the 1e-13 bound.
+@pytest.mark.parametrize("t", [-3.7, 0.9, 25.0])
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_closed_form_matches_eigh_oracle(mass, t):
+    grid = fields.Grid(6, 8, 10, 3.0, 4.5, 7.0)
+    rng = np.random.default_rng(17)
+    shape = (6, *grid.shape)
+    # white noise: every mode, k = 0 and Nyquist included, not transverse
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = FreePropagator(grid, mass).evolve_stack(stack, t)
+    want = eigh_evolve_stack(grid, mass, stack, t)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_fft_counts(monkeypatch, prop, psi_t):
+    transforms = []
+
+    def counted(fft):
+        def wrapper(data):
+            transforms.append(math.prod(data.shape[:-3]))
+            return fft(data)
+
+        return wrapper
+
+    monkeypatch.setattr(fields, "fftn", counted(fields.fftn))
+    monkeypatch.setattr(fields, "ifftn", counted(fields.ifftn))
+    prop.evolve(psi_t, 0.7)
+    assert sum(transforms) <= 12
+    transforms.clear()
+    dynamics.diagnostics(psi_t, 1e-3, prop)
+    assert sum(transforms) <= 30
+
+
+def _perturbed_matrix_current(psi):
+    j = dynamics.probability_current(psi)
+    return j + 1e-6 * np.max(np.abs(j))
+
+
+def test_current_mismatch_raises(monkeypatch, psi_t):
+    monkeypatch.setattr(dynamics, "probability_current_matrix_form", _perturbed_matrix_current)
+    with pytest.raises(CurrentMismatch, match="current formulas disagree"):
+        dynamics.diagnostics(psi_t)
+
+
+def test_current_mismatch_raises_under_python_O():
+    script = (
+        "import sys\n"
+        "from spin1wave import dynamics, fields\n"
+        "from spin1wave.errors import CurrentMismatch\n"
+        "assert False, 'asserts are live'\n"
+        "psi = fields.random_wave_field(fields.Grid.cubic(8), 1.0, 1.0, seed=3)\n"
+        "j = dynamics.probability_current(psi)\n"
+        "dynamics.probability_current_matrix_form = lambda psi: j + 1e-6\n"
+        "try:\n"
+        "    dynamics.diagnostics(psi)\n"
+        "except CurrentMismatch:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

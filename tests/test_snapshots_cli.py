@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from spin1wave import cli, fields, snapshots
-from spin1wave.errors import FormatError
+from spin1wave import cli, dynamics, fields, snapshots
+from spin1wave.errors import FormatError, NoConvergence, NonFiniteState
 
 
 def make_state(seed=9):
@@ -219,6 +219,50 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
     csv = tmp_path / "em.csv"
     assert cli.main(["evolve", "--config", str(path), "--diag", str(csv)]) == 0
     assert len(csv.read_text().splitlines()) >= 3
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mass": "heavy"},
+        {"initial_condition": {"type": "plane_modes", "modes": [{"branch": "+"}]}},
+        {"initial_condition": {"type": "plane_modes", "modes": [{"n": [0, 0, 0]}]}},
+        {"evolution": {"t_final": 1.0, "dt": 0.1, "diag_stride": "x"}},
+        {
+            "charge": 0.5,
+            "external_field": {"random": {"seed": 11, "amplitude": 0.2, "nmax": 1}},
+            "evolution": {"t_final": 0.05, "dt": 0.02},
+        },
+    ],
+    ids=["mass-not-a-number", "mode-without-n", "mode-at-k0", "stride-not-an-int",
+         "coupled-t-final-not-multiple-of-dt"],
+)
+def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
+    path = evolve_config(tmp_path, **overrides)
+    assert cli.main(["evolve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_evolve_current_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    def perturbed(psi):
+        j = dynamics.probability_current(psi)
+        return j + 1e-6 * np.max(np.abs(j))
+
+    monkeypatch.setattr(dynamics, "probability_current_matrix_form", perturbed)
+    assert cli.main(["evolve", "--config", str(evolve_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CurrentMismatch:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [NonFiniteState, NoConvergence])
+def test_cli_numerical_error_exits_1(tmp_path, capsys, monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(dynamics, "diagnostics", failing)
+    assert cli.main(["evolve", "--config", str(evolve_config(tmp_path))]) == 1
+    assert capsys.readouterr().err == f"error: {error.__name__}: injected\n"
 
 
 def test_cli_em_check_scalar_potential(tmp_path, capsys):
