@@ -36,6 +36,13 @@ def _config_errors(what: str):
         raise ConfigError(f"invalid {what} config: {exc}") from exc
 
 
+def _require_object(value, what: str) -> dict:
+    """A config entry that must be a JSON object; ConfigError otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _apply_thread_cap() -> None:
     val = os.environ.get("SPIN1_THREADS", "").strip()
     if val and val != "0":
@@ -201,8 +208,9 @@ def _build_external(cfg: dict, grid, charge: float):
     spec = cfg.get("external_field")
     if spec is None:
         return None
+    _require_object(spec, "external_field")
     if "random" in spec:
-        r = spec["random"]
+        r = _require_object(spec["random"], "external_field.random")
         if "seed" not in r:
             raise ConfigError("random external field requires a seed")
         return em_coupling.random_smooth_external(
@@ -222,7 +230,7 @@ def _build_initial(cfg: dict, grid, mass: float):
     from . import fields
 
     ic = cfg.get("initial_condition")
-    if not ic or "type" not in ic:
+    if not ic or "type" not in _require_object(ic, "initial_condition"):
         raise ConfigError("initial_condition with a type is required")
     if ic["type"] == "random_band_limited":
         if "seed" not in ic:
@@ -240,6 +248,7 @@ def _build_initial(cfg: dict, grid, mass: float):
             raise ConfigError("plane_modes initial condition needs a nonempty mode list")
         psi = None
         for m in modes:
+            _require_object(m, "a plane_modes entry")
             branch = {"+": 1, "-": -1, 1: 1, -1: -1}.get(m.get("branch", "+"))
             if branch is None:
                 raise ConfigError(f"bad branch {m.get('branch')!r}")
@@ -287,7 +296,7 @@ def _cmd_evolve(args) -> int:
         if ext is not None:
             em_coupling.step_count(t_final, dt)
 
-    out_cfg = cfg.get("output", {})
+    out_cfg = _require_object(cfg.get("output", {}), "output")
     snap_path = args.out or out_cfg.get("snapshot")
     diag_path = args.diag or out_cfg.get("diagnostics")
 

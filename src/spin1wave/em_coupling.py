@@ -8,6 +8,13 @@ T(f) = D(A_d * D(f)) with A_d the truncated potential, which keeps every
 multiplication operator exactly Hermitian on the grid and keeps the operator
 identities exact as long as fields stay inside the dealiased band.
 
+One kernel, _sandwich, computes every such product on spectra: mask, one
+inverse FFT, a pointwise product, one forward FFT, mask.  The generator is
+the free symbol H(k) of dynamics plus one sandwich of the pointwise coupling
+e(Phi_d - a.A_d), 12 scalar FFTs per apply on a 6-stack.  RK4 stages and the
+evolving state are held as spectra; evolve_em transforms back to real space
+only for a diagnostics record and at the end.
+
 Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by a
 preconditioned conjugate-gradient solve of pi.pi phi = pi.w followed by
 w -> w - pi phi, with the free inverse Laplacian as the spectral
@@ -144,36 +151,34 @@ def _check_grids(psi: WaveField, ext: ExternalField):
         raise GridMismatch("state and external field live on different grids")
 
 
-def _sandwich_cross(ext: ExternalField, stack6_dealiased_hat: np.ndarray) -> np.ndarray:
-    """(a.A) Psi = (A x v, -A x u) with both sandwich truncations applied.
-    Input is the already-masked spectrum of the 6-stack."""
-    grid = ext.grid
-    din = fields.ifftn(stack6_dealiased_hat)
-    out = np.empty_like(din)
-    out[:3] = np.cross(ext.avec_d, din[3:], axisa=0, axisb=0, axisc=0)
-    out[3:] = -np.cross(ext.avec_d, din[:3], axisa=0, axisb=0, axisc=0)
-    return fields.ifftn(fields.fftn(out) * dealias_mask(grid))
+def _sandwich(grid: Grid, sh: np.ndarray, pointwise) -> np.ndarray:
+    """The one dealiased multiplication, on spectra: D[M(x) D psi] for the
+    spectrum sh of psi, where pointwise applies M(x) to the real-space field
+    D psi.  Returns the spectrum of the product, already truncated."""
+    mask = dealias_mask(grid)
+    return mask * fields.fftn(pointwise(fields.ifftn(mask * sh)))
 
 
-def apply_a_pi(psi_stack: np.ndarray, ext: ExternalField) -> np.ndarray:
-    """a.(p - e A) applied to a 6-stack."""
-    grid = ext.grid
-    k = fields.wavevectors(grid)
-    sh = fields.fftn(psi_stack)
-    free = np.empty_like(sh)
-    free[:3] = np.cross(k, sh[3:], axisa=0, axisb=0, axisc=0)
-    free[3:] = -np.cross(k, sh[:3], axisa=0, axisb=0, axisc=0)
-    out = fields.ifftn(free)
-    if ext.charge != 0.0:
-        out -= ext.charge * _sandwich_cross(ext, sh * dealias_mask(grid))
+def _a_dot(vec: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(a.vec) Psi = (vec x v, -vec x u) pointwise on a 6-stack."""
+    out = np.empty_like(d)
+    out[:3] = np.cross(vec, d[3:], axisa=0, axisb=0, axisc=0)
+    out[3:] = np.cross(d[:3], vec, axisa=0, axisb=0, axisc=0)
     return out
 
 
 def _apply_h_a_stack(stack: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
-    out = apply_a_pi(stack, ext)
-    out[:3] += mass * stack[:3]
-    out[3:] -= mass * stack[3:]
-    return out
+    grid = ext.grid
+    sh = fields.fftn(stack)
+    out = dynamics._hamiltonian_symbol(fields.wavevectors(grid), mass, sh)
+    if ext.charge != 0.0:
+        out -= ext.charge * _sandwich(grid, sh, lambda d: _a_dot(ext.avec_d, d))
+    return fields.ifftn(out)
+
+
+def apply_a_pi(psi_stack: np.ndarray, ext: ExternalField) -> np.ndarray:
+    """a.(p - e A) applied to a 6-stack."""
+    return _apply_h_a_stack(psi_stack, ext, 0.0)
 
 
 def apply_hamiltonian_A(psi: WaveField, ext: ExternalField) -> WaveField:
@@ -185,41 +190,45 @@ def apply_hamiltonian_A(psi: WaveField, ext: ExternalField) -> WaveField:
 
 def _mul_scalar_sandwich(ext: ExternalField, scalar_d: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """D(scalar_d * D(arr)) over the trailing grid axes."""
-    grid = ext.grid
-    m = dealias_mask(grid)
-    din = fields.ifftn(fields.fftn(arr) * m)
-    return fields.ifftn(fields.fftn(scalar_d * din) * m)
+    return fields.ifftn(_sandwich(ext.grid, fields.fftn(arr), lambda d: scalar_d * d))
+
+
+def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
+    """(H_A + e Phi) on the spectrum of a 6-stack: the free symbol H(k) plus
+    one sandwich of the pointwise coupling e(Phi_d - a.A_d)."""
+    out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh)
+    if ext.charge != 0.0:
+        out += ext.charge * _sandwich(
+            ext.grid, sh, lambda d: ext.phi_d * d - _a_dot(ext.avec_d, d)
+        )
+    return out
 
 
 def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
     """(H_A + e Phi) applied to a 6-stack; the generator of i d_t."""
-    out = _apply_h_a_stack(psi_stack, ext, mass)
-    if ext.charge != 0.0:
-        out += ext.charge * _mul_scalar_sandwich(ext, ext.phi_d, psi_stack)
-    return out
+    return fields.ifftn(_generator_spectrum(fields.fftn(psi_stack), ext, mass))
 
 
 def pi_vector(ext: ExternalField, f: np.ndarray) -> np.ndarray:
     """(p - eA) f for a scalar field f; returns shape (3, nx, ny, nz)."""
     grid = ext.grid
-    k = fields.wavevectors(grid)
     fh = fields.fftn(np.asarray(f, dtype=complex))
-    out = fields.ifftn(k * fh[None])
+    out = fields.wavevectors(grid) * fh
     if ext.charge != 0.0:
-        out -= ext.charge * _mul_scalar_sandwich(ext, ext.avec_d, f[None])
-    return out
+        out -= ext.charge * _sandwich(grid, fh, lambda d: ext.avec_d * d)
+    return fields.ifftn(out)
 
 
 def pi_dot(ext: ExternalField, w: np.ndarray) -> np.ndarray:
-    """(p - eA) . w for a 3-vector field w; returns a scalar field."""
+    """(p - eA) . w for a 3-vector field w; returns a scalar field.  The
+    three products A_d w_d are summed before the outer transform, which the
+    linearity of the truncation makes exact."""
     grid = ext.grid
-    k = fields.wavevectors(grid)
     wh = fields.fftn(np.asarray(w, dtype=complex))
-    out = fields.ifftn(np.sum(k * wh, axis=0))
+    out = np.sum(fields.wavevectors(grid) * wh, axis=0)
     if ext.charge != 0.0:
-        prod = _mul_scalar_sandwich(ext, ext.avec_d, w)
-        out -= ext.charge * np.sum(prod, axis=0)
-    return out
+        out -= ext.charge * _sandwich(grid, wh, lambda d: np.sum(ext.avec_d * d, axis=0))
+    return fields.ifftn(out)
 
 
 def pi_squared(ext: ExternalField, f: np.ndarray) -> np.ndarray:
@@ -348,24 +357,19 @@ def squared_hamiltonian_check(
 
 def _sigma_dot_h(ext: ExternalField, stack: np.ndarray) -> np.ndarray:
     """(Sigma.H) Psi = (i H x u, i H x v) with sandwiched multiplication."""
-    grid = ext.grid
-    m = dealias_mask(grid)
-    din = fields.ifftn(fields.fftn(stack) * m)
-    out = np.empty_like(din)
-    out[:3] = 1j * np.cross(ext.hvec_d, din[:3], axisa=0, axisb=0, axisc=0)
-    out[3:] = 1j * np.cross(ext.hvec_d, din[3:], axisa=0, axisb=0, axisc=0)
-    return fields.ifftn(fields.fftn(out) * m)
+
+    def pointwise(d):
+        out = np.empty_like(d)
+        out[:3] = 1j * np.cross(ext.hvec_d, d[:3], axisa=0, axisb=0, axisc=0)
+        out[3:] = 1j * np.cross(ext.hvec_d, d[3:], axisa=0, axisb=0, axisc=0)
+        return out
+
+    return fields.ifftn(_sandwich(ext.grid, fields.fftn(stack), pointwise))
 
 
 def _a_dot_e(ext: ExternalField, stack: np.ndarray) -> np.ndarray:
     """(a.E) Psi = (E x v, -E x u) with sandwiched multiplication."""
-    grid = ext.grid
-    m = dealias_mask(grid)
-    din = fields.ifftn(fields.fftn(stack) * m)
-    out = np.empty_like(din)
-    out[:3] = np.cross(ext.evec_d, din[3:], axisa=0, axisb=0, axisc=0)
-    out[3:] = -np.cross(ext.evec_d, din[:3], axisa=0, axisb=0, axisc=0)
-    return fields.ifftn(fields.fftn(out) * m)
+    return fields.ifftn(_sandwich(ext.grid, fields.fftn(stack), lambda d: _a_dot(ext.evec_d, d)))
 
 
 def _pi_squared_stack(ext: ExternalField, stack: np.ndarray) -> np.ndarray:
@@ -389,10 +393,14 @@ def constrained_square_check(
     Projected fields must satisfy it to 1e-8 (limited by the projection
     tolerance); the same expression on unprojected fields must miss by at
     least 1e-2 relative, which demonstrates that the constraints, not just
-    the matrix algebra, carry the magnetic-moment term."""
+    the matrix algebra, carry the magnetic-moment term.  The notes carry
+    the largest CG iteration count of any block solve and the largest final
+    CG residual max|pi.w|."""
     rng = np.random.default_rng(seed)
     worst_proj = 0.0
     worst_raw = np.inf
+    cg_iterations = 0
+    cg_residual = 0.0
     for _ in range(trials):
         psi = fields.random_wave_field(ext.grid, mass, k_cutoff, rng)
 
@@ -405,10 +413,14 @@ def constrained_square_check(
         worst_raw = min(worst_raw, residual(psi.stack()))
         proj = covariant_project(psi, ext, tol=projection_tol)
         worst_proj = max(worst_proj, residual(proj.field.stack()))
+        cg_iterations = max(cg_iterations, *proj.iterations)
+        cg_residual = max(cg_residual, *proj.residuals)
     rep = ResidualReport()
     rep.add_upper("projected_identity_residual", worst_proj, 1e-8)
     rep.add_lower("unprojected_negative_control", worst_raw, 1e-2)
     rep.notes["trials"] = str(trials)
+    rep.notes["cg_max_iterations"] = str(cg_iterations)
+    rep.notes["cg_max_residual"] = f"{cg_residual:.3e}"
     return rep
 
 
@@ -439,15 +451,19 @@ def stability_bound(grid: Grid, mass: float, ext: ExternalField) -> float:
     return 0.5 / (kmax + e * float(np.max(np.abs(ext.avec))) + e * float(np.max(np.abs(ext.phi))) + mass)
 
 
-def _rk4_step(stack: np.ndarray, ext: ExternalField, mass: float, dt: float) -> np.ndarray:
-    def rhs(s):
-        return -1j * apply_total_generator(s, ext, mass)
+def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float) -> np.ndarray:
+    """One classical RK4 step on the spectrum sh of a 6-stack; every stage
+    stays a spectrum, so a step costs four generator applies and no other
+    transform."""
 
-    k1 = rhs(stack)
-    k2 = rhs(stack + 0.5 * dt * k1)
-    k3 = rhs(stack + 0.5 * dt * k2)
-    k4 = rhs(stack + dt * k3)
-    return stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rhs(s):
+        return -1j * _generator_spectrum(s, ext, mass)
+
+    k1 = rhs(sh)
+    k2 = rhs(sh + 0.5 * dt * k1)
+    k3 = rhs(sh + 0.5 * dt * k2)
+    k4 = rhs(sh + dt * k3)
+    return sh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass
@@ -456,25 +472,27 @@ class EmEvolution:
     records: list[dynamics.DiagnosticsRecord]
 
 
-def _em_diagnostics(psi: WaveField, ext: ExternalField, dt: float) -> dynamics.DiagnosticsRecord:
+def _em_diagnostics(
+    psi: WaveField, sh: np.ndarray, ext: ExternalField, dt: float
+) -> dynamics.DiagnosticsRecord:
     """Like the free diagnostics, but the energy is taken with the coupled
     generator, the constraint columns carry the covariant residuals
-    max|pi.u|, max|pi.v|, and the continuity estimate uses RK4 side steps."""
+    max|pi.u|, max|pi.v|, and the continuity estimate uses RK4 side steps.
+    sh is the spectrum of psi's stack; the energy comes from it by Parseval
+    and both side steps start from it."""
+    grid = psi.grid
     rho = dynamics.probability_density(psi)
     j = dynamics.probability_current(psi)
-    dv = psi.grid.cell_volume
-    stack = psi.stack()
-    en = float(0.5 * np.vdot(stack, apply_total_generator(stack, ext, psi.mass)).real * dv)
+    dv = grid.cell_volume
+    en = float(0.5 * np.vdot(sh, _generator_spectrum(sh, ext, psi.mass)).real * dv / grid.npoints)
     ru, rv = constraint_residuals(psi, ext)
 
-    rho_p = dynamics.probability_density(
-        WaveField.from_stack(psi.grid, _rk4_step(stack, ext, psi.mass, dt), psi.mass)
-    )
-    rho_m = dynamics.probability_density(
-        WaveField.from_stack(psi.grid, _rk4_step(stack, ext, psi.mass, -dt), psi.mass)
-    )
-    drho = (rho_p - rho_m) / (2.0 * dt)
-    divj = fields.divergence(VectorField(psi.grid, j.astype(complex))).real
+    def rho_at(step_dt: float) -> np.ndarray:
+        stack = fields.ifftn(_rk4_step(sh, ext, psi.mass, step_dt))
+        return dynamics.probability_density(WaveField.from_stack(grid, stack, psi.mass))
+
+    drho = (rho_at(dt) - rho_at(-dt)) / (2.0 * dt)
+    divj = fields.divergence(VectorField(grid, j.astype(complex))).real
     cres = float(np.sqrt(np.sum((drho + divj) ** 2) * dv))
     return dynamics.DiagnosticsRecord(
         time=psi.time,
@@ -507,32 +525,37 @@ def evolve_em(
 
     diag_stride > 0 records diagnostics every that many steps (plus the
     initial and final states).  Covariant constraint drift is monitored,
-    never projected away.  Raises StepTooLarge if dt exceeds the stability
-    bound and NonFiniteState if the field diverges."""
+    never projected away.  The state is stepped as its spectrum and
+    transformed back, and checked for finiteness, only for a record and at
+    the end.  Raises StepTooLarge if dt exceeds the stability bound and
+    NonFiniteState if the field diverges."""
     _check_grids(psi, ext)
     bound = stability_bound(psi.grid, psi.mass, ext)
     if dt > bound:
         raise StepTooLarge(f"dt={dt:.3e} exceeds the RK4 stability bound {bound:.3e}")
     n_steps = step_count(t_final, dt)
 
-    stack = psi.stack()
+    sh = fields.fftn(psi.stack())
     t0 = psi.time
     records: list[dynamics.DiagnosticsRecord] = []
 
     def snapshot(step: int) -> WaveField:
+        stack = fields.ifftn(sh)
+        if not np.all(np.isfinite(stack.view(float))):
+            raise NonFiniteState(f"non-finite field values at step {step}")
         return WaveField.from_stack(psi.grid, stack, psi.mass, t0 + step * dt)
 
     if diag_stride > 0:
-        records.append(_em_diagnostics(snapshot(0), ext, dt))
+        state = snapshot(0)
+        records.append(_em_diagnostics(state, sh, ext, dt))
     for step in range(1, n_steps + 1):
-        stack = _rk4_step(stack, ext, psi.mass, dt)
+        sh = _rk4_step(sh, ext, psi.mass, dt)
         if diag_stride > 0 and (step % diag_stride == 0 or step == n_steps):
-            if not np.all(np.isfinite(stack.view(float))):
-                raise NonFiniteState(f"non-finite field values at step {step}")
-            records.append(_em_diagnostics(snapshot(step), ext, dt))
-    if not np.all(np.isfinite(stack.view(float))):
-        raise NonFiniteState("non-finite field values at the final step")
-    return EmEvolution(final=snapshot(n_steps), records=records)
+            state = snapshot(step)
+            records.append(_em_diagnostics(state, sh, ext, dt))
+    if diag_stride <= 0:
+        state = snapshot(n_steps)
+    return EmEvolution(final=state, records=records)
 
 
 def second_order_residual(
@@ -552,8 +575,8 @@ def second_order_residual(
     m = psi0.mass
     e = ext.charge
     stack0 = psi0.stack()
-    plus = stack0.copy()
-    minus = stack0.copy()
+    sh0 = fields.fftn(stack0)
+    plus = minus = sh0
     for _ in range(substeps):
         plus = _rk4_step(plus, ext, m, h)
         minus = _rk4_step(minus, ext, m, -h)
@@ -561,8 +584,9 @@ def second_order_residual(
     def mulphi(arr):
         return _mul_scalar_sandwich(ext, ext.phi_d, arr) if e != 0.0 else np.zeros_like(arr)
 
-    ddt = (plus - minus) / (2.0 * dt)
-    d2dt = (plus - 2.0 * stack0 + minus) / dt**2
+    ddt, d2dt = fields.ifftn(
+        np.stack([(plus - minus) / (2.0 * dt), (plus - 2.0 * sh0 + minus) / dt**2])
+    )
     lhs = -d2dt - 2j * e * mulphi(ddt) + e**2 * mulphi(mulphi(stack0))
     rhs = (
         _pi_squared_stack(ext, stack0)

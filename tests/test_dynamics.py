@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -215,23 +214,12 @@ def test_closed_form_matches_eigh_oracle(mass, t):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_fft_counts(monkeypatch, prop, psi_t):
-    transforms = []
-
-    def counted(fft):
-        def wrapper(data):
-            transforms.append(math.prod(data.shape[:-3]))
-            return fft(data)
-
-        return wrapper
-
-    monkeypatch.setattr(fields, "fftn", counted(fields.fftn))
-    monkeypatch.setattr(fields, "ifftn", counted(fields.ifftn))
+def test_fft_counts(fft_transforms, prop, psi_t):
     prop.evolve(psi_t, 0.7)
-    assert sum(transforms) <= 12
-    transforms.clear()
+    assert sum(fft_transforms) <= 12
+    fft_transforms.clear()
     dynamics.diagnostics(psi_t, 1e-3, prop)
-    assert sum(transforms) <= 30
+    assert sum(fft_transforms) <= 30
 
 
 def _perturbed_matrix_current(psi):

@@ -236,3 +236,160 @@ def test_dealias_mask_cuts_upper_third():
     idx = np.rint(np.fft.fftfreq(16) * 16).astype(int)
     assert m[np.abs(idx) == 5, 0, 0].all() == True  # 3*5 < 16
     assert not m[np.abs(idx) == 6, 0, 0].any()  # 3*6 >= 16
+
+
+# Oracle: the unfused composition the sandwich kernel replaced.  Each
+# multiplication truncates, multiplies and truncates in its own round trip
+# through real space, and the free a.p part has its own k x kernel.
+
+
+def _oracle_sandwich_cross(ext, stack6_dealiased_hat):
+    din = fields.ifftn(stack6_dealiased_hat)
+    out = np.empty_like(din)
+    out[:3] = np.cross(ext.avec_d, din[3:], axisa=0, axisb=0, axisc=0)
+    out[3:] = -np.cross(ext.avec_d, din[:3], axisa=0, axisb=0, axisc=0)
+    return fields.ifftn(fields.fftn(out) * em.dealias_mask(ext.grid))
+
+
+def _oracle_a_pi(psi_stack, ext):
+    k = fields.wavevectors(ext.grid)
+    sh = fields.fftn(psi_stack)
+    free = np.empty_like(sh)
+    free[:3] = np.cross(k, sh[3:], axisa=0, axisb=0, axisc=0)
+    free[3:] = -np.cross(k, sh[:3], axisa=0, axisb=0, axisc=0)
+    out = fields.ifftn(free)
+    if ext.charge != 0.0:
+        out -= ext.charge * _oracle_sandwich_cross(ext, sh * em.dealias_mask(ext.grid))
+    return out
+
+
+def _oracle_mul_scalar_sandwich(ext, scalar_d, arr):
+    m = em.dealias_mask(ext.grid)
+    din = fields.ifftn(fields.fftn(arr) * m)
+    return fields.ifftn(fields.fftn(scalar_d * din) * m)
+
+
+def _oracle_generator(psi_stack, ext, mass):
+    out = _oracle_a_pi(psi_stack, ext)
+    out[:3] += mass * psi_stack[:3]
+    out[3:] -= mass * psi_stack[3:]
+    if ext.charge != 0.0:
+        out += ext.charge * _oracle_mul_scalar_sandwich(ext, ext.phi_d, psi_stack)
+    return out
+
+
+def _oracle_pi_vector(ext, f):
+    k = fields.wavevectors(ext.grid)
+    out = fields.ifftn(k * fields.fftn(f)[None])
+    if ext.charge != 0.0:
+        out -= ext.charge * _oracle_mul_scalar_sandwich(ext, ext.avec_d, f[None])
+    return out
+
+
+def _oracle_pi_dot(ext, w):
+    k = fields.wavevectors(ext.grid)
+    out = fields.ifftn(np.sum(k * fields.fftn(w), axis=0))
+    if ext.charge != 0.0:
+        out -= ext.charge * np.sum(_oracle_mul_scalar_sandwich(ext, ext.avec_d, w), axis=0)
+    return out
+
+
+def _oracle_sigma_dot_h(ext, stack):
+    m = em.dealias_mask(ext.grid)
+    din = fields.ifftn(fields.fftn(stack) * m)
+    out = np.empty_like(din)
+    out[:3] = 1j * np.cross(ext.hvec_d, din[:3], axisa=0, axisb=0, axisc=0)
+    out[3:] = 1j * np.cross(ext.hvec_d, din[3:], axisa=0, axisb=0, axisc=0)
+    return fields.ifftn(fields.fftn(out) * m)
+
+
+def _oracle_a_dot_e(ext, stack):
+    m = em.dealias_mask(ext.grid)
+    din = fields.ifftn(fields.fftn(stack) * m)
+    out = np.empty_like(din)
+    out[:3] = np.cross(ext.evec_d, din[3:], axisa=0, axisb=0, axisc=0)
+    out[3:] = -np.cross(ext.evec_d, din[:3], axisa=0, axisb=0, axisc=0)
+    return fields.ifftn(fields.fftn(out) * m)
+
+
+def _oracle_rk4_step(stack, ext, mass, dt):
+    def rhs(s):
+        return -1j * _oracle_generator(s, ext, mass)
+
+    k1 = rhs(stack)
+    k2 = rhs(stack + 0.5 * dt * k1)
+    k3 = rhs(stack + 0.5 * dt * k2)
+    k4 = rhs(stack + dt * k3)
+    return stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+ANISO = fields.Grid(8, 10, 12, 5.0, 6.5, 8.0)
+
+
+@pytest.fixture(scope="module")
+def ext_aniso():
+    ext_a = em.random_smooth_external(ANISO, 0.5, seed=21, amplitude=0.2, nmax=1)
+    assert np.max(np.abs(ext_a.phi)) > 0 and np.max(np.abs(ext_a.avec)) > 0
+    return ext_a
+
+
+def _white_noise(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_fused_operators_match_unfused_oracle(ext_aniso, mass):
+    # white noise carries the k = 0, Nyquist and above-band modes
+    stack = _white_noise((6, *ANISO.shape), 1)
+    f = _white_noise(ANISO.shape, 2)
+    w = _white_noise((3, *ANISO.shape), 3)
+    pairs = [
+        (em.apply_total_generator(stack, ext_aniso, mass),
+         _oracle_generator(stack, ext_aniso, mass)),
+        (em.apply_a_pi(stack, ext_aniso), _oracle_a_pi(stack, ext_aniso)),
+        (em.pi_vector(ext_aniso, f), _oracle_pi_vector(ext_aniso, f)),
+        (em.pi_dot(ext_aniso, w), _oracle_pi_dot(ext_aniso, w)),
+        (em._sigma_dot_h(ext_aniso, stack), _oracle_sigma_dot_h(ext_aniso, stack)),
+        (em._a_dot_e(ext_aniso, stack), _oracle_a_dot_e(ext_aniso, stack)),
+    ]
+    for new, old in pairs:
+        assert _rel(new, old) <= 1e-13
+    dt = 0.5 * em.stability_bound(ANISO, mass, ext_aniso)
+    step = fields.ifftn(em._rk4_step(fields.fftn(stack), ext_aniso, mass, dt))
+    assert _rel(step, _oracle_rk4_step(stack, ext_aniso, mass, dt)) <= 1e-13
+
+
+def test_pi_vector_adjoint_of_pi_dot(ext_aniso):
+    f = _white_noise(ANISO.shape, 4)
+    w = _white_noise((3, *ANISO.shape), 5)
+    lhs = complex(np.vdot(w, em.pi_vector(ext_aniso, f)))
+    rhs = complex(np.vdot(em.pi_dot(ext_aniso, w), f))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def test_coupled_fft_counts(fft_transforms, psi, ext):
+    stack = psi.stack()
+    sh = fields.fftn(stack)
+    fft_transforms.clear()
+    em.apply_total_generator(stack, ext, MASS)
+    assert sum(fft_transforms) <= 24
+    fft_transforms.clear()
+    em._rk4_step(sh, ext, MASS, 0.01)
+    assert sum(fft_transforms) <= 48
+    fft_transforms.clear()
+    em.pi_vector(ext, stack[0])
+    assert sum(fft_transforms) <= 8
+    fft_transforms.clear()
+    em.pi_dot(ext, stack[:3])
+    assert sum(fft_transforms) <= 8
+
+
+def test_constrained_check_reports_cg_telemetry(ext):
+    rep = em.constrained_square_check(ext, MASS, trials=2, seed=4)
+    assert int(rep.notes["cg_max_iterations"]) >= 1
+    assert 0.0 < float(rep.notes["cg_max_residual"]) <= 1e-10

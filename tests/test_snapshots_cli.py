@@ -233,9 +233,13 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
             "external_field": {"random": {"seed": 11, "amplitude": 0.2, "nmax": 1}},
             "evolution": {"t_final": 0.05, "dt": 0.02},
         },
+        {"initial_condition": {"type": "plane_modes", "modes": [5]}},
+        {"external_field": "x"},
+        {"output": "x"},
     ],
     ids=["mass-not-a-number", "mode-without-n", "mode-at-k0", "stride-not-an-int",
-         "coupled-t-final-not-multiple-of-dt"],
+         "coupled-t-final-not-multiple-of-dt", "mode-not-an-object",
+         "external-field-not-an-object", "output-not-an-object"],
 )
 def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
     path = evolve_config(tmp_path, **overrides)
@@ -297,3 +301,41 @@ def test_cli_landau(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "e_squared"
     assert len(lines) == 1 + 6 * 16 * 16
+
+
+def em_check_config(tmp_path, **overrides):
+    cfg = {
+        "grid": {
+            "nx": 16, "ny": 16, "nz": 16,
+            "lx": 2 * np.pi, "ly": 2 * np.pi, "lz": 2 * np.pi,
+        },
+        "mass": 1.0,
+        "charge": 0.5,
+        "seed": 3,
+        "trials": 2,
+        "external_field": {
+            "phi_terms": [{"n": [1, 0, 0], "cos": 0.3}, {"n": [0, 1, 0], "sin": 0.2}],
+        },
+    }
+    cfg.update(overrides)
+    path = tmp_path / "em.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_cli_em_check_external_not_an_object_exits_2(tmp_path, capsys):
+    path = em_check_config(tmp_path, external_field="x")
+    assert cli.main(["em-check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: external_field must be a JSON object")
+
+
+def test_cli_em_check_reports_cg_telemetry(tmp_path, capsys):
+    path = em_check_config(tmp_path)
+    assert cli.main(["em-check", "--config", str(path), "--json"]) == 0
+    notes = json.loads(capsys.readouterr().out)["sections"]["constrained_identity"]["notes"]
+    assert int(notes["cg_max_iterations"]) >= 1
+    assert float(notes["cg_max_residual"]) <= 1e-10
+    assert cli.main(["em-check", "--config", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert f"note  cg_max_iterations: {notes['cg_max_iterations']}" in text
+    assert f"note  cg_max_residual: {notes['cg_max_residual']}" in text
