@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .errors import CurrentMismatch, NoConvergence, NonFiniteState
+from .errors import CurrentMismatch, FormatError, NoConvergence, NonFiniteState
 
 
 class ConfigError(Exception):
@@ -41,6 +41,22 @@ def _require_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def _at_least(convert, low, what: str):
+    """argparse type: convert(text) if it is finite and >= low, else a usage
+    error (exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected {what} >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _apply_thread_cap() -> None:
@@ -69,9 +85,7 @@ def _load_json(path) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
 
 
-def _print_report(name: str, rep, as_json: bool) -> None:
-    if as_json:
-        return  # caller prints the merged JSON
+def _print_report(name: str, rep) -> None:
     print(f"[{name}]")
     d = rep.to_dict()
     for c in d.get("identities", []):
@@ -95,7 +109,7 @@ def _emit(sections: dict, as_json: bool) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for name, rep in sections.items():
-            _print_report(name, rep, as_json=False)
+            _print_report(name, rep)
         print("overall:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -276,7 +290,7 @@ def _write_csv(path, records) -> None:
 
 
 def _cmd_evolve(args) -> int:
-    from . import dynamics, em_coupling, snapshots
+    from . import dynamics, em_coupling, fields, snapshots
 
     cfg = _load_json(args.config)
     grid = _build_grid(cfg)
@@ -315,12 +329,12 @@ def _cmd_evolve(args) -> int:
         times = [j * dt for j in range(0, n_steps + 1, stride)]
         if not times or times[-1] != t_final:
             times.append(t_final)  # the propagator is exact at any time
+        sh0 = fields.fftn(psi.stack())
         records = []
-        final = psi
         for t in times:
-            state = prop.evolve(psi, t)
-            records.append(dynamics.diagnostics(state, continuity_dt=c_dt, propagator=prop))
-            final = state
+            sh = prop.evolve_spectrum(sh0, t)
+            final = fields.WaveField.from_stack(grid, fields.ifftn(sh), mass, psi.time + t)
+            records.append(dynamics.diagnostics(final, c_dt, prop, sh))
 
     if diag_path:
         _write_csv(diag_path, records)
@@ -426,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain-check", help="plane-wave chain residual checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--modes", type=int, default=20)
-    p.add_argument("--mass", type=float, default=1.0)
+    p.add_argument("--modes", type=_at_least(int, 1, "an integer"), default=20)
+    p.add_argument("--mass", type=_at_least(float, 0, "a finite real"), default=1.0)
     p.add_argument("--variant", choices=["h", "e", "a"], default="h")
     p.add_argument("--mass-sign", choices=["+", "-"], default="-")
     p.add_argument("--controls", action="store_true", help="include negative controls")
@@ -447,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_em_check)
 
     p = sub.add_parser("landau", help="uniform-field lattice spectrum and clusters")
-    p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--flux", type=int, default=1)
+    p.add_argument("--grid", type=_at_least(int, 4, "an integer"), default=16)
+    p.add_argument("--flux", type=_at_least(int, 1, "an integer"), default=1)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--charge", type=float, default=1.0)
     p.add_argument("--csv", help="write sorted squared eigenvalues here")
@@ -467,7 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CurrentMismatch, NonFiniteState, NoConvergence) as exc:

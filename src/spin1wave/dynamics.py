@@ -12,6 +12,10 @@ transverse subspace P_T, while on the longitudinal one P_L = khat khat^T
 
 There is no time-step error anywhere in this module; the only approximation
 is the finite grid.
+
+record is the one diagnostics record of free and coupled runs: it works from
+the spectrum the caller holds, given the three operators in which the systems
+differ (generator, constraint divergence, continuity side-step map).
 """
 from __future__ import annotations
 
@@ -115,11 +119,13 @@ def evolve_free(psi: WaveField, t: float, propagator: FreePropagator | None = No
     return prop.evolve(psi, t)
 
 
+def _density(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return 0.5 * (np.sum(np.abs(u) ** 2, axis=0) + np.sum(np.abs(v) ** 2, axis=0))
+
+
 def probability_density(psi: WaveField) -> np.ndarray:
     """rho = (|u|^2 + |v|^2)/2 pointwise; nonnegative by construction."""
-    return 0.5 * (
-        np.sum(np.abs(psi.u.data) ** 2, axis=0) + np.sum(np.abs(psi.v.data) ** 2, axis=0)
-    )
+    return _density(psi.u.data, psi.v.data)
 
 
 def probability_current(psi: WaveField) -> np.ndarray:
@@ -135,16 +141,21 @@ def probability_current_matrix_form(psi: WaveField) -> np.ndarray:
     return 0.5 * np.einsum("kij,i...,j...->k...", a_stack, stack.conj(), stack).real
 
 
+def _parseval_energy(grid: fields.Grid, sh: np.ndarray, gsh: np.ndarray) -> float:
+    """<Psi|G|Psi> from the spectra sh of the stack and gsh of G Psi: the grid
+    sum of conj(f) g is the mode sum of conj(f_hat) g_hat / npoints."""
+    return float(0.5 * np.vdot(sh, gsh).real * grid.cell_volume / grid.npoints)
+
+
 def energy(psi: WaveField) -> float:
     """<Psi| H |Psi> under the grid inner product (with the 1/sqrt(2))."""
-    return _spectral_energy(psi.grid, psi.mass, fields.fftn(psi.stack()))
+    sh = fields.fftn(psi.stack())
+    k = fields.wavevectors(psi.grid)
+    return _parseval_energy(psi.grid, sh, _hamiltonian_symbol(k, psi.mass, sh))
 
 
-def _spectral_energy(grid: fields.Grid, mass: float, sh: np.ndarray) -> float:
-    """energy() from the spectrum sh of the stack, by Parseval: the grid sum
-    of conj(f) g equals the mode sum of conj(f_hat) g_hat / npoints."""
-    h = _hamiltonian_symbol(fields.wavevectors(grid), mass, sh)
-    return float(0.5 * np.vdot(sh, h).real * grid.cell_volume / grid.npoints)
+CSV_COLUMNS = ["t", "total_probability", "energy", "jx", "jy", "jz",
+               "div_u_res", "div_v_res", "continuity_res"]
 
 
 @dataclass
@@ -158,79 +169,58 @@ class DiagnosticsRecord:
     continuity_res: float
 
     def csv_row(self) -> list[float]:
-        return [
-            self.time,
-            self.total_probability,
-            self.energy,
-            float(self.total_current[0]),
-            float(self.total_current[1]),
-            float(self.total_current[2]),
-            self.div_u_res,
-            self.div_v_res,
-            self.continuity_res,
-        ]
+        """The values in CSV_COLUMNS order."""
+        return [self.time, self.total_probability, self.energy, *map(float, self.total_current),
+                self.div_u_res, self.div_v_res, self.continuity_res]
 
 
-CSV_COLUMNS = [
-    "t",
-    "total_probability",
-    "energy",
-    "jx",
-    "jy",
-    "jz",
-    "div_u_res",
-    "div_v_res",
-    "continuity_res",
-]
+def record(psi: WaveField, sh: np.ndarray, generator, divergence, side_step,
+           dt: float | None) -> DiagnosticsRecord:
+    """The diagnostics record of one state, free or coupled.  sh is the
+    spectrum of psi's stack, and the three operators in which the systems
+    differ act on spectra: generator(sh) gives the energy <Psi|G|Psi>,
+    divergence(wh) the constraint divergence of a (2, 3, ...) block spectrum
+    (columns max|div u|, max|div v|), and side_step(sh, t) the states whose
+    central difference at +-dt gives the continuity column (NaN if dt is None).
 
-
-def diagnostics(
-    psi: WaveField,
-    continuity_dt: float | None = None,
-    propagator: FreePropagator | None = None,
-) -> DiagnosticsRecord:
-    """Conserved-quantity totals and constraint residuals.
-
-    The current is computed both from the cross-product form and from the
-    matrix form Psi^dag a Psi; they must agree to 1e-12, which guards the
-    equivalence of the two published definitions on every call (raises
-    CurrentMismatch otherwise).  The energy and the divergence residuals
-    come from one forward FFT of the state.
-    """
+    The cross-product current must agree with the matrix form Psi^dag a Psi
+    to 1e-12 on every record, a guard on the equivalence of the two
+    published definitions (raises CurrentMismatch otherwise)."""
     rho = probability_density(psi)
     j = probability_current(psi)
-    j_mat = probability_current_matrix_form(psi)
     scale = max(float(np.max(rho)), 1e-300)
-    dev = float(np.max(np.abs(j - j_mat)))
+    dev = float(np.max(np.abs(j - probability_current_matrix_form(psi))))
     if not dev <= 1e-12 * scale:
         raise CurrentMismatch(f"current formulas disagree: {dev:.3e} vs scale {scale:.3e}")
-
     grid = psi.grid
-    dv = grid.cell_volume
-    sh = fields.fftn(psi.stack())
-    k = fields.wavevectors(grid)
-    div = fields.ifftn(1j * np.sum(k[None] * sh.reshape(2, 3, *grid.shape), axis=1))
-    div_u, div_v = (float(np.max(np.abs(d))) for d in div)
-    cres = float("nan")
-    if continuity_dt is not None:
-        cres = continuity_residual(psi, continuity_dt, propagator=propagator)
+    div = fields.ifftn(divergence(sh.reshape(2, 3, *grid.shape)))
+    div_u, div_v = np.max(np.abs(div), axis=(1, 2, 3)).tolist()
     return DiagnosticsRecord(
         time=psi.time,
-        total_probability=float(np.sum(rho) * dv),
-        total_current=np.sum(j, axis=(1, 2, 3)) * dv,
-        energy=_spectral_energy(grid, psi.mass, sh),
+        total_probability=float(np.sum(rho) * grid.cell_volume),
+        total_current=np.sum(j, axis=(1, 2, 3)) * grid.cell_volume,
+        energy=_parseval_energy(grid, sh, generator(sh)),
         div_u_res=div_u,
         div_v_res=div_v,
-        continuity_res=cres,
+        continuity_res=float("nan") if dt is None else _continuity(grid, sh, j, side_step, dt),
     )
 
 
-def continuity_residual(
-    psi: WaveField, dt: float, propagator: FreePropagator | None = None
-) -> float:
-    """L2 norm of d_t rho + div j, with d_t rho estimated by a central
-    difference of exactly evolved states, both evolved from one forward FFT
-    of psi.  Converges as O(dt^2)."""
+def _continuity(grid: fields.Grid, sh: np.ndarray, j: np.ndarray, side_step, dt: float) -> float:
+    """L2 norm of d_t rho + div j: d_t rho is the central difference of the
+    states side_step(sh, +-dt), j the current of the state sh itself."""
+
+    def rho_at(t: float) -> np.ndarray:
+        stack = fields.ifftn(side_step(sh, t))
+        return _density(stack[:3], stack[3:])
+
+    drho = (rho_at(dt) - rho_at(-dt)) / (2.0 * dt)
+    divj = fields.divergence(VectorField(grid, j.astype(complex))).real
+    return float(np.sqrt(np.sum((drho + divj) ** 2) * grid.cell_volume))
+
+
+def _free_side_step(psi: WaveField, dt: float, propagator: FreePropagator | None):
+    """exp(-i H(k) t) on spectra, once dt passes the resolution bound."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     bound = 0.1 / omega_max(psi.grid, psi.mass)
@@ -238,16 +228,28 @@ def continuity_residual(
         raise StepTooLarge(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
     prop = propagator or FreePropagator(psi.grid, psi.mass)
     prop.check_state(psi)
-    sh = fields.fftn(psi.stack())
+    return prop.evolve_spectrum
 
-    def rho_at(t: float) -> np.ndarray:
-        stack = fields.ifftn(prop.evolve_spectrum(sh, t))
-        return probability_density(WaveField.from_stack(psi.grid, stack, psi.mass))
 
-    drho = (rho_at(dt) - rho_at(-dt)) / (2.0 * dt)
-    divj = fields.divergence(VectorField(psi.grid, probability_current(psi).astype(complex))).real
-    res = drho + divj
-    return float(np.sqrt(np.sum(res**2) * psi.grid.cell_volume))
+def diagnostics(psi: WaveField, continuity_dt: float | None = None,
+                propagator: FreePropagator | None = None,
+                sh: np.ndarray | None = None) -> DiagnosticsRecord:
+    """The record of the free system: generator H(k), divergence residuals
+    max|div u|, max|div v|, exact side steps.  sh is the spectrum of psi's
+    stack; it is taken here if the caller does not hold it."""
+    sh = fields.fftn(psi.stack()) if sh is None else sh
+    k = fields.wavevectors(psi.grid)
+    side_step = None if continuity_dt is None else _free_side_step(psi, continuity_dt, propagator)
+    return record(psi, sh, lambda s: _hamiltonian_symbol(k, psi.mass, s),
+                  lambda wh: 1j * np.sum(k * wh, axis=-4), side_step, continuity_dt)
+
+
+def continuity_residual(
+    psi: WaveField, dt: float, propagator: FreePropagator | None = None
+) -> float:
+    """The free continuity column of psi on its own: converges as O(dt^2)."""
+    side_step = _free_side_step(psi, dt, propagator)
+    return _continuity(psi.grid, fields.fftn(psi.stack()), probability_current(psi), side_step, dt)
 
 
 @dataclass

@@ -13,7 +13,8 @@ inverse FFT, a pointwise product, one forward FFT, mask.  The generator is
 the free symbol H(k) of dynamics plus one sandwich of the pointwise coupling
 e(Phi_d - a.A_d), 12 scalar FFTs per apply on a 6-stack.  RK4 stages and the
 evolving state are held as spectra; evolve_em transforms back to real space
-only for a diagnostics record and at the end.
+only for a diagnostics record and at the end.  The record is dynamics.record
+with this generator, the covariant divergence pi.w and RK4 side steps.
 
 Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by a
 preconditioned conjugate-gradient solve of pi.pi phi = pi.w followed by
@@ -50,13 +51,9 @@ def dealias_mask(grid: Grid) -> np.ndarray:
     return m
 
 
-def dealias(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    """Truncate the trailing three axes to the dealiased band."""
-    return fields.ifftn(fields.fftn(arr) * dealias_mask(grid))
-
-
 def _dealias_real(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    return dealias(grid, arr.astype(np.complex128)).real
+    """Truncate a real field's trailing three axes to the dealiased band."""
+    return fields.ifftn(fields.fftn(arr.astype(np.complex128)) * dealias_mask(grid)).real
 
 
 @dataclass
@@ -219,16 +216,20 @@ def pi_vector(ext: ExternalField, f: np.ndarray) -> np.ndarray:
     return fields.ifftn(out)
 
 
-def pi_dot(ext: ExternalField, w: np.ndarray) -> np.ndarray:
-    """(p - eA) . w for a 3-vector field w; returns a scalar field.  The
-    three products A_d w_d are summed before the outer transform, which the
-    linearity of the truncation makes exact."""
-    grid = ext.grid
-    wh = fields.fftn(np.asarray(w, dtype=complex))
-    out = np.sum(fields.wavevectors(grid) * wh, axis=0)
+def _pi_dot_spectrum(ext: ExternalField, wh: np.ndarray) -> np.ndarray:
+    """(p - eA) . w on the spectrum wh of a (..., 3, nx, ny, nz) vector field;
+    returns the spectrum of the scalar field.  The three products A_d w_d
+    are summed before the outer transform, which the linearity of the
+    truncation makes exact."""
+    out = np.sum(fields.wavevectors(ext.grid) * wh, axis=-4)
     if ext.charge != 0.0:
-        out -= ext.charge * _sandwich(grid, wh, lambda d: np.sum(ext.avec_d * d, axis=0))
-    return fields.ifftn(out)
+        out -= ext.charge * _sandwich(ext.grid, wh, lambda d: np.sum(ext.avec_d * d, axis=-4))
+    return out
+
+
+def pi_dot(ext: ExternalField, w: np.ndarray) -> np.ndarray:
+    """(p - eA) . w for a 3-vector field w; returns a scalar field."""
+    return fields.ifftn(_pi_dot_spectrum(ext, fields.fftn(np.asarray(w, dtype=complex))))
 
 
 def pi_squared(ext: ExternalField, f: np.ndarray) -> np.ndarray:
@@ -359,10 +360,8 @@ def _sigma_dot_h(ext: ExternalField, stack: np.ndarray) -> np.ndarray:
     """(Sigma.H) Psi = (i H x u, i H x v) with sandwiched multiplication."""
 
     def pointwise(d):
-        out = np.empty_like(d)
-        out[:3] = 1j * np.cross(ext.hvec_d, d[:3], axisa=0, axisb=0, axisc=0)
-        out[3:] = 1j * np.cross(ext.hvec_d, d[3:], axisa=0, axisb=0, axisc=0)
-        return out
+        blocks = d.reshape(2, 3, *d.shape[1:])
+        return 1j * np.cross(ext.hvec_d, blocks, axisa=0, axisb=1, axisc=1).reshape(d.shape)
 
     return fields.ifftn(_sandwich(ext.grid, fields.fftn(stack), pointwise))
 
@@ -475,34 +474,12 @@ class EmEvolution:
 def _em_diagnostics(
     psi: WaveField, sh: np.ndarray, ext: ExternalField, dt: float
 ) -> dynamics.DiagnosticsRecord:
-    """Like the free diagnostics, but the energy is taken with the coupled
-    generator, the constraint columns carry the covariant residuals
-    max|pi.u|, max|pi.v|, and the continuity estimate uses RK4 side steps.
-    sh is the spectrum of psi's stack; the energy comes from it by Parseval
-    and both side steps start from it."""
-    grid = psi.grid
-    rho = dynamics.probability_density(psi)
-    j = dynamics.probability_current(psi)
-    dv = grid.cell_volume
-    en = float(0.5 * np.vdot(sh, _generator_spectrum(sh, ext, psi.mass)).real * dv / grid.npoints)
-    ru, rv = constraint_residuals(psi, ext)
-
-    def rho_at(step_dt: float) -> np.ndarray:
-        stack = fields.ifftn(_rk4_step(sh, ext, psi.mass, step_dt))
-        return dynamics.probability_density(WaveField.from_stack(grid, stack, psi.mass))
-
-    drho = (rho_at(dt) - rho_at(-dt)) / (2.0 * dt)
-    divj = fields.divergence(VectorField(grid, j.astype(complex))).real
-    cres = float(np.sqrt(np.sum((drho + divj) ** 2) * dv))
-    return dynamics.DiagnosticsRecord(
-        time=psi.time,
-        total_probability=float(np.sum(rho) * dv),
-        total_current=np.sum(j, axis=(1, 2, 3)) * dv,
-        energy=en,
-        div_u_res=ru,
-        div_v_res=rv,
-        continuity_res=cres,
-    )
+    """The coupled record: dynamics.record with the generator H_A + e Phi,
+    the covariant residuals max|pi.u|, max|pi.v| as constraint columns, and
+    RK4 side steps.  sh is the spectrum of psi's stack."""
+    return dynamics.record(psi, sh, lambda s: _generator_spectrum(s, ext, psi.mass),
+                           lambda wh: _pi_dot_spectrum(ext, wh),
+                           lambda s, t: _rk4_step(s, ext, psi.mass, t), dt)
 
 
 def step_count(t_final: float, dt: float) -> int:

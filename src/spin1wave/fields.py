@@ -35,8 +35,8 @@ class Grid:
             if n < 4 or n % 2 != 0:
                 raise ValueError("grid sample counts must be even and >= 4")
         for l in (self.lx, self.ly, self.lz):
-            if not (l > 0):
-                raise ValueError("box lengths must be positive")
+            if not 0 < l < np.inf:
+                raise ValueError("box lengths must be positive and finite")
 
     @staticmethod
     def cubic(n: int, length: float = 2.0 * np.pi) -> "Grid":

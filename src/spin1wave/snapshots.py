@@ -16,6 +16,7 @@ Round trips are bit-exact.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -55,6 +56,10 @@ def read_snapshot(path) -> WaveField:
         grid = Grid(nx, ny, nz, lx, ly, lz)
     except ValueError as exc:
         raise FormatError(f"invalid grid header: {exc}") from exc
+    if not (math.isfinite(mass) and mass >= 0):
+        raise FormatError(f"invalid mass in header: {mass!r}")
+    if not math.isfinite(time):
+        raise FormatError(f"invalid time in header: {time!r}")
     count = 6 * grid.npoints
     expected = _HEADER.size + 16 * count
     if len(raw) < expected:

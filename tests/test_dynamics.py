@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spin1wave
-from spin1wave import algebra, dynamics, fields
+from spin1wave import algebra, dynamics, em_coupling, fields
 from spin1wave.dynamics import FreePropagator
 from spin1wave.errors import CurrentMismatch, StepTooLarge
 
@@ -220,6 +220,14 @@ def test_fft_counts(fft_transforms, prop, psi_t):
     fft_transforms.clear()
     dynamics.diagnostics(psi_t, 1e-3, prop)
     assert sum(fft_transforms) <= 30
+    sh = fields.fftn(psi_t.stack())
+    fft_transforms.clear()
+    dynamics.diagnostics(psi_t, 1e-3, prop, sh)
+    assert sum(fft_transforms) <= 18  # 30 when the record transformed the state again
+    ext = em_coupling.random_smooth_external(GRID, 0.5, seed=11, amplitude=0.2, nmax=1)
+    fft_transforms.clear()
+    em_coupling._em_diagnostics(psi_t, sh, ext, 1e-3)
+    assert sum(fft_transforms) <= 134  # 140 with per-block pi_dot on real-space blocks
 
 
 def _perturbed_matrix_current(psi):
@@ -252,5 +260,16 @@ def test_current_mismatch_raises_under_python_O():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_demo_04_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
+    demo = os.path.join(root, "demos", "04_free_evolution_conservation.py")
+    proc = subprocess.run(
+        [sys.executable, demo], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

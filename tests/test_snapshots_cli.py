@@ -1,8 +1,12 @@
 import json
+import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spin1wave import cli, dynamics, fields, snapshots
 from spin1wave.errors import FormatError, NoConvergence, NonFiniteState
@@ -89,6 +93,101 @@ def test_unsupported_version(tmp_path):
     (tmp_path / "v2.s1wf").write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="unsupported version"):
         snapshots.read_snapshot(tmp_path / "v2.s1wf")
+
+
+@pytest.mark.parametrize(
+    "offset, value, match",
+    [
+        (44, -1.0, "mass"),
+        (44, math.nan, "mass"),
+        (44, math.inf, "mass"),
+        (52, math.nan, "time"),
+        (52, -math.inf, "time"),
+        (20, math.inf, "invalid grid"),  # lx
+    ],
+    ids=["negative-mass", "nan-mass", "inf-mass", "nan-time", "inf-time", "inf-length"],
+)
+def test_bad_header_value_is_format_error(tmp_path, offset, value, match):
+    psi = make_state()
+    p = tmp_path / "x.s1wf"
+    snapshots.write_snapshot(psi, p)
+    raw = bytearray(p.read_bytes())
+    raw[offset:offset + 8] = struct.pack("<d", value)
+    (tmp_path / "bad.s1wf").write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=match):
+        snapshots.read_snapshot(tmp_path / "bad.s1wf")
+
+
+_SMALL = fields.random_wave_field(fields.Grid.cubic(4), 0.5, 1.0, seed=1)
+# An edit overwrites header bytes at an offset: one raw byte, or a whole u32
+# (version, nx, ny, nz) or f64 (lx, ly, lz, mass, time) field, so that
+# negative, zero, huge, infinite and NaN values come up often.
+_HEADER_EDIT = st.one_of(
+    st.tuples(st.integers(0, snapshots._HEADER.size - 1), st.binary(min_size=1, max_size=1)),
+    st.tuples(st.sampled_from([4, 8, 12, 16]), st.integers(0, 2**32 - 1).map(
+        lambda n: struct.pack("<I", n))),
+    st.tuples(st.sampled_from([20, 28, 36, 44, 52]), st.floats().map(
+        lambda x: struct.pack("<d", x))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_HEADER_EDIT, min_size=1, max_size=4))
+def test_header_corruption_yields_format_error_or_valid_field(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "x.s1wf"
+        snapshots.write_snapshot(_SMALL, p)
+        raw = bytearray(p.read_bytes())
+        for pos, data in edits:
+            raw[pos:pos + len(data)] = data
+        p.write_bytes(bytes(raw))
+        try:
+            psi = snapshots.read_snapshot(p)
+        except FormatError:
+            return
+    assert isinstance(psi, fields.WaveField)
+    g = psi.grid
+    assert math.isfinite(psi.mass) and psi.mass >= 0 and math.isfinite(psi.time)
+    assert all(0 < length < math.inf for length in (g.lx, g.ly, g.lz))
+    assert g.npoints == _SMALL.grid.npoints  # the data size still matches
+
+
+@pytest.mark.parametrize("header", [b"NOPE", "nan-mass"])
+def test_cli_snapshot_info_corrupt_exits_2(tmp_path, capsys, header):
+    p = tmp_path / "x.s1wf"
+    snapshots.write_snapshot(make_state(), p)
+    raw = bytearray(p.read_bytes())
+    if header == "nan-mass":
+        raw[44:52] = struct.pack("<d", math.nan)
+    else:
+        raw[:4] = header
+    p.write_bytes(bytes(raw))
+    assert cli.main(["snapshot-info", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["landau", "--flux", "0"],
+        ["landau", "--grid", "0"],
+        ["landau", "--grid", "-4"],
+        ["landau", "--grid", "3"],
+        ["chain-check", "--mass", "-1"],
+        ["chain-check", "--mass", "nan"],
+        ["chain-check", "--modes", "-3"],
+        ["chain-check", "--modes", "0"],
+        ["chain-check", "--modes", "x"],
+    ],
+    ids=" ".join,
+)
+def test_cli_bad_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error: argument" in err and "Traceback" not in err
 
 
 def test_cli_verify_algebra_json(capsys):
@@ -248,15 +347,36 @@ def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_cli_evolve_current_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {
+            "charge": 0.5,
+            "external_field": {"random": {"seed": 11, "amplitude": 0.2, "nmax": 1}},
+            "evolution": {"t_final": 0.2, "dt": 0.02, "diag_stride": 5},
+        },
+    ],
+    ids=["free", "coupled"],
+)
+def test_cli_evolve_current_mismatch_exits_1(tmp_path, capsys, monkeypatch, overrides):
     def perturbed(psi):
         j = dynamics.probability_current(psi)
         return j + 1e-6 * np.max(np.abs(j))
 
     monkeypatch.setattr(dynamics, "probability_current_matrix_form", perturbed)
-    assert cli.main(["evolve", "--config", str(evolve_config(tmp_path))]) == 1
+    assert cli.main(["evolve", "--config", str(evolve_config(tmp_path, **overrides))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: CurrentMismatch:") and err.count("\n") == 1
+
+
+def test_cli_free_evolve_fft_count(tmp_path, fft_transforms):
+    # 11 records from a transverse random state, as in the free benchmark run
+    path = evolve_config(tmp_path, evolution={"t_final": 1.0, "dt": 0.1, "diag_stride": 1})
+    csv = tmp_path / "d.csv"
+    assert cli.main(["evolve", "--config", str(path), "--diag", str(csv)]) == 0
+    assert len(csv.read_text().splitlines()) == 1 + 11
+    assert sum(fft_transforms) <= 288  # 480 when each record transformed its state again
 
 
 @pytest.mark.parametrize("error", [NonFiniteState, NoConvergence])
