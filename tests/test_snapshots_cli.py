@@ -347,19 +347,7 @@ def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {},
-        {
-            "charge": 0.5,
-            "external_field": {"random": {"seed": 11, "amplitude": 0.2, "nmax": 1}},
-            "evolution": {"t_final": 0.2, "dt": 0.02, "diag_stride": 5},
-        },
-    ],
-    ids=["free", "coupled"],
-)
-def test_cli_evolve_current_mismatch_exits_1(tmp_path, capsys, monkeypatch, overrides):
+def _assert_current_mismatch_exits_1(tmp_path, capsys, monkeypatch, **overrides):
     def perturbed(psi):
         j = dynamics.probability_current(psi)
         return j + 1e-6 * np.max(np.abs(j))
@@ -368,6 +356,19 @@ def test_cli_evolve_current_mismatch_exits_1(tmp_path, capsys, monkeypatch, over
     assert cli.main(["evolve", "--config", str(evolve_config(tmp_path, **overrides))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: CurrentMismatch:") and err.count("\n") == 1
+
+
+def test_cli_evolve_current_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    _assert_current_mismatch_exits_1(tmp_path, capsys, monkeypatch)
+
+
+def test_cli_evolve_coupled_current_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    _assert_current_mismatch_exits_1(
+        tmp_path, capsys, monkeypatch,
+        charge=0.5,
+        external_field={"random": {"seed": 11, "amplitude": 0.2, "nmax": 1}},
+        evolution={"t_final": 0.2, "dt": 0.02, "diag_stride": 5},
+    )
 
 
 def test_cli_free_evolve_fft_count(tmp_path, fft_transforms):
