@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -43,20 +44,34 @@ def _require_object(value, what: str) -> dict:
     return value
 
 
-def _at_least(convert, low, what: str):
-    """argparse type: convert(text) if it is finite and >= low, else a usage
-    error (exit 2)."""
+def _in_range(convert, what: str, low=-math.inf, high=math.inf):
+    """argparse type: convert(text) if it is finite and in [low, high], else a
+    usage error (exit 2)."""
+    if high < math.inf:
+        what = f"{what} in [{low}, {high}]"
+    elif low > -math.inf:
+        what = f"{what} >= {low}"
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
-            value = None
-        if value is None or not low <= value < float("inf"):
-            raise argparse.ArgumentTypeError(f"expected {what} >= {low}, got {text!r}")
+            value = math.nan
+        if not (math.isfinite(value) and low <= value <= high):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
     return parse
+
+
+_finite_real = _in_range(float, "a finite real")
+
+
+def _mode_count(text: str) -> int:
+    """argparse type of chain-check --modes; imports chain only when used."""
+    from .chain import MAX_MODES
+
+    return _in_range(int, "an integer", 1, MAX_MODES)(text)
 
 
 def _apply_thread_cap() -> None:
@@ -135,12 +150,9 @@ def _cmd_dispersion(args) -> int:
 
     from . import algebra
 
-    try:
-        k = [float(s) for s in args.k.split(",")]
-        if len(k) != 3:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"--k expects three comma-separated reals, got {args.k!r}")
+    k = args.k
+    if len(k) != 3:
+        raise ConfigError(f"--k expects three comma-separated reals, got {len(k)}")
     h = algebra.hamiltonian_symbol(k, args.m)
     ev = np.sort(np.linalg.eigvalsh(h))
     ref = algebra.analytic_eigenvalues(k, args.m)
@@ -433,15 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_algebra)
 
     p = sub.add_parser("dispersion", help="eigenvalues of the momentum-space Hamiltonian")
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--k", type=str, required=True, help="kx,ky,kz")
+    p.add_argument("--m", type=_finite_real, required=True)
+    p.add_argument("--k", type=lambda text: [_finite_real(s) for s in text.split(",")],
+                   required=True, help="kx,ky,kz")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_dispersion)
 
     p = sub.add_parser("chain-check", help="plane-wave chain residual checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--modes", type=_at_least(int, 1, "an integer"), default=20)
-    p.add_argument("--mass", type=_at_least(float, 0, "a finite real"), default=1.0)
+    p.add_argument("--seed", type=_in_range(int, "an integer", 0), default=0)
+    p.add_argument("--modes", type=_mode_count, default=20)
+    p.add_argument("--mass", type=_in_range(float, "a finite real", 0), default=1.0)
     p.add_argument("--variant", choices=["h", "e", "a"], default="h")
     p.add_argument("--mass-sign", choices=["+", "-"], default="-")
     p.add_argument("--controls", action="store_true", help="include negative controls")
@@ -461,10 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_em_check)
 
     p = sub.add_parser("landau", help="uniform-field lattice spectrum and clusters")
-    p.add_argument("--grid", type=_at_least(int, 4, "an integer"), default=16)
-    p.add_argument("--flux", type=_at_least(int, 1, "an integer"), default=1)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--charge", type=float, default=1.0)
+    p.add_argument("--grid", type=_in_range(int, "an integer", 4), default=16)
+    p.add_argument("--flux", type=_in_range(int, "an integer", 1), default=1)
+    p.add_argument("--mass", type=_finite_real, default=1.0)
+    p.add_argument("--charge", type=_finite_real, default=1.0)
     p.add_argument("--csv", help="write sorted squared eigenvalues here")
     p.set_defaults(func=_cmd_landau)
 

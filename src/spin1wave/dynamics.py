@@ -272,12 +272,11 @@ def kgf_residual(psi: WaveField) -> KgfResidual:
     k2 = np.sum(k * k, axis=0)
 
     def rel_residual(stack: np.ndarray) -> tuple[float, float]:
-        h2 = apply_hamiltonian_stack(
-            grid, m, apply_hamiltonian_stack(grid, m, stack)
-        )
-        target = fields.ifftn((k2 + m * m)[None] * fields.fftn(stack))
-        num = float(np.sqrt(np.sum(np.abs(h2 - target) ** 2)))
-        den = float(np.sqrt(np.sum(np.abs(stack) ** 2)))
+        # on the spectrum: the FFT scales both norms alike
+        sh = fields.fftn(stack)
+        h2 = _hamiltonian_symbol(k, m, _hamiltonian_symbol(k, m, sh))
+        num = float(np.sqrt(np.sum(np.abs(h2 - (k2 + m * m)[None] * sh) ** 2)))
+        den = float(np.sqrt(np.sum(np.abs(sh) ** 2)))
         return num, den
 
     psi_t = fields.project_constraints(psi)

@@ -9,17 +9,22 @@ multiplication operator exactly Hermitian on the grid and keeps the operator
 identities exact as long as fields stay inside the dealiased band.
 
 One kernel, _sandwich, computes every such product on spectra: mask, one
-inverse FFT, a pointwise product, one forward FFT, mask.  The generator is
-the free symbol H(k) of dynamics plus one sandwich of the pointwise coupling
-e(Phi_d - a.A_d), 12 scalar FFTs per apply on a 6-stack.  RK4 stages and the
-evolving state are held as spectra; evolve_em transforms back to real space
-only for a diagnostics record and at the end.  The record is dynamics.record
-with this generator, the covariant divergence pi.w and RK4 side steps.
+inverse FFT, a pointwise product, one forward FFT, mask.  Each operator has
+one spectral core, and every composite (RK4 stages, the record, the identity
+checks, the projection CG) chains cores on spectra; norm ratios and inner
+products are taken there too, since the FFT scales both sides alike.  Real
+space is used at the public boundary (ifftn o core o fftn), for max-norm
+residuals and for a record's state.  The generator is the free symbol H(k)
+of dynamics plus one sandwich of the pointwise coupling e(Phi_d - a.A_d), 12
+scalar FFTs per apply on a 6-stack.  The record is dynamics.record with this
+generator, the covariant divergence pi.w and RK4 side steps.
 
 Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by a
 preconditioned conjugate-gradient solve of pi.pi phi = pi.w followed by
-w -> w - pi phi, with the free inverse Laplacian as the spectral
-preconditioner.
+w -> w - pi phi, with the free inverse Laplacian as the preconditioner; a CG
+iteration costs 9 scalar FFTs.  Per trial at e != 0, hermiticity_check costs
+48, squared_hamiltonian_check 72 and constrained_square_check 186 plus two
+block solves (15 + 9 per iteration each).
 
 The uniform-magnetic-field spectrum check lives in landau_spectrum: a
 first-order central-difference discretization with magnetic link phases on
@@ -156,49 +161,33 @@ def _sandwich(grid: Grid, sh: np.ndarray, pointwise) -> np.ndarray:
     return mask * fields.fftn(pointwise(fields.ifftn(mask * sh)))
 
 
-def _a_dot(vec: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(a.vec) Psi = (vec x v, -vec x u) pointwise on a 6-stack."""
-    out = np.empty_like(d)
-    out[:3] = np.cross(vec, d[3:], axisa=0, axisb=0, axisc=0)
-    out[3:] = np.cross(d[:3], vec, axisa=0, axisb=0, axisc=0)
-    return out
-
-
-def _apply_h_a_stack(stack: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
-    grid = ext.grid
-    sh = fields.fftn(stack)
-    out = dynamics._hamiltonian_symbol(fields.wavevectors(grid), mass, sh)
+def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_d=0.0) -> np.ndarray:
+    """H_A + e phi_d on the spectrum of a 6-stack, H_A = a.(p - eA) + m b:
+    the free symbol H(k) plus one sandwich of the pointwise coupling
+    e(phi_d - a.A_d).  phi_d = 0 gives H_A alone."""
+    out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh)
     if ext.charge != 0.0:
-        out -= ext.charge * _sandwich(grid, sh, lambda d: _a_dot(ext.avec_d, d))
-    return fields.ifftn(out)
+        out += ext.charge * _sandwich(
+            ext.grid, sh, lambda d: phi_d * d - dynamics._hamiltonian_symbol(ext.avec_d, 0.0, d)
+        )
+    return out
 
 
 def apply_a_pi(psi_stack: np.ndarray, ext: ExternalField) -> np.ndarray:
     """a.(p - e A) applied to a 6-stack."""
-    return _apply_h_a_stack(psi_stack, ext, 0.0)
+    return fields.ifftn(_h_a_spectrum(fields.fftn(psi_stack), ext, 0.0))
 
 
 def apply_hamiltonian_A(psi: WaveField, ext: ExternalField) -> WaveField:
     """H_A Psi = (a.(p - eA) + m b) Psi."""
     _check_grids(psi, ext)
-    out = _apply_h_a_stack(psi.stack(), ext, psi.mass)
+    out = fields.ifftn(_h_a_spectrum(fields.fftn(psi.stack()), ext, psi.mass))
     return WaveField.from_stack(psi.grid, out, psi.mass, psi.time)
 
 
-def _mul_scalar_sandwich(ext: ExternalField, scalar_d: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """D(scalar_d * D(arr)) over the trailing grid axes."""
-    return fields.ifftn(_sandwich(ext.grid, fields.fftn(arr), lambda d: scalar_d * d))
-
-
 def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
-    """(H_A + e Phi) on the spectrum of a 6-stack: the free symbol H(k) plus
-    one sandwich of the pointwise coupling e(Phi_d - a.A_d)."""
-    out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh)
-    if ext.charge != 0.0:
-        out += ext.charge * _sandwich(
-            ext.grid, sh, lambda d: ext.phi_d * d - _a_dot(ext.avec_d, d)
-        )
-    return out
+    """(H_A + e Phi) on the spectrum of a 6-stack; 12 scalar FFTs at e != 0."""
+    return _h_a_spectrum(sh, ext, mass, ext.phi_d)
 
 
 def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
@@ -206,14 +195,19 @@ def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float
     return fields.ifftn(_generator_spectrum(fields.fftn(psi_stack), ext, mass))
 
 
+def _pi_vector_spectrum(ext: ExternalField, fh: np.ndarray) -> np.ndarray:
+    """(p - eA) f on the spectrum fh of a (..., nx, ny, nz) scalar field;
+    returns the spectrum of the vector field, vector axis at -4."""
+    fh = fh[..., None, :, :, :]
+    out = fields.wavevectors(ext.grid) * fh
+    if ext.charge != 0.0:
+        out -= ext.charge * _sandwich(ext.grid, fh, lambda d: ext.avec_d * d)
+    return out
+
+
 def pi_vector(ext: ExternalField, f: np.ndarray) -> np.ndarray:
     """(p - eA) f for a scalar field f; returns shape (3, nx, ny, nz)."""
-    grid = ext.grid
-    fh = fields.fftn(np.asarray(f, dtype=complex))
-    out = fields.wavevectors(grid) * fh
-    if ext.charge != 0.0:
-        out -= ext.charge * _sandwich(grid, fh, lambda d: ext.avec_d * d)
-    return fields.ifftn(out)
+    return fields.ifftn(_pi_vector_spectrum(ext, fields.fftn(np.asarray(f, dtype=complex))))
 
 
 def _pi_dot_spectrum(ext: ExternalField, wh: np.ndarray) -> np.ndarray:
@@ -232,17 +226,19 @@ def pi_dot(ext: ExternalField, w: np.ndarray) -> np.ndarray:
     return fields.ifftn(_pi_dot_spectrum(ext, fields.fftn(np.asarray(w, dtype=complex))))
 
 
-def pi_squared(ext: ExternalField, f: np.ndarray) -> np.ndarray:
-    """(p - eA)^2 on a scalar field."""
-    return pi_dot(ext, pi_vector(ext, f))
+def _pi_squared_spectrum(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
+    """(p - eA)^2 on the spectrum of a 6-stack, one 3-component block at a
+    time (a whole-stack batch would hold (6, 3, nx, ny, nz) temporaries)."""
+    return np.concatenate(
+        [_pi_dot_spectrum(ext, _pi_vector_spectrum(ext, block)) for block in (sh[:3], sh[3:])]
+    )
 
 
 def constraint_residuals(psi: WaveField, ext: ExternalField) -> tuple[float, float]:
     """max |pi.u| and max |pi.v| over the grid."""
-    return (
-        float(np.max(np.abs(pi_dot(ext, psi.u.data)))),
-        float(np.max(np.abs(pi_dot(ext, psi.v.data)))),
-    )
+    wh = fields.fftn(psi.stack()).reshape(2, 3, *psi.grid.shape)
+    div_u, div_v = np.max(np.abs(fields.ifftn(_pi_dot_spectrum(ext, wh))), axis=(1, 2, 3))
+    return float(div_u), float(div_v)
 
 
 @functools.lru_cache(maxsize=32)
@@ -269,37 +265,39 @@ def covariant_project(
     """Enforce (p - eA).u = 0 and (p - eA).v = 0.
 
     For each block w, solves pi.pi phi = pi.w by preconditioned conjugate
-    gradients (free inverse Laplacian applied spectrally as the
-    preconditioner) and subtracts pi phi.  Terminates when the actual
-    constraint residual max|pi.w| drops below tol * max|w|; raises
-    NoConvergence if the cap is hit first (a nearly singular pi.pi, e.g.
-    flux-tuned potentials)."""
+    gradients and subtracts pi phi.  The iterates are held as spectra, so
+    the free inverse Laplacian preconditioner costs no transform; an
+    iteration costs 9 scalar FFTs, one of them the inverse transform of the
+    residual for the stopping test.  Terminates when the actual constraint
+    residual max|pi.w| drops below tol * max|w|; raises NoConvergence if the
+    cap is hit first (a nearly singular pi.pi, e.g. flux-tuned potentials)."""
     _check_grids(psi, ext)
     k2 = _preconditioner_k2(psi.grid)
 
     def solve(w: np.ndarray) -> tuple[np.ndarray, int, float]:
         scale = max(float(np.max(np.abs(w))), 1e-300)
-        rhs = pi_dot(ext, w)
-        if float(np.max(np.abs(rhs))) <= tol * scale:
-            return w, 0, float(np.max(np.abs(rhs)))
-        phi = np.zeros(psi.grid.shape, dtype=complex)
-        r = rhs.copy()
-        z = fields.ifftn(fields.fftn(r) / k2)
-        p = z.copy()
-        rz = float(np.vdot(r, z).real)
+        rh = _pi_dot_spectrum(ext, fields.fftn(w))
+        res = float(np.max(np.abs(fields.ifftn(rh))))
+        if res <= tol * scale:
+            return w, 0, res
+        phih = np.zeros(psi.grid.shape, dtype=complex)
+        zh = rh / k2
+        ph = zh.copy()
+        rz = float(np.vdot(rh, zh).real)
         for it in range(1, maxiter + 1):
-            lp = pi_dot(ext, pi_vector(ext, p))
-            alpha = rz / float(np.vdot(p, lp).real)
-            phi += alpha * p
-            r -= alpha * lp
-            if float(np.max(np.abs(r))) <= tol * scale:
-                return w - pi_vector(ext, phi), it, float(np.max(np.abs(r)))
-            z = fields.ifftn(fields.fftn(r) / k2)
-            rz_new = float(np.vdot(r, z).real)
-            p = z + (rz_new / rz) * p
+            lph = _pi_dot_spectrum(ext, _pi_vector_spectrum(ext, ph))
+            alpha = rz / float(np.vdot(ph, lph).real)
+            phih += alpha * ph
+            rh -= alpha * lph
+            res = float(np.max(np.abs(fields.ifftn(rh))))
+            if res <= tol * scale:
+                return w - fields.ifftn(_pi_vector_spectrum(ext, phih)), it, res
+            zh = rh / k2
+            rz_new = float(np.vdot(rh, zh).real)
+            ph = zh + (rz_new / rz) * ph
             rz = rz_new
         raise NoConvergence(
-            f"covariant projection residual {float(np.max(np.abs(r))):.3e} above "
+            f"covariant projection residual {res:.3e} above "
             f"{tol:.1e} * scale after {maxiter} iterations"
         )
 
@@ -313,10 +311,6 @@ def covariant_project(
         psi.time,
     )
     return ProjectionResult(out, (it_u, it_v), (res_u, res_v))
-
-
-def _stack_norm(stack: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(stack) ** 2)))
 
 
 def squared_hamiltonian_check(
@@ -337,17 +331,17 @@ def squared_hamiltonian_check(
     worst_control = 0.0
     sigma3 = algebra.matrix_set().sigma_stack()[2]
     for _ in range(trials):
-        psi = fields.random_wave_field(ext.grid, mass, k_cutoff, rng)
-        stack = psi.stack()
-        lhs = _apply_h_a_stack(_apply_h_a_stack(stack, ext, mass), ext, mass)
-        rhs = apply_a_pi(apply_a_pi(stack, ext), ext) + mass**2 * stack
-        scale = max(_stack_norm(lhs), _stack_norm(rhs), 1e-300)
-        worst = max(worst, _stack_norm(lhs - rhs) / scale)
+        sh = fields.fftn(fields.random_wave_field(ext.grid, mass, k_cutoff, rng).stack())
+        a_pi = _h_a_spectrum(sh, ext, 0.0)
+        lhs = _h_a_spectrum(_h_a_spectrum(sh, ext, mass), ext, mass)
+        rhs = _h_a_spectrum(a_pi, ext, 0.0) + mass**2 * sh
+        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+        worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
 
         if include_negative_control and mass > 0:
-            hp = apply_a_pi(stack, ext) + mass * np.einsum("ij,j...->i...", sigma3, stack)
-            lhs_c = apply_a_pi(hp, ext) + mass * np.einsum("ij,j...->i...", sigma3, hp)
-            worst_control = max(worst_control, _stack_norm(lhs_c - rhs) / scale)
+            hp = a_pi + mass * np.einsum("ij,j...->i...", sigma3, sh)
+            lhs_c = _h_a_spectrum(hp, ext, 0.0) + mass * np.einsum("ij,j...->i...", sigma3, hp)
+            worst_control = max(worst_control, np.linalg.norm(lhs_c - rhs) / scale)
     rep = ResidualReport()
     rep.add_upper("squared_hamiltonian_identity", worst, 1e-12)
     if include_negative_control and mass > 0:
@@ -356,26 +350,19 @@ def squared_hamiltonian_check(
     return rep
 
 
-def _sigma_dot_h(ext: ExternalField, stack: np.ndarray) -> np.ndarray:
-    """(Sigma.H) Psi = (i H x u, i H x v) with sandwiched multiplication."""
+def _sigma_dot_h(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
+    """(Sigma.H) Psi = (i H x u, i H x v), sandwiched, on a 6-stack spectrum."""
 
     def pointwise(d):
         blocks = d.reshape(2, 3, *d.shape[1:])
         return 1j * np.cross(ext.hvec_d, blocks, axisa=0, axisb=1, axisc=1).reshape(d.shape)
 
-    return fields.ifftn(_sandwich(ext.grid, fields.fftn(stack), pointwise))
+    return _sandwich(ext.grid, sh, pointwise)
 
 
-def _a_dot_e(ext: ExternalField, stack: np.ndarray) -> np.ndarray:
-    """(a.E) Psi = (E x v, -E x u) with sandwiched multiplication."""
-    return fields.ifftn(_sandwich(ext.grid, fields.fftn(stack), lambda d: _a_dot(ext.evec_d, d)))
-
-
-def _pi_squared_stack(ext: ExternalField, stack: np.ndarray) -> np.ndarray:
-    out = np.empty_like(stack)
-    for c in range(stack.shape[0]):
-        out[c] = pi_squared(ext, stack[c])
-    return out
+def _a_dot_e(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
+    """(a.E) Psi = (E x v, -E x u), sandwiched, on a 6-stack spectrum."""
+    return _sandwich(ext.grid, sh, lambda d: dynamics._hamiltonian_symbol(ext.evec_d, 0.0, d))
 
 
 def constrained_square_check(
@@ -400,18 +387,19 @@ def constrained_square_check(
     worst_raw = np.inf
     cg_iterations = 0
     cg_residual = 0.0
+
+    def residual(psi: WaveField) -> float:
+        sh = fields.fftn(psi.stack())
+        lhs = _h_a_spectrum(_h_a_spectrum(sh, ext, 0.0), ext, 0.0)
+        rhs = _pi_squared_spectrum(ext, sh) - ext.charge * _sigma_dot_h(ext, sh)
+        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+        return np.linalg.norm(lhs - rhs) / scale
+
     for _ in range(trials):
         psi = fields.random_wave_field(ext.grid, mass, k_cutoff, rng)
-
-        def residual(stack: np.ndarray) -> float:
-            lhs = apply_a_pi(apply_a_pi(stack, ext), ext)
-            rhs = _pi_squared_stack(ext, stack) - ext.charge * _sigma_dot_h(ext, stack)
-            scale = max(_stack_norm(lhs), _stack_norm(rhs), 1e-300)
-            return _stack_norm(lhs - rhs) / scale
-
-        worst_raw = min(worst_raw, residual(psi.stack()))
+        worst_raw = min(worst_raw, residual(psi))
         proj = covariant_project(psi, ext, tol=projection_tol)
-        worst_proj = max(worst_proj, residual(proj.field.stack()))
+        worst_proj = max(worst_proj, residual(proj.field))
         cg_iterations = max(cg_iterations, *proj.iterations)
         cg_residual = max(cg_residual, *proj.residuals)
     rep = ResidualReport()
@@ -430,10 +418,10 @@ def hermiticity_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        f = fields.random_wave_field(ext.grid, mass, k_cutoff, rng).stack()
-        g = fields.random_wave_field(ext.grid, mass, k_cutoff, rng).stack()
-        hg = apply_total_generator(g, ext, mass)
-        hf = apply_total_generator(f, ext, mass)
+        f = fields.fftn(fields.random_wave_field(ext.grid, mass, k_cutoff, rng).stack())
+        g = fields.fftn(fields.random_wave_field(ext.grid, mass, k_cutoff, rng).stack())
+        hg = _generator_spectrum(g, ext, mass)
+        hf = _generator_spectrum(f, ext, mass)
         lhs = complex(np.vdot(f, hg))
         rhs = complex(np.vdot(hf, g))
         scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -551,27 +539,25 @@ def second_order_residual(
         raise StepTooLarge("dt/substeps exceeds the RK4 stability bound")
     m = psi0.mass
     e = ext.charge
-    stack0 = psi0.stack()
-    sh0 = fields.fftn(stack0)
+    sh0 = fields.fftn(psi0.stack())
     plus = minus = sh0
     for _ in range(substeps):
         plus = _rk4_step(plus, ext, m, h)
         minus = _rk4_step(minus, ext, m, -h)
 
-    def mulphi(arr):
-        return _mul_scalar_sandwich(ext, ext.phi_d, arr) if e != 0.0 else np.zeros_like(arr)
+    def mulphi(s):
+        return _sandwich(ext.grid, s, lambda d: ext.phi_d * d) if e != 0.0 else np.zeros_like(s)
 
-    ddt, d2dt = fields.ifftn(
-        np.stack([(plus - minus) / (2.0 * dt), (plus - 2.0 * sh0 + minus) / dt**2])
-    )
-    lhs = -d2dt - 2j * e * mulphi(ddt) + e**2 * mulphi(mulphi(stack0))
+    ddt = (plus - minus) / (2.0 * dt)
+    d2dt = (plus - 2.0 * sh0 + minus) / dt**2
+    lhs = -d2dt - 2j * e * mulphi(ddt) + e**2 * mulphi(mulphi(sh0))
     rhs = (
-        _pi_squared_stack(ext, stack0)
-        + m**2 * stack0
-        - e * _sigma_dot_h(ext, stack0)
-        + 1j * e * _a_dot_e(ext, stack0)
+        _pi_squared_spectrum(ext, sh0)
+        + m**2 * sh0
+        - e * _sigma_dot_h(ext, sh0)
+        + 1j * e * _a_dot_e(ext, sh0)
     )
-    return _stack_norm(lhs - rhs) / max(_stack_norm(rhs), 1e-300)
+    return np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300)
 
 
 def gauge_covariance_deviation(
@@ -594,7 +580,7 @@ def gauge_covariance_deviation(
     r1 = evolve_em(psi0, ext, t_final, dt).final.stack()
     r2 = evolve_em(psi0_t, ext2, t_final, dt).final.stack()
     diff = r1 - r2 * np.exp(-1j * e * chi)[None]
-    return _stack_norm(diff) / max(_stack_norm(r1), 1e-300)
+    return np.linalg.norm(diff) / max(np.linalg.norm(r1), 1e-300)
 
 
 @dataclass

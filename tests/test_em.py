@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spin1wave import algebra, dynamics, em_coupling as em, fields
-from spin1wave.errors import NonFiniteState, StepTooLarge
+from spin1wave.errors import NoConvergence, NonFiniteState, StepTooLarge
 
 GRID = fields.Grid.cubic(16)
 MASS = 1.0
@@ -354,8 +354,10 @@ def test_fused_operators_match_unfused_oracle(ext_aniso, mass):
         (em.apply_a_pi(stack, ext_aniso), _oracle_a_pi(stack, ext_aniso)),
         (em.pi_vector(ext_aniso, f), _oracle_pi_vector(ext_aniso, f)),
         (em.pi_dot(ext_aniso, w), _oracle_pi_dot(ext_aniso, w)),
-        (em._sigma_dot_h(ext_aniso, stack), _oracle_sigma_dot_h(ext_aniso, stack)),
-        (em._a_dot_e(ext_aniso, stack), _oracle_a_dot_e(ext_aniso, stack)),
+        (fields.ifftn(em._sigma_dot_h(ext_aniso, fields.fftn(stack))),
+         _oracle_sigma_dot_h(ext_aniso, stack)),
+        (fields.ifftn(em._a_dot_e(ext_aniso, fields.fftn(stack))),
+         _oracle_a_dot_e(ext_aniso, stack)),
     ]
     for new, old in pairs:
         assert _rel(new, old) <= 1e-13
@@ -407,6 +409,22 @@ def test_coupled_fft_counts(fft_transforms, psi, ext):
     fft_transforms.clear()
     em.pi_dot(ext, stack[:3])
     assert sum(fft_transforms) <= 8
+    fft_transforms.clear()
+    em.hermiticity_check(ext, MASS, trials=1, seed=1)
+    assert sum(fft_transforms) <= 48
+    fft_transforms.clear()
+    em.squared_hamiltonian_check(ext, MASS, trials=1, seed=1)
+    assert sum(fft_transforms) <= 84
+
+    # a CG solve's set-up costs the same at any iteration cap, so the
+    # difference between two capped solves is the cost of the iterations
+    def transforms_until_cap(maxiter):
+        fft_transforms.clear()
+        with pytest.raises(NoConvergence):
+            em.covariant_project(psi, ext, tol=1e-300, maxiter=maxiter)
+        return sum(fft_transforms)
+
+    assert (transforms_until_cap(5) - transforms_until_cap(2)) / 3 <= 9
 
 
 def test_constrained_check_reports_cg_telemetry(ext):

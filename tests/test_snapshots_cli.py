@@ -179,6 +179,13 @@ def test_cli_snapshot_info_corrupt_exits_2(tmp_path, capsys, header):
         ["chain-check", "--modes", "-3"],
         ["chain-check", "--modes", "0"],
         ["chain-check", "--modes", "x"],
+        ["chain-check", "--seed", "-1"],
+        ["chain-check", "--modes", "65"],
+        ["dispersion", "--m", "nan", "--k", "0,0,1"],
+        ["dispersion", "--m", "1", "--k", "nan,0,1"],
+        ["landau", "--grid", "4", "--charge", "nan"],
+        ["landau", "--grid", "4", "--mass", "nan"],
+        ["landau", "--grid", "4", "--mass", "inf"],
     ],
     ids=" ".join,
 )
