@@ -4,9 +4,11 @@ The magnetic moment read off from Landau levels.
 
 A uniform magnetic field on the periodic box (flux-quantized, realized by
 link phases on a central-difference lattice) splits the squared spectrum
-into clusters E^2 = m^2 + (2n+1) eB - eB sigma.  The lowest sigma=+1 level
-sits exactly at E^2 = m^2, pulled down from the sigma=0 tower by eB: a
-gyromagnetic moment of one Bohr magneton.
+into clusters, compared with E^2 = m^2 + (2n+1) eB - eB sigma.  On the
+lattice E^2 - m^2 runs over the scalar levels spec(px^2 + py^2), each four
+times, plus a kernel sector of exactly 2n^2 levels at E^2 = m^2.  The
+offset-0 cluster is that kernel sector; the spin splitting read off below
+is the gap from it to the lowest scalar Landau level, eB.
 """
 import numpy as np
 
@@ -39,9 +41,10 @@ for c in analysis["level_checks"]:
     )
 print(f"\nspin splitting / eB = {analysis['sigma_splitting_over_eB']:.4f}"
       f"  ->  {'PASS' if analysis['sigma_splitting_ok'] else 'FAIL'} (within 5% of 1)")
-print("\nnotes: the huge offset-0 cluster holds the sigma=+1 lowest level")
-print("together with the unconstrained kernel sector; each tower carries a")
-print("factor-4 valley degeneracy from the central-difference discretization.")
+print(f"\nnotes: the offset-0 cluster is the kernel sector alone, "
+      f"{analysis['kernel_sector_count']} levels (2n^2 = {analysis['kernel_sector_expected']});")
+print("no scalar level falls below offset 0.5.  Each tower carries a factor-4")
+print("valley degeneracy from the central-difference discretization.")
 
 print("\nfree check (e = 0): lowest squared eigenvalue equals m^2:")
 free = em.landau_spectrum(12, 1, mass, 0.0)

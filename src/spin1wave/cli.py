@@ -33,7 +33,7 @@ def _config_errors(what: str):
         yield
     except KeyError as exc:
         raise ConfigError(f"{what} config missing key: {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid {what} config: {exc}") from exc
 
 
@@ -42,6 +42,18 @@ def _require_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def _config_number(value, what: str, low=-math.inf, integer=False):
+    """A config number that is finite, >= low and, with integer=True, whole;
+    ConfigError otherwise, so NaN, Infinity, 1.5 or -1 never reach the
+    numerics.  Unconvertible values raise inside _config_errors."""
+    number = float(value)
+    if not (math.isfinite(number) and number >= low and (not integer or number.is_integer())):
+        kind = "an integer" if integer else "a finite number"
+        bound = f" >= {low}" if low > -math.inf else ""
+        raise ConfigError(f"{what} must be {kind}{bound}, got {value!r}")
+    return int(value) if integer else number
 
 
 def _in_range(convert, what: str, low=-math.inf, high=math.inf):
@@ -307,10 +319,8 @@ def _cmd_evolve(args) -> int:
     cfg = _load_json(args.config)
     grid = _build_grid(cfg)
     with _config_errors("evolve"):
-        mass = float(cfg.get("mass", 0.0))
-        if mass < 0:
-            raise ConfigError("mass must be >= 0")
-        charge = float(cfg.get("charge", 0.0))
+        mass = _config_number(cfg.get("mass", 0.0), "mass", low=0)
+        charge = _config_number(cfg.get("charge", 0.0), "charge")
         evo = cfg.get("evolution", {})
         t_final = float(evo["t_final"])
         dt = float(evo["dt"])
@@ -380,12 +390,13 @@ def _cmd_em_check(args) -> int:
     cfg = _load_json(args.config)
     grid = _build_grid(cfg)
     with _config_errors("em-check"):
-        mass = float(cfg.get("mass", 1.0))
-        charge = float(cfg.get("charge", 0.0))
+        mass = _config_number(cfg.get("mass", 1.0), "mass", low=0)
+        charge = _config_number(cfg.get("charge", 0.0), "charge")
         seed = cfg.get("seed")
         if seed is None:
             raise ConfigError("em-check config requires a seed")
-        trials = int(cfg.get("trials", 5))
+        seed = _config_number(seed, "seed", low=0, integer=True)
+        trials = _config_number(cfg.get("trials", 5), "trials", low=1, integer=True)
         ext = _build_external(cfg, grid, charge)
     if ext is None:
         ext = em_coupling.ExternalField.zero(grid, charge)

@@ -226,6 +226,47 @@ def test_landau_clusters_at_16():
         assert check["passed"]
 
 
+def _dense_landau_e_squared(n, flux_quanta, m, e, box=2.0 * np.pi):
+    """Reference: the 6n^2 x 6n^2 lattice Hamiltonian px (x) a1 + py (x) a2
+    + m 1 (x) b, hops built site by site, diagonalized densely."""
+    h = box / n
+    b_field = 2.0 * np.pi * flux_quanta / (e * box * box) if e != 0.0 else 0.0
+    ms = algebra.matrix_set()
+    a1, a2 = ms.a_stack()[0], ms.a_stack()[1]
+    nn = n * n
+    tx = np.zeros((nn, nn), dtype=complex)
+    ty = np.zeros((nn, nn), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            s = i * n + j
+            ph_x = np.exp(-1j * e * b_field * box * (j * h)) if i == n - 1 else 1.0
+            tx[s, ((i + 1) % n) * n + j] += ph_x
+            ty[s, i * n + (j + 1) % n] += np.exp(1j * e * b_field * (i * h) * h)
+    px = -1j * (tx - tx.conj().T) / (2.0 * h)
+    py = -1j * (ty - ty.conj().T) / (2.0 * h)
+    ham = np.kron(px, a1) + np.kron(py, a2) + m * np.kron(np.eye(nn), ms.b_complex())
+    ev = np.linalg.eigvalsh(ham)
+    return np.sort(ev * ev)
+
+
+@pytest.mark.parametrize("n,flux", [(4, 1), (12, 1), (12, 2)])
+@pytest.mark.parametrize("m,e", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.3, 2.0)])
+def test_landau_matches_dense_oracle(n, flux, m, e):
+    lv = em.landau_spectrum(n, flux, m, e)
+    ref = _dense_landau_e_squared(n, flux, m, e)
+    e2 = lv.e_squared
+    assert e2.shape == (6 * n * n,)
+    assert np.all(np.diff(e2) >= 0) and e2[0] >= 0
+    assert np.max(np.abs(e2 - ref)) <= 1e-12 * np.max(ref)
+    # the kernel sector of K sits at m^2: 2n^2 levels; at e = 0 every zero
+    # mode of the free px^2 + py^2 (sin(k h) = 0 on both axes: k = 0 and,
+    # for even n, the Nyquist mode) adds its 4 levels there too
+    zero_modes = 0 if e != 0.0 else (2 if n % 2 == 0 else 1) ** 2
+    expected = 2 * n * n + 4 * zero_modes
+    assert np.count_nonzero(np.abs(e2 - m**2) <= 1e-12) == expected
+    assert np.count_nonzero(np.abs(ref - m**2) <= 1e-12) == expected
+
+
 def test_landau_flux_validation():
     with pytest.raises(ValueError):
         em.landau_spectrum(8, 0, MASS, 1.0)

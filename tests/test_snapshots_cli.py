@@ -342,10 +342,15 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
         {"initial_condition": {"type": "plane_modes", "modes": [5]}},
         {"external_field": "x"},
         {"output": "x"},
+        {"mass": float("nan")},
+        {
+            "charge": float("nan"),
+            "external_field": {"random": {"seed": 11, "amplitude": 0.2, "nmax": 1}},
+        },
     ],
     ids=["mass-not-a-number", "mode-without-n", "mode-at-k0", "stride-not-an-int",
          "coupled-t-final-not-multiple-of-dt", "mode-not-an-object",
-         "external-field-not-an-object", "output-not-an-object"],
+         "external-field-not-an-object", "output-not-an-object", "mass-nan", "charge-nan"],
 )
 def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
     path = evolve_config(tmp_path, **overrides)
@@ -455,6 +460,28 @@ def test_cli_em_check_external_not_an_object_exits_2(tmp_path, capsys):
     path = em_check_config(tmp_path, external_field="x")
     assert cli.main(["em-check", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: external_field must be a JSON object")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"trials": 0},
+        {"trials": 2.5},
+        {"seed": -1},
+        {"seed": "x"},
+        {"seed": 1.5},
+        {"mass": float("nan")},
+        {"mass": -1.0},
+        {"charge": float("inf")},
+    ],
+    ids=["trials-0", "trials-not-whole", "seed-negative", "seed-not-a-number",
+         "seed-not-whole", "mass-nan", "mass-negative", "charge-infinite"],
+)
+def test_cli_em_check_bad_config_exits_2(tmp_path, capsys, overrides):
+    path = em_check_config(tmp_path, **overrides)
+    assert cli.main(["em-check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_em_check_reports_cg_telemetry(tmp_path, capsys):
