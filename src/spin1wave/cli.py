@@ -346,7 +346,6 @@ def _cmd_evolve(args) -> int:
         final, records = run.final, run.records
     else:
         prop = dynamics.FreePropagator(grid, mass)
-        c_dt = 0.05 / dynamics.omega_max(grid, mass)
         n_steps = int(round(t_final / dt))
         times = [j * dt for j in range(0, n_steps + 1, stride)]
         if not times or times[-1] != t_final:
@@ -356,7 +355,7 @@ def _cmd_evolve(args) -> int:
         for t in times:
             sh = prop.evolve_spectrum(sh0, t)
             final = fields.WaveField.from_stack(grid, fields.ifftn(sh), mass, psi.time + t)
-            records.append(dynamics.diagnostics(final, c_dt, prop, sh))
+            records.append(dynamics.diagnostics(final, sh))
 
     if diag_path:
         _write_csv(diag_path, records)

@@ -10,12 +10,12 @@ transverse subspace P_T, while on the longitudinal one P_L = khat khat^T
 
     exp(-i H t) = P_T [cos wt - i (sin wt / w) H] + P_L exp(-i m t b).
 
-There is no time-step error anywhere in this module; the only approximation
-is the finite grid.
+Evolution has no time-step error; the only approximation is the finite grid.
 
 record is the one diagnostics record of free and coupled runs: it works from
-the spectrum the caller holds, given the three operators in which the systems
-differ (generator, constraint divergence, continuity side-step map).
+the spectrum the caller holds, given the two operators in which the systems
+differ (generator, constraint divergence), and evolves nothing: d_t rho
+comes from the generator it applies for the energy.
 """
 from __future__ import annotations
 
@@ -174,14 +174,14 @@ class DiagnosticsRecord:
                 self.div_u_res, self.div_v_res, self.continuity_res]
 
 
-def record(psi: WaveField, sh: np.ndarray, generator, divergence, side_step,
-           dt: float | None) -> DiagnosticsRecord:
+def record(psi: WaveField, sh: np.ndarray, generator, divergence) -> DiagnosticsRecord:
     """The diagnostics record of one state, free or coupled.  sh is the
-    spectrum of psi's stack, and the three operators in which the systems
-    differ act on spectra: generator(sh) gives the energy <Psi|G|Psi>,
-    divergence(wh) the constraint divergence of a (2, 3, ...) block spectrum
-    (columns max|div u|, max|div v|), and side_step(sh, t) the states whose
-    central difference at +-dt gives the continuity column (NaN if dt is None).
+    spectrum of psi's stack, and the two operators in which the systems
+    differ act on spectra: generator(sh) gives G Psi, for the energy
+    <Psi|G|Psi> and for d_t rho = Im(Psi^dag G Psi) in the continuity column
+    (from i d_t Psi = G Psi and rho = Psi^dag Psi / 2); divergence(wh) gives
+    the constraint divergence of a (2, 3, ...) block spectrum (columns
+    max|div u|, max|div v|).
 
     The cross-product current must agree with the matrix form Psi^dag a Psi
     to 1e-12 on every record, a guard on the equivalence of the two
@@ -195,32 +195,43 @@ def record(psi: WaveField, sh: np.ndarray, generator, divergence, side_step,
     grid = psi.grid
     div = fields.ifftn(divergence(sh.reshape(2, 3, *grid.shape)))
     div_u, div_v = np.max(np.abs(div), axis=(1, 2, 3)).tolist()
+    gsh = generator(sh)
+    g = fields.ifftn(gsh)
+    # block by block: a conj(stack) * g product would hold two more 6-stacks
+    drho = np.sum(psi.u.data.conj() * g[:3], axis=0)
+    drho += np.sum(psi.v.data.conj() * g[3:], axis=0)
     return DiagnosticsRecord(
         time=psi.time,
         total_probability=float(np.sum(rho) * grid.cell_volume),
         total_current=np.sum(j, axis=(1, 2, 3)) * grid.cell_volume,
-        energy=_parseval_energy(grid, sh, generator(sh)),
+        energy=_parseval_energy(grid, sh, gsh),
         div_u_res=div_u,
         div_v_res=div_v,
-        continuity_res=float("nan") if dt is None else _continuity(grid, sh, j, side_step, dt),
+        continuity_res=_continuity_norm(grid, drho.imag, j),
     )
 
 
-def _continuity(grid: fields.Grid, sh: np.ndarray, j: np.ndarray, side_step, dt: float) -> float:
-    """L2 norm of d_t rho + div j: d_t rho is the central difference of the
-    states side_step(sh, +-dt), j the current of the state sh itself."""
-
-    def rho_at(t: float) -> np.ndarray:
-        stack = fields.ifftn(side_step(sh, t))
-        return _density(stack[:3], stack[3:])
-
-    drho = (rho_at(dt) - rho_at(-dt)) / (2.0 * dt)
+def _continuity_norm(grid: fields.Grid, drho: np.ndarray, j: np.ndarray) -> float:
+    """L2 norm of d_t rho + div j over the grid."""
     divj = fields.divergence(VectorField(grid, j.astype(complex))).real
     return float(np.sqrt(np.sum((drho + divj) ** 2) * grid.cell_volume))
 
 
-def _free_side_step(psi: WaveField, dt: float, propagator: FreePropagator | None):
-    """exp(-i H(k) t) on spectra, once dt passes the resolution bound."""
+def diagnostics(psi: WaveField, sh: np.ndarray | None = None) -> DiagnosticsRecord:
+    """The record of the free system: generator H(k), divergence residuals
+    max|div u|, max|div v|.  sh is the spectrum of psi's stack; it is taken
+    here if the caller does not hold it."""
+    sh = fields.fftn(psi.stack()) if sh is None else sh
+    k = fields.wavevectors(psi.grid)
+    return record(psi, sh, lambda s: _hamiltonian_symbol(k, psi.mass, s),
+                  lambda wh: 1j * np.sum(k * wh, axis=-4))
+
+
+def continuity_residual(
+    psi: WaveField, dt: float, propagator: FreePropagator | None = None
+) -> float:
+    """The record's continuity column with d_t rho from the exact evolutions
+    to +-dt by central difference: an O(dt^2) cross-check."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     bound = 0.1 / omega_max(psi.grid, psi.mass)
@@ -228,28 +239,14 @@ def _free_side_step(psi: WaveField, dt: float, propagator: FreePropagator | None
         raise StepTooLarge(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
     prop = propagator or FreePropagator(psi.grid, psi.mass)
     prop.check_state(psi)
-    return prop.evolve_spectrum
+    sh = fields.fftn(psi.stack())
 
+    def rho_at(t: float) -> np.ndarray:
+        stack = fields.ifftn(prop.evolve_spectrum(sh, t))
+        return _density(stack[:3], stack[3:])
 
-def diagnostics(psi: WaveField, continuity_dt: float | None = None,
-                propagator: FreePropagator | None = None,
-                sh: np.ndarray | None = None) -> DiagnosticsRecord:
-    """The record of the free system: generator H(k), divergence residuals
-    max|div u|, max|div v|, exact side steps.  sh is the spectrum of psi's
-    stack; it is taken here if the caller does not hold it."""
-    sh = fields.fftn(psi.stack()) if sh is None else sh
-    k = fields.wavevectors(psi.grid)
-    side_step = None if continuity_dt is None else _free_side_step(psi, continuity_dt, propagator)
-    return record(psi, sh, lambda s: _hamiltonian_symbol(k, psi.mass, s),
-                  lambda wh: 1j * np.sum(k * wh, axis=-4), side_step, continuity_dt)
-
-
-def continuity_residual(
-    psi: WaveField, dt: float, propagator: FreePropagator | None = None
-) -> float:
-    """The free continuity column of psi on its own: converges as O(dt^2)."""
-    side_step = _free_side_step(psi, dt, propagator)
-    return _continuity(psi.grid, fields.fftn(psi.stack()), probability_current(psi), side_step, dt)
+    drho = (rho_at(dt) - rho_at(-dt)) / (2.0 * dt)
+    return _continuity_norm(psi.grid, drho, probability_current(psi))
 
 
 @dataclass

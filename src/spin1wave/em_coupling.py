@@ -17,7 +17,7 @@ space is used at the public boundary (ifftn o core o fftn), for max-norm
 residuals and for a record's state.  The generator is the free symbol H(k)
 of dynamics plus one sandwich of the pointwise coupling e(Phi_d - a.A_d), 12
 scalar FFTs per apply on a 6-stack.  The record is dynamics.record with this
-generator, the covariant divergence pi.w and RK4 side steps.
+generator and the covariant divergence pi.w: 32 scalar FFTs.
 
 Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by a
 preconditioned conjugate-gradient solve of pi.pi phi = pi.w followed by
@@ -462,15 +462,12 @@ class EmEvolution:
     records: list[dynamics.DiagnosticsRecord]
 
 
-def _em_diagnostics(
-    psi: WaveField, sh: np.ndarray, ext: ExternalField, dt: float
-) -> dynamics.DiagnosticsRecord:
-    """The coupled record: dynamics.record with the generator H_A + e Phi,
-    the covariant residuals max|pi.u|, max|pi.v| as constraint columns, and
-    RK4 side steps.  sh is the spectrum of psi's stack."""
+def _em_diagnostics(psi: WaveField, sh: np.ndarray, ext: ExternalField) -> dynamics.DiagnosticsRecord:
+    """The coupled record: dynamics.record with the generator H_A + e Phi and
+    the covariant residuals max|pi.u|, max|pi.v| as constraint columns.  sh
+    is the spectrum of psi's stack."""
     return dynamics.record(psi, sh, lambda s: _generator_spectrum(s, ext, psi.mass),
-                           lambda wh: _pi_dot_spectrum(ext, wh),
-                           lambda s, t: _rk4_step(s, ext, psi.mass, t), dt)
+                           lambda wh: _pi_dot_spectrum(ext, wh))
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -515,12 +512,12 @@ def evolve_em(
 
     if diag_stride > 0:
         state = snapshot(0)
-        records.append(_em_diagnostics(state, sh, ext, dt))
+        records.append(_em_diagnostics(state, sh, ext))
     for step in range(1, n_steps + 1):
         sh = _rk4_step(sh, ext, psi.mass, dt)
         if diag_stride > 0 and (step % diag_stride == 0 or step == n_steps):
             state = snapshot(step)
-            records.append(_em_diagnostics(state, sh, ext, dt))
+            records.append(_em_diagnostics(state, sh, ext))
     if diag_stride <= 0:
         state = snapshot(n_steps)
     return EmEvolution(final=state, records=records)

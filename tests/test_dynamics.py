@@ -218,16 +218,16 @@ def test_fft_counts(fft_transforms, prop, psi_t):
     prop.evolve(psi_t, 0.7)
     assert sum(fft_transforms) <= 12
     fft_transforms.clear()
-    dynamics.diagnostics(psi_t, 1e-3, prop)
-    assert sum(fft_transforms) <= 30
+    dynamics.diagnostics(psi_t)
+    assert sum(fft_transforms) <= 18
     sh = fields.fftn(psi_t.stack())
     fft_transforms.clear()
-    dynamics.diagnostics(psi_t, 1e-3, prop, sh)
-    assert sum(fft_transforms) <= 18  # 30 when the record transformed the state again
+    dynamics.diagnostics(psi_t, sh)
+    assert sum(fft_transforms) <= 12  # 18 when the record transformed the state again
     ext = em_coupling.random_smooth_external(GRID, 0.5, seed=11, amplitude=0.2, nmax=1)
     fft_transforms.clear()
-    em_coupling._em_diagnostics(psi_t, sh, ext, 1e-3)
-    assert sum(fft_transforms) <= 134  # 140 with per-block pi_dot on real-space blocks
+    em_coupling._em_diagnostics(psi_t, sh, ext)
+    assert sum(fft_transforms) <= 32  # 134 with two RK4 side steps for d_t rho
 
 
 def _perturbed_matrix_current(psi):
