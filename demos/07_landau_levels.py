@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """
-The magnetic moment read off from Landau levels.
+Landau-level clusters: the gap from the kernel sector to the lowest scalar level.
 
 A uniform magnetic field on the periodic box (flux-quantized, realized by
 link phases on a central-difference lattice) splits the squared spectrum

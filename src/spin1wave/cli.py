@@ -235,9 +235,29 @@ def _build_grid(cfg: dict):
     with _config_errors("grid"):
         g = cfg["grid"]
         return fields.Grid(
-            int(g["nx"]), int(g["ny"]), int(g["nz"]),
-            float(g["lx"]), float(g["ly"]), float(g["lz"]),
+            *(_config_number(g[n], f"grid {n}", integer=True) for n in ("nx", "ny", "nz")),
+            *(_config_number(g[n], f"grid {n}") for n in ("lx", "ly", "lz")),
         )
+
+
+def _mode_index(value, what: str) -> list[int]:
+    """An integer mode index triple; ConfigError otherwise."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{what} must be three integers, got {value!r}")
+    return [_config_number(n, what, integer=True) for n in value]
+
+
+def _fourier_terms(terms, what: str) -> list[dict]:
+    """Fourier-series terms with their mode index and coefficients checked."""
+    out = []
+    for term in terms:
+        term = dict(_require_object(term, f"a {what} entry"))
+        term["n"] = _mode_index(term["n"], f"{what} n")
+        for part in ("cos", "sin"):
+            if part in term:
+                term[part] = _config_number(term[part], f"{what} {part}")
+        out.append(term)
+    return out
 
 
 def _build_external(cfg: dict, grid, charge: float):
@@ -254,13 +274,15 @@ def _build_external(cfg: dict, grid, charge: float):
         return em_coupling.random_smooth_external(
             grid,
             charge,
-            seed=int(r["seed"]),
-            amplitude=float(r.get("amplitude", 0.3)),
-            nmax=int(r.get("nmax", 2)),
-            n_terms=int(r.get("n_terms", 4)),
+            seed=_config_number(r["seed"], "random field seed", low=0, integer=True),
+            amplitude=_config_number(r.get("amplitude", 0.3), "random field amplitude"),
+            nmax=_config_number(r.get("nmax", 2), "random field nmax", low=0, integer=True),
+            n_terms=_config_number(r.get("n_terms", 4), "random field n_terms", low=0,
+                                   integer=True),
         )
     return em_coupling.ExternalField.from_fourier_series(
-        grid, charge, spec.get("phi_terms", ()), spec.get("a_terms", ())
+        grid, charge, _fourier_terms(spec.get("phi_terms", ()), "phi_terms"),
+        _fourier_terms(spec.get("a_terms", ()), "a_terms"),
     )
 
 
@@ -273,11 +295,14 @@ def _build_initial(cfg: dict, grid, mass: float):
     if ic["type"] == "random_band_limited":
         if "seed" not in ic:
             raise ConfigError("random initial data requires a seed (reproducibility)")
+        k_cutoff = _config_number(ic.get("k_cutoff", 2.0), "k_cutoff")
+        if not (k_cutoff > 0 and k_cutoff**2 > 0):  # the envelope divides by k_cutoff^2
+            raise ConfigError(f"k_cutoff must be positive, got {k_cutoff!r}")
         return fields.random_wave_field(
             grid,
             mass,
-            k_cutoff=float(ic.get("k_cutoff", 2.0)),
-            seed=int(ic["seed"]),
+            k_cutoff=k_cutoff,
+            seed=_config_number(ic["seed"], "initial_condition seed", low=0, integer=True),
             transverse=bool(ic.get("transverse", True)),
         )
     if ic["type"] == "plane_modes":
@@ -291,9 +316,13 @@ def _build_initial(cfg: dict, grid, mass: float):
             if branch is None:
                 raise ConfigError(f"bad branch {m.get('branch')!r}")
             amp = m.get("amplitude", 1.0)
-            amp = complex(amp[0], amp[1]) if isinstance(amp, (list, tuple)) else complex(amp)
+            parts = amp if isinstance(amp, (list, tuple)) else [amp, 0.0]
+            if len(parts) != 2:
+                raise ConfigError(f"a plane_modes amplitude is a number or [re, im], got {amp!r}")
+            amp = complex(*(_config_number(x, "plane_modes amplitude") for x in parts))
             one = fields.plane_eigenmode_field(
-                grid, mass, m["n"], branch, m.get("polarization", "t1"), amplitude=amp
+                grid, mass, _mode_index(m["n"], "plane_modes n"), branch,
+                m.get("polarization", "t1"), amplitude=amp
             )
             if psi is None:
                 psi = one
@@ -322,9 +351,9 @@ def _cmd_evolve(args) -> int:
         mass = _config_number(cfg.get("mass", 0.0), "mass", low=0)
         charge = _config_number(cfg.get("charge", 0.0), "charge")
         evo = cfg.get("evolution", {})
-        t_final = float(evo["t_final"])
-        dt = float(evo["dt"])
-        stride = int(evo.get("diag_stride", 1))
+        t_final = _config_number(evo["t_final"], "t_final")
+        dt = _config_number(evo["dt"], "dt")
+        stride = _config_number(evo.get("diag_stride", 1), "diag_stride", integer=True)
         if t_final < 0 or dt <= 0 or stride <= 0:
             raise ConfigError("evolution needs t_final >= 0, dt > 0, diag_stride > 0")
         psi = _build_initial(cfg, grid, mass)

@@ -135,10 +135,14 @@ def probability_current(psi: WaveField) -> np.ndarray:
 
 def probability_current_matrix_form(psi: WaveField) -> np.ndarray:
     """j_k = Psi^dag a_k Psi evaluated with the actual 6x6 matrices (the
-    independent route; must agree with the cross-product form)."""
+    independent route; must agree with the cross-product form).  Sums
+    a[k, i, j] conj(psi_i) psi_j over the 12 nonzero matrix entries only."""
     a_stack = algebra.matrix_set().a_stack()
-    stack = psi.stack()
-    return 0.5 * np.einsum("kij,i...,j...->k...", a_stack, stack.conj(), stack).real
+    comps = [*psi.u.data, *psi.v.data]
+    j = np.zeros((3, *psi.grid.shape))
+    for k, row, col in zip(*np.nonzero(a_stack)):
+        j[k] += (a_stack[k, row, col] * comps[row].conj() * comps[col]).real
+    return 0.5 * j
 
 
 def _parseval_energy(grid: fields.Grid, sh: np.ndarray, gsh: np.ndarray) -> float:

@@ -277,6 +277,20 @@ def evolve_config(tmp_path, **overrides):
     return path
 
 
+def _random_ic(**fields):
+    return {"initial_condition": {"type": "random_band_limited", "k_cutoff": 1.0, "seed": 42,
+                                  **fields}}
+
+
+def _coupled(**external):
+    return {"charge": 0.5, "external_field": external,
+            "evolution": {"t_final": 0.2, "dt": 0.02, "diag_stride": 5}}
+
+
+def _plane_mode(**mode):
+    return {"initial_condition": {"type": "plane_modes", "modes": [mode]}}
+
+
 def test_cli_evolve_reproducible_csv(tmp_path, capsys):
     path = evolve_config(tmp_path)
     csv1, csv2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
@@ -347,10 +361,35 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
             "charge": float("nan"),
             "external_field": {"random": {"seed": 11, "amplitude": 0.2, "nmax": 1}},
         },
+        {"evolution": {"t_final": 1.0, "dt": float("nan")}},
+        {"evolution": {"t_final": float("nan"), "dt": 0.1}},
+        {"evolution": {"t_final": 1.0, "dt": float("inf")}},
+        {"evolution": {"t_final": float("inf"), "dt": 0.1}},
+        {"evolution": {"t_final": 1.0, "dt": 0.1, "diag_stride": 1.5}},
+        _random_ic(k_cutoff=float("nan")),
+        _random_ic(k_cutoff=0),
+        _random_ic(k_cutoff=-1),
+        _random_ic(k_cutoff=1e-200),
+        _random_ic(seed=1.5),
+        _coupled(random={"seed": 11, "amplitude": float("nan"), "nmax": 1}),
+        _coupled(random={"seed": 11, "amplitude": float("inf"), "nmax": 1}),
+        _coupled(random={"seed": 1.5, "amplitude": 0.2, "nmax": 1}),
+        _coupled(phi_terms=[{"n": [1, 0, 0], "cos": float("nan")}]),
+        _coupled(phi_terms=[{"n": [0.5, 0, 0], "cos": 0.1}]),
+        _plane_mode(n=[0, 0, 1], amplitude=[1]),
+        _plane_mode(n=[0, 0, 1], amplitude=float("nan")),
+        _plane_mode(n=[0, 0, 1.5]),
+        {"grid": {"nx": 8.5, "ny": 8, "nz": 8, "lx": 6.3, "ly": 6.3, "lz": 6.3}},
     ],
     ids=["mass-not-a-number", "mode-without-n", "mode-at-k0", "stride-not-an-int",
          "coupled-t-final-not-multiple-of-dt", "mode-not-an-object",
-         "external-field-not-an-object", "output-not-an-object", "mass-nan", "charge-nan"],
+         "external-field-not-an-object", "output-not-an-object", "mass-nan", "charge-nan",
+         "dt-nan", "t-final-nan", "dt-infinite", "t-final-infinite", "stride-not-whole",
+         "k-cutoff-nan", "k-cutoff-0", "k-cutoff-negative", "k-cutoff-square-underflows",
+         "seed-not-whole", "random-field-amplitude-nan", "random-field-amplitude-infinite",
+         "random-field-seed-not-whole", "fourier-cos-nan", "fourier-mode-not-whole",
+         "mode-amplitude-short", "mode-amplitude-nan", "mode-index-not-whole",
+         "nx-not-whole"],
 )
 def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
     path = evolve_config(tmp_path, **overrides)
@@ -473,9 +512,11 @@ def test_cli_em_check_external_not_an_object_exits_2(tmp_path, capsys):
         {"mass": float("nan")},
         {"mass": -1.0},
         {"charge": float("inf")},
+        {"external_field": {"random": {"seed": 11, "amplitude": float("nan"), "nmax": 1}}},
     ],
     ids=["trials-0", "trials-not-whole", "seed-negative", "seed-not-a-number",
-         "seed-not-whole", "mass-nan", "mass-negative", "charge-infinite"],
+         "seed-not-whole", "mass-nan", "mass-negative", "charge-infinite",
+         "random-field-amplitude-nan"],
 )
 def test_cli_em_check_bad_config_exits_2(tmp_path, capsys, overrides):
     path = em_check_config(tmp_path, **overrides)
