@@ -8,8 +8,8 @@ from (a.k)^2 = |k|^2 P_T and {a_k, b} = 0, so evolution is exact in time: norm, 
 the divergence constraints hold to round-off over arbitrarily long times,
 the probability density stays pointwise nonnegative, and the continuity
 equation d_t rho + div j = 0 holds to round-off in every record, which takes
-d_t rho = Im(Psi^dag H Psi) from the Hamiltonian; probed instead by a finite
-difference in time, it converges at second order.
+d_t rho = Im(s^dag H s) for the stack s = (u, v) from the Hamiltonian;
+probed instead by a finite difference in time, it converges at second order.
 """
 import numpy as np
 

@@ -180,11 +180,11 @@ class DiagnosticsRecord:
 
 def record(psi: WaveField, sh: np.ndarray, generator, divergence) -> DiagnosticsRecord:
     """The diagnostics record of one state, free or coupled.  sh is the
-    spectrum of psi's stack, and the two operators in which the systems
-    differ act on spectra: generator(sh) gives G Psi, for the energy
-    <Psi|G|Psi> and for d_t rho = Im(Psi^dag G Psi) in the continuity column
-    (from i d_t Psi = G Psi and rho = Psi^dag Psi / 2); divergence(wh) gives
-    the constraint divergence of a (2, 3, ...) block spectrum (columns
+    spectrum of psi's stack s = (u, v), and the two operators in which the
+    systems differ act on spectra: generator(sh) gives G s, for the energy
+    <Psi|G|Psi> and for d_t rho = Im(s^dag G s) in the continuity column
+    (from i d_t s = G s and rho = s^dag s / 2); divergence(wh) gives the
+    constraint divergence of a (2, 3, ...) block spectrum (columns
     max|div u|, max|div v|).
 
     The cross-product current must agree with the matrix form Psi^dag a Psi
@@ -201,9 +201,9 @@ def record(psi: WaveField, sh: np.ndarray, generator, divergence) -> Diagnostics
     div_u, div_v = np.max(np.abs(div), axis=(1, 2, 3)).tolist()
     gsh = generator(sh)
     g = fields.ifftn(gsh)
-    # block by block: a conj(stack) * g product would hold two more 6-stacks
-    drho = np.sum(psi.u.data.conj() * g[:3], axis=0)
-    drho += np.sum(psi.v.data.conj() * g[3:], axis=0)
+    # s^dag G s block by block: conj(stack) * g would hold two more 6-stacks
+    s_g = np.sum(psi.u.data.conj() * g[:3], axis=0)
+    s_g += np.sum(psi.v.data.conj() * g[3:], axis=0)
     return DiagnosticsRecord(
         time=psi.time,
         total_probability=float(np.sum(rho) * grid.cell_volume),
@@ -211,7 +211,7 @@ def record(psi: WaveField, sh: np.ndarray, generator, divergence) -> Diagnostics
         energy=_parseval_energy(grid, sh, gsh),
         div_u_res=div_u,
         div_v_res=div_v,
-        continuity_res=_continuity_norm(grid, drho.imag, j),
+        continuity_res=_continuity_norm(grid, s_g.imag, j),
     )
 
 
