@@ -200,10 +200,10 @@ def record(psi: WaveField, sh: np.ndarray, generator, divergence) -> Diagnostics
     div = fields.ifftn(divergence(sh.reshape(2, 3, *grid.shape)))
     div_u, div_v = np.max(np.abs(div), axis=(1, 2, 3)).tolist()
     gsh = generator(sh)
-    g = fields.ifftn(gsh)
-    # s^dag G s block by block: conj(stack) * g would hold two more 6-stacks
-    s_g = np.sum(psi.u.data.conj() * g[:3], axis=0)
-    s_g += np.sum(psi.v.data.conj() * g[3:], axis=0)
+    # s^dag G s one block at a time, inverse FFT included: whole-stack
+    # temporaries set the peak memory of a free run
+    s_g = np.sum(psi.u.data.conj() * fields.ifftn(gsh[:3]), axis=0)
+    s_g += np.sum(psi.v.data.conj() * fields.ifftn(gsh[3:]), axis=0)
     return DiagnosticsRecord(
         time=psi.time,
         total_probability=float(np.sum(rho) * grid.cell_volume),
