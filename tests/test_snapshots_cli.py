@@ -277,9 +277,9 @@ def evolve_config(tmp_path, **overrides):
     return path
 
 
-def _random_ic(**fields):
+def _random_ic(**entries):
     return {"initial_condition": {"type": "random_band_limited", "k_cutoff": 1.0, "seed": 42,
-                                  **fields}}
+                                  **entries}}
 
 
 def _coupled(**external):
