@@ -298,20 +298,17 @@ def derive_uv(
     return UVModes(m, variant, s, tuple(out))
 
 
-def system_residual(
-    uv: UVModes,
-    mass: float | None = None,
-    system_tol: float = 1e-12,
-    div_tol: float = 1e-13,
-) -> ResidualReport:
+def system_residual(uv: UVModes) -> ResidualReport:
     """Check the mode list against the matrix dynamics.
 
     Per mode, with Psi = (u, v) and H_(+-)(k) = a.k +- m*b, computes the
     relative residuals |omega Psi - H Psi| / |Psi| for both b signs, plus
     the divergence constraints |k.u| and |k.v| normalized by |k||Psi|.
-    Reports maxima over modes and records which matrix form is satisfied.
+    Reports maxima over modes and records which matrix form (residual at
+    most 1e-12) is satisfied; the divergences are bounded by 1e-13.
     """
-    m = uv.mass if mass is None else mass
+    m = uv.mass
+    system_tol, div_tol = 1e-12, 1e-13
     ms = algebra.matrix_set()
     a_stack = ms.a_stack()
     b = ms.b_complex()

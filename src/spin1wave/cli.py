@@ -4,7 +4,8 @@ diagnostics, binary snapshots.
 
 Exit codes: 0 all checks passed, 1 a verification failed (the report is
 still emitted, or a typed numerical error is printed as one line), 2 usage
-or configuration error.  SPIN1_THREADS caps the worker-thread pools of the
+or configuration error, which includes the evolve runs' ScheduleError and
+StepTooLarge.  SPIN1_THREADS caps the worker-thread pools of the
 numerics libraries (0 or unset = automatic); heavy imports happen after the
 cap is applied, so keep them inside main().
 """
@@ -17,7 +18,8 @@ import math
 import os
 import sys
 
-from .errors import CurrentMismatch, FormatError, NoConvergence, NonFiniteState
+from .errors import (CurrentMismatch, FormatError, NoConvergence, NonFiniteState, ScheduleError,
+                     StepTooLarge)
 
 
 class ConfigError(Exception):
@@ -295,13 +297,10 @@ def _build_initial(cfg: dict, grid, mass: float):
     if ic["type"] == "random_band_limited":
         if "seed" not in ic:
             raise ConfigError("random initial data requires a seed (reproducibility)")
-        k_cutoff = _config_number(ic.get("k_cutoff", 2.0), "k_cutoff")
-        if not (k_cutoff > 0 and k_cutoff**2 > 0):  # the envelope divides by k_cutoff^2
-            raise ConfigError(f"k_cutoff must be positive, got {k_cutoff!r}")
         return fields.random_wave_field(
             grid,
             mass,
-            k_cutoff=k_cutoff,
+            k_cutoff=_config_number(ic.get("k_cutoff", 2.0), "k_cutoff"),
             seed=_config_number(ic["seed"], "initial_condition seed", low=0, integer=True),
             transverse=bool(ic.get("transverse", True)),
         )
@@ -343,7 +342,7 @@ def _write_csv(path, records) -> None:
 
 
 def _cmd_evolve(args) -> int:
-    from . import dynamics, em_coupling, fields, snapshots
+    from . import dynamics, em_coupling, snapshots
 
     cfg = _load_json(args.config)
     grid = _build_grid(cfg)
@@ -353,41 +352,19 @@ def _cmd_evolve(args) -> int:
         evo = cfg.get("evolution", {})
         t_final = _config_number(evo["t_final"], "t_final")
         dt = _config_number(evo["dt"], "dt")
-        stride = _config_number(evo.get("diag_stride", 1), "diag_stride", integer=True)
-        if t_final < 0 or dt <= 0 or stride <= 0:
-            raise ConfigError("evolution needs t_final >= 0, dt > 0, diag_stride > 0")
+        stride = _config_number(evo.get("diag_stride", 1), "diag_stride", low=1, integer=True)
         psi = _build_initial(cfg, grid, mass)
         ext = _build_external(cfg, grid, charge)
-        if ext is not None:
-            em_coupling.step_count(t_final, dt)
 
     out_cfg = _require_object(cfg.get("output", {}), "output")
     snap_path = args.out or out_cfg.get("snapshot")
     diag_path = args.diag or out_cfg.get("diagnostics")
 
-    if ext is not None:
-        bound = em_coupling.stability_bound(grid, mass, ext)
-        if dt > bound:
-            raise ConfigError(
-                f"dt={dt:.3e} exceeds the stability bound {bound:.3e} for this external field"
-            )
-        run = em_coupling.evolve_em(psi, ext, t_final, dt, diag_stride=stride)
-        final, records = run.final, run.records
-    else:
-        prop = dynamics.FreePropagator(grid, mass)
-        n_steps = int(round(t_final / dt))
-        times = [j * dt for j in range(0, n_steps + 1, stride)]
-        if not times or times[-1] != t_final:
-            times.append(t_final)  # the propagator is exact at any time
-        sh0 = fields.fftn(psi.stack())
-        records = []
-        for t in times:
-            sh = prop.evolve_spectrum(sh0, t)
-            final = fields.WaveField.from_stack(grid, fields.ifftn(sh), mass, psi.time + t)
-            records.append(dynamics.diagnostics(final, sh))
-
+    run = (dynamics.evolve_free(psi, t_final, dt, stride) if ext is None
+           else em_coupling.evolve_em(psi, ext, t_final, dt, stride))
+    final = run.final
     if diag_path:
-        _write_csv(diag_path, records)
+        _write_csv(diag_path, run.records)
     if snap_path:
         snapshots.write_snapshot(final, snap_path)
     if args.json:
@@ -396,7 +373,7 @@ def _cmd_evolve(args) -> int:
                 {
                     "t_final": final.time,
                     "norm": final.norm(),
-                    "records": len(records),
+                    "records": len(run.records),
                     "snapshot": snap_path,
                     "diagnostics": diag_path,
                 },
@@ -405,7 +382,7 @@ def _cmd_evolve(args) -> int:
             )
         )
     else:
-        print(f"evolved to t={final.time:g}; norm={final.norm():.12g}; {len(records)} records")
+        print(f"evolved to t={final.time:g}; norm={final.norm():.12g}; {len(run.records)} records")
     return 0
 
 
@@ -533,7 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, FormatError) as exc:
+    except (ConfigError, FileNotFoundError, FormatError, ScheduleError, StepTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CurrentMismatch, NonFiniteState, NoConvergence) as exc:

@@ -12,19 +12,22 @@ transverse subspace P_T, while on the longitudinal one P_L = khat khat^T
 
 Evolution has no time-step error; the only approximation is the finite grid.
 
-record is the one diagnostics record of free and coupled runs: it works from
-the spectrum the caller holds, given the two operators in which the systems
-differ (generator, constraint divergence), and evolves nothing: d_t rho
-comes from the generator it applies for the energy.
+run is the one run loop of free and coupled evolution (evolve_free, and
+em_coupling.evolve_em with RK4); it holds the state as a spectrum between
+record schedule entries.  record is the one diagnostics record of both: it
+works from the spectrum the caller holds, given the two operators in which
+the systems differ (generator, constraint divergence), and evolves nothing:
+d_t rho comes from the generator it applies for the energy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, fields
-from .errors import CurrentMismatch, StepTooLarge
+from .errors import CurrentMismatch, NonFiniteState, ScheduleError, StepTooLarge
 from .fields import WaveField, VectorField
 
 
@@ -112,11 +115,6 @@ class FreePropagator:
         self.check_state(psi)
         out = self.evolve_stack(psi.stack(), t)
         return WaveField.from_stack(self.grid, out, self.mass, psi.time + t)
-
-
-def evolve_free(psi: WaveField, t: float, propagator: FreePropagator | None = None) -> WaveField:
-    prop = propagator or FreePropagator(psi.grid, psi.mass)
-    return prop.evolve(psi, t)
 
 
 def _density(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -229,6 +227,72 @@ def diagnostics(psi: WaveField, sh: np.ndarray | None = None) -> DiagnosticsReco
     k = fields.wavevectors(psi.grid)
     return record(psi, sh, lambda s: _hamiltonian_symbol(k, psi.mass, s),
                   lambda wh: 1j * np.sum(k * wh, axis=-4))
+
+
+def step_count(t_final: float, dt: float, multiple: bool = False) -> int:
+    """Steps of dt in a run to t_final.  Where t_final is a multiple of dt (to
+    1e-9 relative), t_final/dt rounded; else rounded up, with a shorter last
+    step, or for a whole-step integrator (multiple=True) ScheduleError.  Also
+    ScheduleError unless t_final >= 0, dt > 0 and t_final/dt < 2^52: from 2^52
+    steps on, consecutive step times s*dt can round to one double."""
+    if not (dt > 0 and 0 <= t_final / dt < 2**52):
+        raise ScheduleError(f"t_final={t_final!r}, dt={dt!r}: a run needs t_final >= 0, "
+                            f"dt > 0 and fewer than 2^52 steps")
+    n_steps = round(t_final / dt)
+    if abs(n_steps * dt - t_final) <= 1e-9 * t_final:
+        return n_steps
+    if multiple:
+        raise ScheduleError("t_final must be an integer multiple of dt")
+    return max(math.ceil(t_final / dt), 1)  # t_final > 0 here, even where t_final/dt underflows
+
+
+def record_schedule(t_final: float, dt: float, stride: int, n_steps: int):
+    """The record schedule of a run of n_steps steps of dt, as lazy (step, t)
+    pairs: step 0 and every stride-th step short of n_steps at t = step * dt
+    (none if stride <= 0), then (n_steps, t_final)."""
+    if stride > 0:
+        for step in range(0, n_steps, stride):
+            yield step, step * dt
+    yield n_steps, t_final
+
+
+@dataclass
+class Evolution:
+    """The state at the end of a run and the run's records."""
+
+    final: WaveField
+    records: list[DiagnosticsRecord]
+
+
+def run(psi: WaveField, t_final: float, dt: float, diag_stride: int, n_steps: int,
+        advance, record_state) -> Evolution:
+    """The run loop of free and coupled evolution.  advance(sh, steps, span)
+    moves the stack's spectrum sh steps steps of dt (span in time) in place,
+    so one spectrum is held; at each schedule entry the state returns to real
+    space, checked finite, and with diag_stride > 0 record_state(state, sh)
+    gives its record."""
+    sh = fields.fftn(psi.stack())
+    records: list[DiagnosticsRecord] = []
+    step, t = 0, 0.0
+    for next_step, next_t in record_schedule(t_final, dt, diag_stride, n_steps):
+        if next_step > step:
+            advance(sh, next_step - step, next_t - t)
+        step, t = next_step, next_t
+        state = fields.ifftn(sh)
+        if not np.all(np.isfinite(state.view(float))):
+            raise NonFiniteState(f"non-finite field values at step {step}")
+        state = WaveField.from_stack(psi.grid, state, psi.mass, psi.time + t)
+        if diag_stride > 0:
+            records.append(record_state(state, sh))
+    return Evolution(state, records)
+
+
+def evolve_free(psi: WaveField, t_final: float, dt: float, diag_stride: int = 0) -> Evolution:
+    """Exact free evolution to t_final in the run loop; the propagator is
+    exact over any span, so t_final need not be a multiple of dt."""
+    prop = FreePropagator(psi.grid, psi.mass)
+    return run(psi, t_final, dt, diag_stride, step_count(t_final, dt),
+               lambda sh, steps, span: np.copyto(sh, prop.evolve_spectrum(sh, span)), diagnostics)
 
 
 def continuity_residual(

@@ -17,7 +17,8 @@ space is used at the public boundary (ifftn o core o fftn), for max-norm
 residuals and for a record's state.  The generator is the free symbol H(k)
 of dynamics plus one sandwich of the pointwise coupling e(Phi_d - a.A_d), 12
 scalar FFTs per apply on a 6-stack.  The record is dynamics.record with this
-generator and the covariant divergence pi.w: 32 scalar FFTs.
+generator and the covariant divergence pi.w: 32 scalar FFTs.  evolve_em
+runs RK4 steps in dynamics.run, the run loop free evolution uses too.
 
 Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by a
 preconditioned conjugate-gradient solve of pi.pi phi = pi.w followed by
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra, fields, dynamics
-from .errors import GridMismatch, NoConvergence, NonFiniteState, StepTooLarge
+from .errors import GridMismatch, NoConvergence, StepTooLarge
 from .fields import Grid, VectorField, WaveField
 from .reports import ResidualReport
 
@@ -374,7 +375,6 @@ def constrained_square_check(
     trials: int = 4,
     seed=0,
     k_cutoff: float = 2.0,
-    projection_tol: float = 1e-10,
 ) -> ResidualReport:
     """(a.pi)^2 Psi = pi^2 Psi - e (Sigma.H) Psi, valid only on the
     covariant constraint manifold.
@@ -401,7 +401,7 @@ def constrained_square_check(
     for _ in range(trials):
         psi = fields.random_wave_field(ext.grid, mass, k_cutoff, rng)
         worst_raw = min(worst_raw, residual(psi))
-        proj = covariant_project(psi, ext, tol=projection_tol)
+        proj = covariant_project(psi, ext)
         worst_proj = max(worst_proj, residual(proj.field))
         cg_iterations = max(cg_iterations, *proj.iterations)
         cg_residual = max(cg_residual, *proj.residuals)
@@ -456,12 +456,6 @@ def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float) -> np.
     return sh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@dataclass
-class EmEvolution:
-    final: WaveField
-    records: list[dynamics.DiagnosticsRecord]
-
-
 def _em_diagnostics(psi: WaveField, sh: np.ndarray, ext: ExternalField) -> dynamics.DiagnosticsRecord:
     """The coupled record: dynamics.record with the generator H_A + e Phi and
     the covariant residuals max|pi.u|, max|pi.v| as constraint columns.  sh
@@ -470,57 +464,29 @@ def _em_diagnostics(psi: WaveField, sh: np.ndarray, ext: ExternalField) -> dynam
                            lambda wh: _pi_dot_spectrum(ext, wh))
 
 
-def step_count(t_final: float, dt: float) -> int:
-    """Number of RK4 steps of size dt to t_final; ValueError unless t_final
-    is an integer multiple of dt."""
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be an integer multiple of dt")
-    return n_steps
-
-
 def evolve_em(
     psi: WaveField,
     ext: ExternalField,
     t_final: float,
     dt: float,
     diag_stride: int = 0,
-) -> EmEvolution:
-    """Integrate i d_t Psi = (H_A + e Phi) Psi with classical RK4.
-
-    diag_stride > 0 records diagnostics every that many steps (plus the
-    initial and final states).  Covariant constraint drift is monitored,
-    never projected away.  The state is stepped as its spectrum and
-    transformed back, and checked for finiteness, only for a record and at
-    the end.  Raises StepTooLarge if dt exceeds the stability bound and
-    NonFiniteState if the field diverges."""
+) -> dynamics.Evolution:
+    """Integrate i d_t Psi = (H_A + e Phi) Psi with classical RK4 in
+    dynamics.run (NonFiniteState if the field diverges).  Constraint drift is
+    monitored, never projected away.  Raises StepTooLarge if dt exceeds the
+    stability bound, ScheduleError unless t_final is whole steps of dt."""
     _check_grids(psi, ext)
     bound = stability_bound(psi.grid, psi.mass, ext)
     if dt > bound:
         raise StepTooLarge(f"dt={dt:.3e} exceeds the RK4 stability bound {bound:.3e}")
-    n_steps = step_count(t_final, dt)
+    n_steps = dynamics.step_count(t_final, dt, multiple=True)
 
-    sh = fields.fftn(psi.stack())
-    t0 = psi.time
-    records: list[dynamics.DiagnosticsRecord] = []
+    def advance(sh: np.ndarray, steps: int, span: float) -> None:
+        for _ in range(steps):
+            sh[...] = _rk4_step(sh, ext, psi.mass, dt)
 
-    def snapshot(step: int) -> WaveField:
-        stack = fields.ifftn(sh)
-        if not np.all(np.isfinite(stack.view(float))):
-            raise NonFiniteState(f"non-finite field values at step {step}")
-        return WaveField.from_stack(psi.grid, stack, psi.mass, t0 + step * dt)
-
-    if diag_stride > 0:
-        state = snapshot(0)
-        records.append(_em_diagnostics(state, sh, ext))
-    for step in range(1, n_steps + 1):
-        sh = _rk4_step(sh, ext, psi.mass, dt)
-        if diag_stride > 0 and (step % diag_stride == 0 or step == n_steps):
-            state = snapshot(step)
-            records.append(_em_diagnostics(state, sh, ext))
-    if diag_stride <= 0:
-        state = snapshot(n_steps)
-    return EmEvolution(final=state, records=records)
+    return dynamics.run(psi, t_final, dt, diag_stride, n_steps, advance,
+                        lambda state, sh: _em_diagnostics(state, sh, ext))
 
 
 def second_order_residual(
@@ -595,12 +561,10 @@ class LandauLevels:
     charge: float
 
 
-def landau_spectrum(
-    n: int, flux_quanta: int, m: float, e: float, box: float = 2.0 * np.pi
-) -> LandauLevels:
-    """Spectrum of the coupled Hamiltonian on an n x n x 1 grid with a
-    uniform magnetic field B z-hat realized by link phases (Landau gauge,
-    phase-twisted periodic wrap in x).
+def landau_spectrum(n: int, flux_quanta: int, m: float, e: float) -> LandauLevels:
+    """Spectrum of the coupled Hamiltonian on an n x n x 1 grid of the square
+    torus of side box = 2 pi with a uniform magnetic field B z-hat realized
+    by link phases (Landau gauge, phase-twisted periodic wrap in x).
 
     Flux quantization fixes B = 2 pi N / (e * box^2), so e*B = 2 pi N / box^2
     regardless of the charge; for e = 0 the free finite-difference operator
@@ -621,6 +585,7 @@ def landau_spectrum(
     """
     if flux_quanta < 1:
         raise ValueError("flux_quanta must be >= 1")
+    box = 2.0 * np.pi
     h = box / n
     if e != 0.0:
         b_field = 2.0 * np.pi * flux_quanta / (e * box * box)

@@ -9,6 +9,10 @@ class StepTooLarge(ValueError):
     """Requested time step exceeds the resolution or stability bound."""
 
 
+class ScheduleError(ValueError):
+    """t_final and dt give no run: 2^52 steps or more, or whole steps that miss t_final."""
+
+
 class GridMismatch(ValueError):
     """Operands live on different grids."""
 

@@ -59,10 +59,6 @@ class Grid:
         dx, dy, dz = self.spacing
         return dx * dy * dz
 
-    @property
-    def volume(self) -> float:
-        return self.lx * self.ly * self.lz
-
 
 def _axis_wavenumbers(n: int, length: float, zero_nyquist: bool) -> np.ndarray:
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
@@ -304,7 +300,10 @@ def random_vector_field(
 
     The default kmax is a quarter of the smallest axis Nyquist wavenumber,
     so that quadratic quantities (densities, currents) of the field remain
-    exactly resolved by the spectral derivative operators."""
+    exactly resolved by the spectral derivative operators.  Raises
+    ValueError unless k_cutoff is positive with a nonzero square."""
+    if not (k_cutoff > 0 and k_cutoff**2 > 0):  # the envelope divides by k_cutoff^2
+        raise ValueError(f"k_cutoff must be positive, got {k_cutoff!r}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     k2 = k_squared(grid)  # Nyquist kept, so the hard cutoff really cuts it
     if kmax is None:

@@ -1,7 +1,6 @@
 """Machine-readable pass/fail containers used by the verification operations."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -50,9 +49,6 @@ class IdentityReport:
             ],
             "all_passed": self.all_passed,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 @dataclass
@@ -108,6 +104,3 @@ class ResidualReport:
             "notes": dict(self.notes),
             "all_passed": self.all_passed,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

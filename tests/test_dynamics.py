@@ -1,14 +1,17 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spin1wave
 from spin1wave import algebra, dynamics, em_coupling, fields
 from spin1wave.dynamics import FreePropagator
-from spin1wave.errors import CurrentMismatch, StepTooLarge
+from spin1wave.errors import CurrentMismatch, NonFiniteState, ScheduleError, StepTooLarge
 
 GRID = fields.Grid.cubic(16)
 MASS = 1.0
@@ -211,10 +214,48 @@ def test_angular_momentum_packet_32():
 
 
 def test_evolve_free_matches_propagator(psi_t, prop):
-    a = dynamics.evolve_free(psi_t, 0.9)
+    a = dynamics.evolve_free(psi_t, 0.9, 0.1).final
     b = prop.evolve(psi_t, 0.9)
     assert np.max(np.abs(a.stack() - b.stack())) == 0.0
     assert a.time == psi_t.time + 0.9
+
+
+def test_evolve_free_detects_non_finite_state():
+    bad = fields.WaveField.from_stack(GRID, np.full((6, *GRID.shape), np.nan, dtype=complex), MASS)
+    with pytest.raises(NonFiniteState):
+        dynamics.evolve_free(bad, 1.0, 0.5)
+
+
+@settings(deadline=None)
+@given(dt=st.floats(1e-2, 10.0), n=st.integers(0, 10_000), stride=st.integers(1, 40),
+       multiple=st.booleans(), other=st.floats(0.0, 100.0))
+@example(dt=10.0, n=0, stride=1, multiple=False, other=5e-324)  # t_final/dt underflows to 0
+def test_record_schedule(dt, n, stride, multiple, other):
+    t_final = n * dt if multiple else other
+    steps, times = zip(*dynamics.record_schedule(
+        t_final, dt, stride, dynamics.step_count(t_final, dt)))
+    assert times[0] == 0.0 and times[-1] == t_final
+    assert all(a < b <= t_final for a, b in zip(times, times[1:]))
+    assert all(s % stride == 0 and t == s * dt for s, t in zip(steps[:-1], times[:-1]))
+    if multiple:
+        assert dynamics.step_count(t_final, dt, multiple=True) == n
+        # the free loop's row count before the shared schedule: the steps
+        # range(0, n + 1, stride), then t_final where they miss it
+        assert len(times) == len(range(0, n + 1, stride)) + (n % stride != 0)
+
+
+@pytest.mark.parametrize("t_final, dt", [(1e300, 0.1), (2.0**52, 1.0), (math.inf, 0.1),
+                                         (math.nan, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.1)])
+def test_step_count_refuses(t_final, dt):
+    with pytest.raises(ScheduleError):
+        dynamics.step_count(t_final, dt)
+
+
+def test_record_schedule_is_lazy():
+    n = dynamics.step_count(2.0**52 - 1, 1.0)
+    assert n == 2**52 - 1
+    head = itertools.islice(dynamics.record_schedule(float(n), 1.0, 1, n), 3)
+    assert list(head) == [(0, 0.0), (1, 1.0), (2, 2.0)]
 
 
 def eigh_evolve_stack(grid, mass, stack, t):

@@ -117,7 +117,7 @@ def test_constrained_square_identity_pure_scalar_potential():
 
 def test_evolve_matches_exact_free_at_rk4_order(psi):
     ext0 = em.ExternalField.zero(GRID, 0.0)
-    exact = dynamics.evolve_free(psi, 0.5).stack()
+    exact = dynamics.evolve_free(psi, 0.5, 0.005).final.stack()
     d1 = np.linalg.norm(em.evolve_em(psi, ext0, 0.5, 0.01).final.stack() - exact)
     d2 = np.linalg.norm(em.evolve_em(psi, ext0, 0.5, 0.005).final.stack() - exact)
     assert 12.0 <= d1 / d2 <= 20.0
@@ -128,7 +128,7 @@ def test_constant_scalar_potential_is_global_phase(psi):
     e = 0.5
     ext_p = em.ExternalField(GRID, e, np.full(GRID.shape, phi0), np.zeros((3, *GRID.shape)))
     run = em.evolve_em(psi, ext_p, 0.5, 0.005)
-    expected = np.exp(-1j * e * phi0 * 0.5) * dynamics.evolve_free(psi, 0.5).stack()
+    expected = np.exp(-1j * e * phi0 * 0.5) * dynamics.evolve_free(psi, 0.5, 0.005).final.stack()
     assert np.linalg.norm(run.final.stack() - expected) <= 1e-8
 
 

@@ -119,6 +119,13 @@ def test_random_field_reproducible_and_band_limited():
     assert np.max(np.abs(fh[:, k2 > kmax**2])) <= 1e-13 * np.max(np.abs(fh))
 
 
+@pytest.mark.parametrize("k_cutoff", [1e-200, 0.0, -1.0, float("nan")])
+def test_random_field_rejects_bad_k_cutoff(k_cutoff):
+    # the envelope divides by k_cutoff^2; 1e-200 squares to 0 and gave a NaN state
+    with pytest.raises(ValueError, match="k_cutoff"):
+        fields.random_wave_field(GRID, 1.0, k_cutoff, seed=0)
+
+
 def test_random_wave_field_unit_norm_and_transverse():
     psi = fields.random_wave_field(GRID, 1.0, 2.0, seed=9, transverse=True)
     assert abs(psi.norm() - 1.0) <= 1e-13

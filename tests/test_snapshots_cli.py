@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spin1wave
 from spin1wave import cli, dynamics, fields, snapshots
 from spin1wave.errors import FormatError, NoConvergence, NonFiniteState
 
@@ -366,6 +370,11 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
         {"evolution": {"t_final": 1.0, "dt": float("inf")}},
         {"evolution": {"t_final": float("inf"), "dt": 0.1}},
         {"evolution": {"t_final": 1.0, "dt": 0.1, "diag_stride": 1.5}},
+        {"evolution": {"t_final": -1.0, "dt": 0.1}},
+        {"evolution": {"t_final": 1.0, "dt": 0.0}},
+        {"evolution": {"t_final": 1.0, "dt": 0.1, "diag_stride": 0}},
+        {**_coupled(random={"seed": 11, "amplitude": 0.2, "nmax": 1}),
+         "evolution": {"t_final": 1.0, "dt": 0.5}},
         _random_ic(k_cutoff=float("nan")),
         _random_ic(k_cutoff=0),
         _random_ic(k_cutoff=-1),
@@ -385,6 +394,7 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
          "coupled-t-final-not-multiple-of-dt", "mode-not-an-object",
          "external-field-not-an-object", "output-not-an-object", "mass-nan", "charge-nan",
          "dt-nan", "t-final-nan", "dt-infinite", "t-final-infinite", "stride-not-whole",
+         "t-final-negative", "dt-zero", "stride-zero", "coupled-dt-over-stability-bound",
          "k-cutoff-nan", "k-cutoff-0", "k-cutoff-negative", "k-cutoff-square-underflows",
          "seed-not-whole", "random-field-amplitude-nan", "random-field-amplitude-infinite",
          "random-field-seed-not-whole", "fourier-cos-nan", "fourier-mode-not-whole",
@@ -396,6 +406,32 @@ def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
     assert cli.main(["evolve", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, _coupled(random={"seed": 11, "amplitude": 0.2, "nmax": 1})],
+    ids=["free", "coupled"])
+def test_cli_evolve_huge_t_final_exits_2(tmp_path, overrides):
+    # 2^52 or more steps are refused before any is taken; the subprocess and
+    # its timeout keep a run that would not end from stalling the suite
+    path = evolve_config(tmp_path, **{**overrides, "evolution": {"t_final": 1e300, "dt": 0.02}})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spin1wave.cli", "evolve", "--config", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("t_final, dt, rows", [(1.0, 0.6, 3), (0.3, 0.1, 4), (0.7, 0.1, 8)])
+def test_cli_evolve_free_record_times(tmp_path, t_final, dt, rows):
+    path = evolve_config(tmp_path, evolution={"t_final": t_final, "dt": dt, "diag_stride": 1})
+    csv = tmp_path / "d.csv"
+    assert cli.main(["evolve", "--config", str(path), "--diag", str(csv)]) == 0
+    times = [float(line.split(",")[0]) for line in csv.read_text().splitlines()[1:]]
+    assert len(times) == rows and times[-1] == t_final
+    assert all(a < b <= t_final for a, b in zip(times, times[1:]))
 
 
 def _assert_current_mismatch_exits_1(tmp_path, capsys, monkeypatch, **overrides):
