@@ -18,6 +18,11 @@ record schedule entries.  record is the one diagnostics record of both: it
 works from the spectrum the caller holds, given the two operators in which
 the systems differ (generator, constraint divergence), and evolves nothing:
 d_t rho comes from the generator it applies for the energy.
+
+The kernels follow the rule of fields: each allocates its outputs once, at
+full size, and builds them component by component or in place, with no
+temporary the size of a whole six-component stack.  Each keeps the
+operation order of the plain array expression it replaces.
 """
 from __future__ import annotations
 
@@ -39,14 +44,21 @@ def omega_max(grid: fields.Grid, mass: float) -> float:
 
 def _hamiltonian_symbol(k: np.ndarray, mass: float, sh: np.ndarray) -> np.ndarray:
     """H(k) = a.k + m b applied per mode to a spectral (6, nx, ny, nz) stack:
-    upper -> k x v + m u, lower -> -k x u - m v."""
+    upper -> k x v + m u, lower -> -k x u - m v = u x k - m v.  The cross
+    products are written component by component, each as np.cross forms
+    it (a_j b_k - a_k b_j), so the result is np.cross's bit for bit."""
     u, v = sh[:3], sh[3:]
     out = np.empty_like(sh)
-    out[:3] = np.cross(k, v, axisa=0, axisb=0, axisc=0)
-    out[3:] = np.cross(u, k, axisa=0, axisb=0, axisc=0)
-    if mass:
-        out[:3] += mass * u
-        out[3:] -= mass * v
+    tmp = np.empty_like(sh[0])
+    for i in range(3):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        np.multiply(k[a], v[b], out=out[i])
+        out[i] -= np.multiply(k[b], v[a], out=tmp)
+        np.multiply(u[a], k[b], out=out[3 + i])
+        out[3 + i] -= np.multiply(u[b], k[a], out=tmp)
+        if mass:
+            out[i] += np.multiply(u[i], mass, out=tmp)
+            out[3 + i] -= np.multiply(v[i], mass, out=tmp)
     return out
 
 
@@ -99,9 +111,15 @@ class FreePropagator:
         delta = np.exp(-1j * m * t) - alpha
         out = _hamiltonian_symbol(fields.wavevectors(self.grid), 0.0, sh)
         out *= -1j * s
-        u, v = sh[:3], sh[3:]
-        out[:3] += alpha * u + khat * (delta * np.sum(khat * u, axis=0))
-        out[3:] += alpha.conj() * v + khat * (delta.conj() * np.sum(khat * v, axis=0))
+        tmp = np.empty_like(alpha)
+        for block, a, d in ((slice(0, 3), alpha, delta), (slice(3, 6), alpha.conj(), delta.conj())):
+            w, o = sh[block], out[block]
+            proj = np.multiply(d, fields.vector_dot(khat, w))
+            for i in range(3):
+                # o_i += a w_i + khat_i (d khat.w), summed in that order
+                part = np.multiply(a, w[i], out=tmp)
+                part += khat[i] * proj
+                o[i] += part
         return out
 
     def evolve_stack(self, stack: np.ndarray, t: float) -> np.ndarray:
@@ -127,8 +145,14 @@ def probability_density(psi: WaveField) -> np.ndarray:
 
 
 def probability_current(psi: WaveField) -> np.ndarray:
-    """j = (v* x u + v x u*)/2 = Re(v* x u) pointwise, shape (3, nx, ny, nz)."""
-    return np.cross(psi.v.data.conj(), psi.u.data, axisa=0, axisb=0, axisc=0).real
+    """j = (v* x u + v x u*)/2 = Re(v* x u) pointwise, shape (3, nx, ny, nz),
+    one component at a time in np.cross's operation order."""
+    u, v = psi.u.data, psi.v.data
+    j = np.empty((3, *psi.grid.shape))
+    for i in range(3):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        j[i] = (v[a].conj() * u[b] - v[b].conj() * u[a]).real
+    return j
 
 
 def probability_current_matrix_form(psi: WaveField) -> np.ndarray:
@@ -197,16 +221,20 @@ def record(psi: WaveField, sh: np.ndarray, generator, divergence) -> Diagnostics
     grid = psi.grid
     div = fields.ifftn(divergence(sh.reshape(2, 3, *grid.shape)))
     div_u, div_v = np.max(np.abs(div), axis=(1, 2, 3)).tolist()
+    del div
     gsh = generator(sh)
-    # s^dag G s one block at a time, inverse FFT included: whole-stack
-    # temporaries set the peak memory of a free run
-    s_g = np.sum(psi.u.data.conj() * fields.ifftn(gsh[:3]), axis=0)
-    s_g += np.sum(psi.v.data.conj() * fields.ifftn(gsh[3:]), axis=0)
+    energy = _parseval_energy(grid, sh, gsh)
+    # s^dag G s one block at a time, inverse FFT included, and G s freed
+    # before the continuity norm: whole-stack temporaries set the peak
+    # memory of a free run
+    s_g = fields.vector_dot(psi.u.data.conj(), fields.ifftn(gsh[:3]))
+    s_g += fields.vector_dot(psi.v.data.conj(), fields.ifftn(gsh[3:]))
+    del gsh
     return DiagnosticsRecord(
         time=psi.time,
         total_probability=float(np.sum(rho) * grid.cell_volume),
         total_current=np.sum(j, axis=(1, 2, 3)) * grid.cell_volume,
-        energy=_parseval_energy(grid, sh, gsh),
+        energy=energy,
         div_u_res=div_u,
         div_v_res=div_v,
         continuity_res=_continuity_norm(grid, s_g.imag, j),
@@ -226,7 +254,7 @@ def diagnostics(psi: WaveField, sh: np.ndarray | None = None) -> DiagnosticsReco
     sh = fields.fftn(psi.stack()) if sh is None else sh
     k = fields.wavevectors(psi.grid)
     return record(psi, sh, lambda s: _hamiltonian_symbol(k, psi.mass, s),
-                  lambda wh: 1j * np.sum(k * wh, axis=-4))
+                  lambda wh: 1j * fields.vector_dot(k, wh))
 
 
 def step_count(t_final: float, dt: float, multiple: bool = False) -> int:
@@ -271,17 +299,22 @@ def run(psi: WaveField, t_final: float, dt: float, diag_stride: int, n_steps: in
     so one spectrum is held; at each schedule entry the state returns to real
     space, checked finite, and with diag_stride > 0 record_state(state, sh)
     gives its record."""
+    grid = psi.grid
     sh = fields.fftn(psi.stack())
     records: list[DiagnosticsRecord] = []
     step, t = 0, 0.0
     for next_step, next_t in record_schedule(t_final, dt, diag_stride, n_steps):
+        state = None  # the last record's state is not held while advancing
         if next_step > step:
             advance(sh, next_step - step, next_t - t)
         step, t = next_step, next_t
-        state = fields.ifftn(sh)
-        if not np.all(np.isfinite(state.view(float))):
+        stack = fields.ifftn(sh)
+        if not np.all(np.isfinite(stack.view(float))):
             raise NonFiniteState(f"non-finite field values at step {step}")
-        state = WaveField.from_stack(psi.grid, state, psi.mass, psi.time + t)
+        # the blocks are views of the fresh stack, not copies
+        state = WaveField(grid, VectorField(grid, stack[:3]), VectorField(grid, stack[3:]),
+                          psi.mass, psi.time + t)
+        del stack
         if diag_stride > 0:
             records.append(record_state(state, sh))
     return Evolution(state, records)

@@ -6,7 +6,8 @@ H_A = a.(p - e A) + m b.  Derivatives are spectral; multiplications by the
 potential are sandwiched between sharp 2/3-rule spectral truncations,
 T(f) = D(A_d * D(f)) with A_d the truncated potential, which keeps every
 multiplication operator exactly Hermitian on the grid and keeps the operator
-identities exact as long as fields stay inside the dealiased band.
+identities exact as long as the products of fields and potentials stay
+inside the dealiased band.
 
 One kernel, _sandwich, computes every such product on spectra: mask, one
 inverse FFT, a pointwise product, one forward FFT, mask.  Each operator has
@@ -152,6 +153,12 @@ def random_smooth_external(
     return ExternalField.from_fourier_series(grid, charge, terms(n_terms), a_terms)
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a complex array as one complex dot product (numpy's
+    norm takes two strided real ones, over the real and imaginary parts)."""
+    return float(np.sqrt(np.vdot(x, x).real))
+
+
 def _check_grids(psi: WaveField, ext: ExternalField):
     if psi.grid != ext.grid:
         raise GridMismatch("state and external field live on different grids")
@@ -160,9 +167,12 @@ def _check_grids(psi: WaveField, ext: ExternalField):
 def _sandwich(grid: Grid, sh: np.ndarray, pointwise) -> np.ndarray:
     """The one dealiased multiplication, on spectra: D[M(x) D psi] for the
     spectrum sh of psi, where pointwise applies M(x) to the real-space field
-    D psi.  Returns the spectrum of the product, already truncated."""
+    D psi, which it may overwrite.  Returns the spectrum of the product,
+    already truncated."""
     mask = dealias_mask(grid)
-    return mask * fields.fftn(pointwise(fields.ifftn(mask * sh)))
+    out = fields.fftn(pointwise(fields.ifftn(mask * sh)))
+    out *= mask
+    return out
 
 
 def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_d=0.0) -> np.ndarray:
@@ -171,9 +181,16 @@ def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_d=0.0) ->
     e(phi_d - a.A_d).  phi_d = 0 gives H_A alone."""
     out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh)
     if ext.charge != 0.0:
-        out += ext.charge * _sandwich(
-            ext.grid, sh, lambda d: phi_d * d - dynamics._hamiltonian_symbol(ext.avec_d, 0.0, d)
-        )
+
+        def coupling(d):
+            a_d = dynamics._hamiltonian_symbol(ext.avec_d, 0.0, d)
+            d *= phi_d
+            d -= a_d
+            return d
+
+        coupled = _sandwich(ext.grid, sh, coupling)
+        coupled *= ext.charge
+        out += coupled
     return out
 
 
@@ -205,7 +222,9 @@ def _pi_vector_spectrum(ext: ExternalField, fh: np.ndarray) -> np.ndarray:
     fh = fh[..., None, :, :, :]
     out = fields.wavevectors(ext.grid) * fh
     if ext.charge != 0.0:
-        out -= ext.charge * _sandwich(ext.grid, fh, lambda d: ext.avec_d * d)
+        coupled = _sandwich(ext.grid, fh, lambda d: ext.avec_d * d)
+        coupled *= ext.charge
+        out -= coupled
     return out
 
 
@@ -219,9 +238,9 @@ def _pi_dot_spectrum(ext: ExternalField, wh: np.ndarray) -> np.ndarray:
     returns the spectrum of the scalar field.  The three products A_d w_d
     are summed before the outer transform, which the linearity of the
     truncation makes exact."""
-    out = np.sum(fields.wavevectors(ext.grid) * wh, axis=-4)
+    out = fields.vector_dot(fields.wavevectors(ext.grid), wh)
     if ext.charge != 0.0:
-        out -= ext.charge * _sandwich(ext.grid, wh, lambda d: np.sum(ext.avec_d * d, axis=-4))
+        out -= ext.charge * _sandwich(ext.grid, wh, lambda d: fields.vector_dot(ext.avec_d, d))
     return out
 
 
@@ -339,13 +358,13 @@ def squared_hamiltonian_check(
         a_pi = _h_a_spectrum(sh, ext, 0.0)
         lhs = _h_a_spectrum(_h_a_spectrum(sh, ext, mass), ext, mass)
         rhs = _h_a_spectrum(a_pi, ext, 0.0) + mass**2 * sh
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-        worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
+        scale = max(_norm(lhs), _norm(rhs), 1e-300)
+        worst = max(worst, _norm(lhs - rhs) / scale)
 
         if include_negative_control and mass > 0:
             hp = a_pi + mass * np.einsum("ij,j...->i...", sigma3, sh)
             lhs_c = _h_a_spectrum(hp, ext, 0.0) + mass * np.einsum("ij,j...->i...", sigma3, hp)
-            worst_control = max(worst_control, np.linalg.norm(lhs_c - rhs) / scale)
+            worst_control = max(worst_control, _norm(lhs_c - rhs) / scale)
     rep = ResidualReport()
     rep.add_upper("squared_hamiltonian_identity", worst, 1e-12)
     if include_negative_control and mass > 0:
@@ -395,8 +414,8 @@ def constrained_square_check(
         sh = fields.fftn(psi.stack())
         lhs = _h_a_spectrum(_h_a_spectrum(sh, ext, 0.0), ext, 0.0)
         rhs = _pi_squared_spectrum(ext, sh) - ext.charge * _sigma_dot_h(ext, sh)
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-        return np.linalg.norm(lhs - rhs) / scale
+        scale = max(_norm(lhs), _norm(rhs), 1e-300)
+        return _norm(lhs - rhs) / scale
 
     for _ in range(trials):
         psi = fields.random_wave_field(ext.grid, mass, k_cutoff, rng)
@@ -442,18 +461,36 @@ def stability_bound(grid: Grid, mass: float, ext: ExternalField) -> float:
 
 
 def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float) -> np.ndarray:
-    """One classical RK4 step on the spectrum sh of a 6-stack; every stage
-    stays a spectrum, so a step costs four generator applies and no other
-    transform."""
+    """One classical RK4 step on the spectrum sh of a 6-stack, in place;
+    returns sh.  Every stage stays a spectrum, so a step costs four
+    generator applies and no other transform.  The update is
+    sh + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, with the sum
+    and the stage argument each held in one buffer."""
 
     def rhs(s):
-        return -1j * _generator_spectrum(s, ext, mass)
+        g = _generator_spectrum(s, ext, mass)
+        g *= -1j
+        return g
 
-    k1 = rhs(sh)
-    k2 = rhs(sh + 0.5 * dt * k1)
-    k3 = rhs(sh + 0.5 * dt * k2)
-    k4 = rhs(sh + dt * k3)
-    return sh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    arg = np.empty_like(sh)
+
+    def stage(k, h):
+        """The stage argument sh + h k, written into arg."""
+        return np.add(np.multiply(k, h, out=arg), sh, out=arg)
+
+    acc = rhs(sh)  # k1
+    k = rhs(stage(acc, 0.5 * dt))  # k2
+    stage(k, 0.5 * dt)
+    k *= 2.0
+    acc += k
+    k = rhs(arg)  # k3
+    stage(k, dt)
+    k *= 2.0
+    acc += k
+    acc += rhs(arg)  # k4
+    acc *= dt / 6.0
+    sh += acc
+    return sh
 
 
 def _em_diagnostics(psi: WaveField, sh: np.ndarray, ext: ExternalField) -> dynamics.DiagnosticsRecord:
@@ -483,7 +520,7 @@ def evolve_em(
 
     def advance(sh: np.ndarray, steps: int, span: float) -> None:
         for _ in range(steps):
-            sh[...] = _rk4_step(sh, ext, psi.mass, dt)
+            _rk4_step(sh, ext, psi.mass, dt)
 
     return dynamics.run(psi, t_final, dt, diag_stride, n_steps, advance,
                         lambda state, sh: _em_diagnostics(state, sh, ext))
@@ -506,10 +543,10 @@ def second_order_residual(
     m = psi0.mass
     e = ext.charge
     sh0 = fields.fftn(psi0.stack())
-    plus = minus = sh0
+    plus, minus = sh0.copy(), sh0.copy()
     for _ in range(substeps):
-        plus = _rk4_step(plus, ext, m, h)
-        minus = _rk4_step(minus, ext, m, -h)
+        _rk4_step(plus, ext, m, h)
+        _rk4_step(minus, ext, m, -h)
 
     def mulphi(s):
         return _sandwich(ext.grid, s, lambda d: ext.phi_d * d) if e != 0.0 else np.zeros_like(s)
@@ -523,7 +560,7 @@ def second_order_residual(
         - e * _sigma_dot_h(ext, sh0)
         + 1j * e * _a_dot_e(ext, sh0)
     )
-    return np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    return _norm(lhs - rhs) / max(_norm(rhs), 1e-300)
 
 
 def gauge_covariance_deviation(
@@ -546,7 +583,7 @@ def gauge_covariance_deviation(
     r1 = evolve_em(psi0, ext, t_final, dt).final.stack()
     r2 = evolve_em(psi0_t, ext2, t_final, dt).final.stack()
     diff = r1 - r2 * np.exp(-1j * e * chi)[None]
-    return np.linalg.norm(diff) / max(np.linalg.norm(r1), 1e-300)
+    return _norm(diff) / max(_norm(r1), 1e-300)
 
 
 @dataclass

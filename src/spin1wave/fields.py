@@ -7,6 +7,12 @@ range; the Nyquist mode is zeroed in every first-derivative operator so that
 i*k stays skew-Hermitian (second-derivative operators keep it).  The k = 0
 mode carries no divergence constraint and is left untouched by the
 transverse projector.
+
+Kernel rule, here, in dynamics and in the coupled generator and RK4 step
+of em_coupling: a spectral kernel allocates its outputs once, at full
+size, and builds them component by component or in place; it holds no
+temporary the size of a whole six-component stack.  fftn and ifftn
+transform into their one output.
 """
 from __future__ import annotations
 
@@ -101,12 +107,27 @@ def coordinates(grid: Grid) -> np.ndarray:
 
 
 def fftn(data: np.ndarray) -> np.ndarray:
-    """Forward transform over the trailing three axes."""
-    return np.fft.fftn(data, axes=(-3, -2, -1))
+    """Forward transform over the trailing three axes, into one new
+    complex128 array that every axis pass writes (without out= each pass
+    allocates a fresh array)."""
+    out = np.empty(np.shape(data), dtype=np.complex128)
+    return np.fft.fftn(data, axes=(-3, -2, -1), out=out)
 
 
 def ifftn(data: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(data, axes=(-3, -2, -1))
+    """Inverse transform over the trailing three axes, into one new array."""
+    out = np.empty(np.shape(data), dtype=np.complex128)
+    return np.fft.ifftn(data, axes=(-3, -2, -1), out=out)
+
+
+def vector_dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i a[i] w[..., i, :, :, :] for a (3, nx, ny, nz) field a: the sum
+    over w's vector axis -4, one component at a time.  Equal to
+    np.sum(a * w, axis=-4) bit for bit, without its temporary of w's size."""
+    out = a[0] * w[..., 0, :, :, :]
+    out += a[1] * w[..., 1, :, :, :]
+    out += a[2] * w[..., 2, :, :, :]
+    return out
 
 
 @dataclass
@@ -174,8 +195,7 @@ def divergence(f: VectorField) -> np.ndarray:
     """Spectral divergence: per mode, i k . amplitude.  Returns a complex
     scalar field of shape (nx, ny, nz)."""
     k = wavevectors(f.grid)
-    fh = fftn(f.data)
-    return ifftn(1j * np.sum(k * fh, axis=0))
+    return ifftn(1j * vector_dot(k, fftn(f.data)))
 
 
 def gradient(grid: Grid, scalar: np.ndarray) -> VectorField:
@@ -192,7 +212,7 @@ def project_transverse(f: VectorField) -> VectorField:
     k = wavevectors(f.grid)
     k2 = np.sum(k * k, axis=0)
     fh = fftn(f.data)
-    kdotf = np.sum(k * fh, axis=0)
+    kdotf = vector_dot(k, fh)
     with np.errstate(invalid="ignore", divide="ignore"):
         coef = np.where(k2 > 0.0, kdotf / np.where(k2 > 0.0, k2, 1.0), 0.0)
     fh -= k * coef[None]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,52 @@ def test_record_continuity_fails_for_white_noise(mass):
     stack /= np.sqrt(0.5 * np.sum(np.abs(stack) ** 2) * ANISO.cell_volume)  # unit norm
     psi = fields.WaveField.from_stack(ANISO, stack, mass)
     assert dynamics.diagnostics(psi).continuity_res >= 1e-2
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_hamiltonian_symbol_matches_cross_form_bit_for_bit(mass):
+    k = fields.wavevectors(ANISO)
+    rng = np.random.default_rng(9)
+    sh = rng.standard_normal((6, *ANISO.shape)) + 1j * rng.standard_normal((6, *ANISO.shape))
+    want = np.empty_like(sh)
+    want[:3] = np.cross(k, sh[3:], axisa=0, axisb=0, axisc=0) + mass * sh[:3]
+    want[3:] = np.cross(sh[:3], k, axisa=0, axisb=0, axisc=0) - mass * sh[3:]
+    assert np.array_equal(dynamics._hamiltonian_symbol(k, mass, sh), want)
+
+
+def _peak_in_stacks(call) -> float:
+    """Peak memory call allocates, its output included, in units of one
+    complex (6, *ANISO.shape) stack; a warm-up call fills the caches."""
+    call()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak / (6 * 16 * ANISO.npoints)
+
+
+@pytest.mark.parametrize("kernel, bound", [
+    ("fftn", 1.1), ("ifftn", 1.1), ("evolve_spectrum", 3.0), ("diagnostics", 3.0)])
+def test_kernel_peak_memory(kernel, bound):
+    # outputs preallocated, no whole-stack temporaries
+    psi = fields.random_wave_field(ANISO, MASS, 2.0, seed=5, transverse=True)
+    stack = psi.stack()
+    sh = fields.fftn(stack)
+    prop = FreePropagator(ANISO, MASS)
+    call = {
+        "fftn": lambda: fields.fftn(stack),
+        "ifftn": lambda: fields.ifftn(sh),
+        "evolve_spectrum": lambda: prop.evolve_spectrum(sh, 0.7),
+        "diagnostics": lambda: dynamics.diagnostics(psi, sh),
+    }[kernel]
+    assert _peak_in_stacks(call) <= bound
 
 
 def test_kgf_dichotomy(psi_t):

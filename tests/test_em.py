@@ -407,6 +407,25 @@ def test_fused_operators_match_unfused_oracle(ext_aniso, mass):
     assert _rel(step, _oracle_rk4_step(stack, ext_aniso, mass, dt)) <= 1e-13
 
 
+def test_rk4_step_in_place_matches_formula_bit_for_bit():
+    grid = fields.Grid(16, 12, 10, 7.0, 5.5, 4.5)
+    ext_a = em.random_smooth_external(grid, 0.5, seed=21, amplitude=0.2, nmax=1)
+    sh = fields.fftn(_white_noise((6, *grid.shape), 6))
+    dt = 0.5 * em.stability_bound(grid, MASS, ext_a)
+
+    def rhs(s):
+        return -1j * em._generator_spectrum(s, ext_a, MASS)
+
+    k1 = rhs(sh)
+    k2 = rhs(sh + 0.5 * dt * k1)
+    k3 = rhs(sh + 0.5 * dt * k2)
+    k4 = rhs(sh + dt * k3)
+    want = sh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = sh.copy()
+    assert em._rk4_step(got, ext_a, MASS, dt) is got
+    assert np.array_equal(got, want)
+
+
 def test_pi_vector_adjoint_of_pi_dot(ext_aniso):
     f = _white_noise(ANISO.shape, 4)
     w = _white_noise((3, *ANISO.shape), 5)

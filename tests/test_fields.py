@@ -164,3 +164,36 @@ def test_plane_eigenmode_field_matches_matrix_eigenmode():
     k = fields.mode_wavevector(GRID, (0, 0, 1))
     lam = np.hypot(np.linalg.norm(k), 1.0)
     assert np.max(np.abs(h.stack() - lam * psi.stack())) <= 1e-12
+
+
+ANISO = Grid(16, 12, 10, 7.0, 5.5, 4.5)
+
+
+def _fft_inputs():
+    rng = np.random.default_rng(23)
+    for lead in ((), (1,), (3,), (2, 3), (6,)):
+        shape = (*lead, *ANISO.shape)
+        real = rng.standard_normal(shape)
+        cplx = real + 1j * rng.standard_normal(shape)
+        # Fortran order is what snapshots.read_snapshot returns
+        yield from (real, cplx, np.asfortranarray(cplx))
+
+
+@pytest.mark.parametrize("ours, numpys", [(fields.fftn, np.fft.fftn), (fields.ifftn, np.fft.ifftn)])
+def test_fft_into_output_matches_numpy_bit_for_bit(ours, numpys):
+    for data in _fft_inputs():
+        got, want = ours(data), numpys(data, axes=(-3, -2, -1))
+        assert got.dtype == want.dtype == np.complex128
+        assert got.shape == want.shape == data.shape
+        assert np.array_equal(got, want)
+
+
+def test_vector_dot_matches_sum_bit_for_bit():
+    rng = np.random.default_rng(29)
+    k = fields.wavevectors(ANISO)
+    a = rng.standard_normal(k.shape) + 1j * rng.standard_normal(k.shape)
+    for lead in ((3,), (2, 3)):
+        shape = (*lead, *ANISO.shape)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for vec in (k, a):
+            assert np.array_equal(fields.vector_dot(vec, w), np.sum(vec * w, axis=-4))
