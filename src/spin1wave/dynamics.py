@@ -170,7 +170,7 @@ def probability_current_matrix_form(psi: WaveField) -> np.ndarray:
 def _parseval_energy(grid: fields.Grid, sh: np.ndarray, gsh: np.ndarray) -> float:
     """<Psi|G|Psi> from the spectra sh of the stack and gsh of G Psi: the grid
     sum of conj(f) g is the mode sum of conj(f_hat) g_hat / npoints."""
-    return float(0.5 * np.vdot(sh, gsh).real * grid.cell_volume / grid.npoints)
+    return 0.5 * fields.real_vdot(sh, gsh) * grid.cell_volume / grid.npoints
 
 
 def energy(psi: WaveField) -> float:

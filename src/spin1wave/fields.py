@@ -130,6 +130,24 @@ def vector_dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def vdot(x: np.ndarray, y: np.ndarray) -> complex:
+    """conj(x).y over two whole arrays of one size, summed by einsum.  Not
+    np.vdot: above 10^4 elements that hands the sum to a multithreaded BLAS
+    dot, which waits for a worker thread on every call (milliseconds when
+    another process holds the other core), leaves it spinning afterwards
+    and splits its partial sums by the thread count."""
+    return complex(np.einsum("i,i->", np.conj(x).reshape(-1), np.reshape(y, -1)))
+
+
+def real_vdot(x: np.ndarray, y: np.ndarray) -> float:
+    """Re(conj(x).y) over two whole complex arrays of one size, as vdot but
+    over their interleaved real and imaginary parts: no temporary for
+    contiguous inputs."""
+    xf = np.ascontiguousarray(x, dtype=np.complex128).reshape(-1).view(np.float64)
+    yf = np.ascontiguousarray(y, dtype=np.complex128).reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", xf, yf))
+
+
 @dataclass
 class VectorField:
     """Complex 3-vector field sampled on a Grid; data shape (3, nx, ny, nz)."""
@@ -222,7 +240,7 @@ def project_transverse(f: VectorField) -> VectorField:
 def inner(fa: VectorField, fb: VectorField) -> complex:
     """Grid inner product sum(conj(a).b) * dV."""
     _same_grid(fa, fb)
-    return complex(np.vdot(fa.data, fb.data) * fa.grid.cell_volume)
+    return vdot(fa.data, fb.data) * fa.grid.cell_volume
 
 
 def l2_norm(f: VectorField) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,23 @@ def test_vector_dot_matches_sum_bit_for_bit():
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for vec in (k, a):
             assert np.array_equal(fields.vector_dot(vec, w), np.sum(vec * w, axis=-4))
+
+
+def test_vdot_and_real_vdot_match_exact_sums():
+    rng = np.random.default_rng(31)
+    for lead in ((), (6,)):
+        shape = (*lead, *ANISO.shape)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        re = math.fsum((x.real * y.real).ravel()) + math.fsum((x.imag * y.imag).ravel())
+        im = math.fsum((x.real * y.imag).ravel()) - math.fsum((x.imag * y.real).ravel())
+        got_re = fields.real_vdot(x, y)
+        got = fields.vdot(x, y)
+        assert isinstance(got_re, float) and isinstance(got, complex)
+        scale = math.sqrt(fields.real_vdot(x, x) * fields.real_vdot(y, y))
+        assert abs(got_re - re) <= 1e-13 * scale
+        assert abs(got - complex(re, im)) <= 1e-13 * scale
+        assert abs(got - np.vdot(x, y)) <= 1e-13 * scale
+        # a Fortran-ordered input is summed in C order, as its copy
+        assert fields.real_vdot(np.asfortranarray(x), y) == got_re
+        assert fields.vdot(np.asfortranarray(x), y) == got
