@@ -28,16 +28,16 @@ print(f"{'mode':>10} {'branch':>7} {'fitted omega':>14}")
 for n in (1, 2, 3):
     for branch in (+1, -1):
         mode = fields.plane_eigenmode_field(grid, mass, (0, 0, n), branch, "long")
-        base = mode.stack()
-        phases = [np.angle(np.vdot(base, prop.evolve(mode, float(t)).stack())) for t in times]
+        base = mode.data
+        phases = [np.angle(np.vdot(base, prop.evolve(mode, float(t)).data)) for t in times]
         omega = -np.polyfit(times, np.unwrap(phases), 1)[0]
         print(f"{f'(0,0,{n})':>10} {branch:+7d} {omega:+14.10f}")
 
 print("\ntransverse modes by contrast disperse with |k|:")
 for n in (1, 2, 3):
     mode = fields.plane_eigenmode_field(grid, mass, (0, 0, n), +1, "t1")
-    base = mode.stack()
-    phases = [np.angle(np.vdot(base, prop.evolve(mode, float(t)).stack())) for t in times]
+    base = mode.data
+    phases = [np.angle(np.vdot(base, prop.evolve(mode, float(t)).data)) for t in times]
     omega = -np.polyfit(times, np.unwrap(phases), 1)[0]
     k = fields.mode_wavevector(grid, (0, 0, n))
     print(f"  |k| = {np.linalg.norm(k):.0f}: fitted omega = {omega:.10f}"

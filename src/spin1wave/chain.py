@@ -239,7 +239,7 @@ class UVModes:
             phase = np.exp(1j * np.tensordot(k, x, axes=(0, 0)))
             stack[:3] += np.asarray(m.u)[:, None, None, None] * phase
             stack[3:] += np.asarray(m.v)[:, None, None, None] * phase
-        return fields.WaveField.from_stack(grid, stack, self.mass)
+        return fields.WaveField(grid, stack, self.mass)
 
 
 def _antiderivative_factor(sigma: int, m: float, omega: float) -> complex:

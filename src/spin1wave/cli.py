@@ -326,8 +326,7 @@ def _build_initial(cfg: dict, grid, mass: float):
             if psi is None:
                 psi = one
             else:
-                psi.u.data += one.u.data
-                psi.v.data += one.v.data
+                psi.data += one.data
         return psi
     raise ConfigError(f"unknown initial condition type {ic['type']!r}")
 

@@ -69,11 +69,6 @@ def apply_hamiltonian_stack(grid: fields.Grid, mass: float, stack: np.ndarray) -
     return fields.ifftn(_hamiltonian_symbol(k, mass, fields.fftn(stack)))
 
 
-def apply_free_hamiltonian(psi: WaveField) -> WaveField:
-    out = apply_hamiltonian_stack(psi.grid, psi.mass, psi.stack())
-    return WaveField.from_stack(psi.grid, out, psi.mass, psi.time)
-
-
 class FreePropagator:
     """Closed-form exp(-i H(k) t) per Fourier mode for one grid and mass.
 
@@ -131,8 +126,7 @@ class FreePropagator:
 
     def evolve(self, psi: WaveField, t: float) -> WaveField:
         self.check_state(psi)
-        out = self.evolve_stack(psi.stack(), t)
-        return WaveField.from_stack(self.grid, out, self.mass, psi.time + t)
+        return WaveField(self.grid, self.evolve_stack(psi.data, t), self.mass, psi.time + t)
 
 
 def _density(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -141,13 +135,13 @@ def _density(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def probability_density(psi: WaveField) -> np.ndarray:
     """rho = (|u|^2 + |v|^2)/2 pointwise; nonnegative by construction."""
-    return _density(psi.u.data, psi.v.data)
+    return _density(psi.data[:3], psi.data[3:])
 
 
 def probability_current(psi: WaveField) -> np.ndarray:
     """j = (v* x u + v x u*)/2 = Re(v* x u) pointwise, shape (3, nx, ny, nz),
     one component at a time in np.cross's operation order."""
-    u, v = psi.u.data, psi.v.data
+    u, v = psi.data[:3], psi.data[3:]
     j = np.empty((3, *psi.grid.shape))
     for i in range(3):
         a, b = (i + 1) % 3, (i + 2) % 3
@@ -160,10 +154,9 @@ def probability_current_matrix_form(psi: WaveField) -> np.ndarray:
     independent route; must agree with the cross-product form).  Sums
     a[k, i, j] conj(psi_i) psi_j over the 12 nonzero matrix entries only."""
     a_stack = algebra.matrix_set().a_stack()
-    comps = [*psi.u.data, *psi.v.data]
     j = np.zeros((3, *psi.grid.shape))
     for k, row, col in zip(*np.nonzero(a_stack)):
-        j[k] += (a_stack[k, row, col] * comps[row].conj() * comps[col]).real
+        j[k] += (a_stack[k, row, col] * psi.data[row].conj() * psi.data[col]).real
     return 0.5 * j
 
 
@@ -175,7 +168,7 @@ def _parseval_energy(grid: fields.Grid, sh: np.ndarray, gsh: np.ndarray) -> floa
 
 def energy(psi: WaveField) -> float:
     """<Psi| H |Psi> under the grid inner product (with the 1/sqrt(2))."""
-    sh = fields.fftn(psi.stack())
+    sh = fields.fftn(psi.data)
     k = fields.wavevectors(psi.grid)
     return _parseval_energy(psi.grid, sh, _hamiltonian_symbol(k, psi.mass, sh))
 
@@ -227,8 +220,8 @@ def record(psi: WaveField, sh: np.ndarray, generator, divergence) -> Diagnostics
     # s^dag G s one block at a time, inverse FFT included, and G s freed
     # before the continuity norm: whole-stack temporaries set the peak
     # memory of a free run
-    s_g = fields.vector_dot(psi.u.data.conj(), fields.ifftn(gsh[:3]))
-    s_g += fields.vector_dot(psi.v.data.conj(), fields.ifftn(gsh[3:]))
+    s_g = fields.vector_dot(psi.data[:3].conj(), fields.ifftn(gsh[:3]))
+    s_g += fields.vector_dot(psi.data[3:].conj(), fields.ifftn(gsh[3:]))
     del gsh
     return DiagnosticsRecord(
         time=psi.time,
@@ -251,7 +244,7 @@ def diagnostics(psi: WaveField, sh: np.ndarray | None = None) -> DiagnosticsReco
     """The record of the free system: generator H(k), divergence residuals
     max|div u|, max|div v|.  sh is the spectrum of psi's stack; it is taken
     here if the caller does not hold it."""
-    sh = fields.fftn(psi.stack()) if sh is None else sh
+    sh = fields.fftn(psi.data) if sh is None else sh
     k = fields.wavevectors(psi.grid)
     return record(psi, sh, lambda s: _hamiltonian_symbol(k, psi.mass, s),
                   lambda wh: 1j * fields.vector_dot(k, wh))
@@ -300,7 +293,7 @@ def run(psi: WaveField, t_final: float, dt: float, diag_stride: int, n_steps: in
     space, checked finite, and with diag_stride > 0 record_state(state, sh)
     gives its record."""
     grid = psi.grid
-    sh = fields.fftn(psi.stack())
+    sh = fields.fftn(psi.data)
     records: list[DiagnosticsRecord] = []
     step, t = 0, 0.0
     for next_step, next_t in record_schedule(t_final, dt, diag_stride, n_steps):
@@ -311,9 +304,7 @@ def run(psi: WaveField, t_final: float, dt: float, diag_stride: int, n_steps: in
         stack = fields.ifftn(sh)
         if not np.all(np.isfinite(stack.view(float))):
             raise NonFiniteState(f"non-finite field values at step {step}")
-        # the blocks are views of the fresh stack, not copies
-        state = WaveField(grid, VectorField(grid, stack[:3]), VectorField(grid, stack[3:]),
-                          psi.mass, psi.time + t)
+        state = WaveField(grid, stack, psi.mass, psi.time + t)  # wraps, no copy
         del stack
         if diag_stride > 0:
             records.append(record_state(state, sh))
@@ -340,7 +331,7 @@ def continuity_residual(
         raise StepTooLarge(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
     prop = propagator or FreePropagator(psi.grid, psi.mass)
     prop.check_state(psi)
-    sh = fields.fftn(psi.stack())
+    sh = fields.fftn(psi.data)
 
     def rho_at(t: float) -> np.ndarray:
         stack = fields.ifftn(prop.evolve_spectrum(sh, t))
@@ -378,7 +369,7 @@ def kgf_residual(psi: WaveField) -> KgfResidual:
         return num, den
 
     psi_t = fields.project_constraints(psi)
-    num, den = rel_residual(psi_t.stack())
+    num, den = rel_residual(psi_t.data)
     ref = float(np.sqrt(np.max(k2)) + m) ** 2
     transverse = num / max(den * ref, 1e-300)
 
@@ -398,8 +389,8 @@ def time_reversal_swap_check(
     prop = propagator or FreePropagator(psi.grid, psi.mass)
     a = fields.swap_blocks(prop.evolve(psi, t))
     b = prop.evolve(fields.swap_blocks(psi), -t)
-    diff = a.stack() - b.stack()
-    na = float(np.sqrt(np.sum(np.abs(a.stack()) ** 2)))
+    diff = a.data - b.data
+    na = float(np.sqrt(np.sum(np.abs(a.data) ** 2)))
     return float(np.sqrt(np.sum(np.abs(diff) ** 2))) / max(na, 1e-300)
 
 
@@ -422,7 +413,7 @@ def angular_momentum_commutator(psi: WaveField) -> float:
     grid, m = psi.grid, psi.mass
     x = fields.coordinates(grid)
     sigma_stack = algebra.matrix_set().sigma_stack()
-    stack = psi.stack()
+    stack = psi.data
 
     h_psi = apply_hamiltonian_stack(grid, m, stack)
     p_psi = _momentum_apply(grid, stack)  # (3, 6, nx, ny, nz)

@@ -193,18 +193,6 @@ def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_d=0.0) ->
     return out
 
 
-def apply_a_pi(psi_stack: np.ndarray, ext: ExternalField) -> np.ndarray:
-    """a.(p - e A) applied to a 6-stack."""
-    return fields.ifftn(_h_a_spectrum(fields.fftn(psi_stack), ext, 0.0))
-
-
-def apply_hamiltonian_A(psi: WaveField, ext: ExternalField) -> WaveField:
-    """H_A Psi = (a.(p - eA) + m b) Psi."""
-    _check_grids(psi, ext)
-    out = fields.ifftn(_h_a_spectrum(fields.fftn(psi.stack()), ext, psi.mass))
-    return WaveField.from_stack(psi.grid, out, psi.mass, psi.time)
-
-
 def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
     """(H_A + e Phi) on the spectrum of a 6-stack; 12 scalar FFTs at e != 0."""
     return _h_a_spectrum(sh, ext, mass, ext.phi_d)
@@ -256,13 +244,6 @@ def _pi_squared_spectrum(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
     )
 
 
-def constraint_residuals(psi: WaveField, ext: ExternalField) -> tuple[float, float]:
-    """max |pi.u| and max |pi.v| over the grid."""
-    wh = fields.fftn(psi.stack()).reshape(2, 3, *psi.grid.shape)
-    div_u, div_v = np.max(np.abs(fields.ifftn(_pi_dot_spectrum(ext, wh))), axis=(1, 2, 3))
-    return float(div_u), float(div_v)
-
-
 @functools.lru_cache(maxsize=32)
 def _preconditioner_k2(grid: Grid) -> np.ndarray:
     """Free -Laplacian symbol with the zero mode given the smallest
@@ -296,12 +277,14 @@ def covariant_project(
     _check_grids(psi, ext)
     k2 = _preconditioner_k2(psi.grid)
 
-    def solve(w: np.ndarray) -> tuple[np.ndarray, int, float]:
+    def solve(w: np.ndarray, out: np.ndarray) -> tuple[int, float]:
+        """Project the block w into out."""
         scale = max(float(np.max(np.abs(w))), 1e-300)
         rh = _pi_dot_spectrum(ext, fields.fftn(w))
         res = float(np.max(np.abs(fields.ifftn(rh))))
         if res <= tol * scale:
-            return w, 0, res
+            out[...] = w
+            return 0, res
         phih = np.zeros(psi.grid.shape, dtype=complex)
         zh = rh / k2
         ph = zh.copy()
@@ -313,7 +296,8 @@ def covariant_project(
             rh -= alpha * lph
             res = float(np.max(np.abs(fields.ifftn(rh))))
             if res <= tol * scale:
-                return w - fields.ifftn(_pi_vector_spectrum(ext, phih)), it, res
+                np.subtract(w, fields.ifftn(_pi_vector_spectrum(ext, phih)), out=out)
+                return it, res
             zh = rh / k2
             rz_new = fields.real_vdot(rh, zh)
             ph = zh + (rz_new / rz) * ph
@@ -323,15 +307,10 @@ def covariant_project(
             f"{tol:.1e} * scale after {maxiter} iterations"
         )
 
-    u_new, it_u, res_u = solve(psi.u.data)
-    v_new, it_v, res_v = solve(psi.v.data)
-    out = WaveField(
-        psi.grid,
-        VectorField(psi.grid, u_new),
-        VectorField(psi.grid, v_new),
-        psi.mass,
-        psi.time,
-    )
+    data = np.empty_like(psi.data)
+    it_u, res_u = solve(psi.data[:3], data[:3])
+    it_v, res_v = solve(psi.data[3:], data[3:])
+    out = WaveField(psi.grid, data, psi.mass, psi.time)
     return ProjectionResult(out, (it_u, it_v), (res_u, res_v))
 
 
@@ -353,7 +332,7 @@ def squared_hamiltonian_check(
     worst_control = 0.0
     sigma3 = algebra.matrix_set().sigma_stack()[2]
     for _ in range(trials):
-        sh = fields.fftn(fields.random_wave_field(ext.grid, mass, k_cutoff, rng).stack())
+        sh = fields.fftn(fields.random_wave_field(ext.grid, mass, k_cutoff, rng).data)
         a_pi = _h_a_spectrum(sh, ext, 0.0)
         lhs = _h_a_spectrum(_h_a_spectrum(sh, ext, mass), ext, mass)
         rhs = _h_a_spectrum(a_pi, ext, 0.0) + mass**2 * sh
@@ -410,7 +389,7 @@ def constrained_square_check(
     cg_residual = 0.0
 
     def residual(psi: WaveField) -> float:
-        sh = fields.fftn(psi.stack())
+        sh = fields.fftn(psi.data)
         lhs = _h_a_spectrum(_h_a_spectrum(sh, ext, 0.0), ext, 0.0)
         rhs = _pi_squared_spectrum(ext, sh) - ext.charge * _sigma_dot_h(ext, sh)
         scale = max(_norm(lhs), _norm(rhs), 1e-300)
@@ -439,8 +418,8 @@ def hermiticity_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        f = fields.fftn(fields.random_wave_field(ext.grid, mass, k_cutoff, rng).stack())
-        g = fields.fftn(fields.random_wave_field(ext.grid, mass, k_cutoff, rng).stack())
+        f = fields.fftn(fields.random_wave_field(ext.grid, mass, k_cutoff, rng).data)
+        g = fields.fftn(fields.random_wave_field(ext.grid, mass, k_cutoff, rng).data)
         hg = _generator_spectrum(g, ext, mass)
         hf = _generator_spectrum(f, ext, mass)
         lhs = fields.vdot(f, hg)
@@ -541,7 +520,7 @@ def second_order_residual(
         raise StepTooLarge("dt/substeps exceeds the RK4 stability bound")
     m = psi0.mass
     e = ext.charge
-    sh0 = fields.fftn(psi0.stack())
+    sh0 = fields.fftn(psi0.data)
     plus, minus = sh0.copy(), sh0.copy()
     for _ in range(substeps):
         _rk4_step(plus, ext, m, h)
@@ -577,10 +556,10 @@ def gauge_covariance_deviation(
     grad_chi = fields.gradient(psi0.grid, chi).data.real
     ext2 = ExternalField(psi0.grid, e, ext.phi, ext.avec + grad_chi)
     phase = np.exp(1j * e * chi)
-    psi0_t = WaveField.from_stack(psi0.grid, psi0.stack() * phase[None], psi0.mass, psi0.time)
+    psi0_t = WaveField(psi0.grid, psi0.data * phase[None], psi0.mass, psi0.time)
 
-    r1 = evolve_em(psi0, ext, t_final, dt).final.stack()
-    r2 = evolve_em(psi0_t, ext2, t_final, dt).final.stack()
+    r1 = evolve_em(psi0, ext, t_final, dt).final.data
+    r2 = evolve_em(psi0_t, ext2, t_final, dt).final.data
     diff = r1 - r2 * np.exp(-1j * e * chi)[None]
     return _norm(diff) / max(_norm(r1), 1e-300)
 

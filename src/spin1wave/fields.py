@@ -2,6 +2,10 @@
 Periodic-box grids, complex three-vector fields and six-component wave
 fields, with pseudospectral differential operators.
 
+A WaveField holds its state as one (6, nx, ny, nz) stack in component
+order (u_x, u_y, u_z, v_x, v_y, v_z), the layout every kernel works on;
+its u and v blocks are VectorField views of that stack, not copies.
+
 Conventions: wavenumbers per axis are 2*pi*n/L on the standard FFT integer
 range; the Nyquist mode is zeroed in every first-derivative operator so that
 i*k stays skew-Hermitian (second-derivative operators keep it).  The k = 0
@@ -167,19 +171,6 @@ class VectorField:
     def copy(self) -> "VectorField":
         return VectorField(self.grid, self.data.copy())
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _same_grid(self, other)
-        return VectorField(self.grid, self.data + other.data)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _same_grid(self, other)
-        return VectorField(self.grid, self.data - other.data)
-
-    def __mul__(self, scalar) -> "VectorField":
-        return VectorField(self.grid, self.data * scalar)
-
-    __rmul__ = __mul__
-
 
 def _same_grid(a, b):
     if a.grid != b.grid:
@@ -227,14 +218,20 @@ def project_transverse(f: VectorField) -> VectorField:
     """Remove the longitudinal part: per mode k != 0,
     amplitude -> amplitude - k (k.amplitude)/|k|^2.  The k = 0 mode is
     unchanged.  Output divergence is at round-off."""
-    k = wavevectors(f.grid)
+    return VectorField(f.grid, _transverse(f.grid, f.data))
+
+
+def _transverse(grid: Grid, w: np.ndarray) -> np.ndarray:
+    """project_transverse on each 3-vector block of a (..., 3, nx, ny, nz)
+    array, into one new array."""
+    k = wavevectors(grid)
     k2 = np.sum(k * k, axis=0)
-    fh = fftn(f.data)
+    fh = fftn(w)
     kdotf = vector_dot(k, fh)
     with np.errstate(invalid="ignore", divide="ignore"):
         coef = np.where(k2 > 0.0, kdotf / np.where(k2 > 0.0, k2, 1.0), 0.0)
-    fh -= k * coef[None]
-    return VectorField(f.grid, ifftn(fh))
+    fh -= k * coef[..., None, :, :, :]
+    return ifftn(fh)
 
 
 def inner(fa: VectorField, fb: VectorField) -> complex:
@@ -253,62 +250,58 @@ def max_abs(f: VectorField) -> float:
 
 @dataclass
 class WaveField:
-    """Six-component state (u, v) on a periodic grid.
+    """Six-component state on a periodic grid: data is one complex128
+    (6, nx, ny, nz) stack, u_x..u_z then v_x..v_z, and u, v are VectorField
+    views of its two blocks.  The constructor wraps data without a copy, so
+    a caller that goes on using the array must pass a copy.
 
     The wave function is (u_x,u_y,u_z,v_x,v_y,v_z)/sqrt(2); the 1/sqrt(2)
     normalization is applied by the diagnostics, not stored here.
     """
 
     grid: Grid
-    u: VectorField
-    v: VectorField
+    data: np.ndarray
     mass: float
     time: float = 0.0
 
     def __post_init__(self):
-        if self.u.grid != self.grid or self.v.grid != self.grid:
-            raise GridMismatch("component fields live on a different grid")
+        self.data = np.asarray(self.data, dtype=np.complex128)
+        if self.data.shape != (6, *self.grid.shape):
+            raise ValueError(f"expected data shape {(6, *self.grid.shape)}, got {self.data.shape}")
         if self.mass < 0:
             raise ValueError("mass must be >= 0")
 
+    @property
+    def u(self) -> VectorField:
+        return VectorField(self.grid, self.data[:3])
+
+    @property
+    def v(self) -> VectorField:
+        return VectorField(self.grid, self.data[3:])
+
     @staticmethod
     def zeros(grid: Grid, mass: float) -> "WaveField":
-        return WaveField(grid, VectorField.zeros(grid), VectorField.zeros(grid), mass)
-
-    @staticmethod
-    def from_stack(grid: Grid, stack: np.ndarray, mass: float, time: float = 0.0) -> "WaveField":
-        stack = np.asarray(stack, dtype=np.complex128)
-        return WaveField(
-            grid,
-            VectorField(grid, stack[:3].copy()),
-            VectorField(grid, stack[3:].copy()),
-            mass,
-            time,
-        )
-
-    def stack(self) -> np.ndarray:
-        """(6, nx, ny, nz) copy in component order u_x..v_z."""
-        return np.concatenate([self.u.data, self.v.data], axis=0)
+        return WaveField(grid, np.zeros((6, *grid.shape), dtype=np.complex128), mass)
 
     def copy(self) -> "WaveField":
-        return WaveField(self.grid, self.u.copy(), self.v.copy(), self.mass, self.time)
+        return WaveField(self.grid, self.data.copy(), self.mass, self.time)
 
     def norm(self) -> float:
         """sqrt(integral of psi^dagger psi) with the 1/sqrt(2) applied."""
-        s = np.sum(np.abs(self.u.data) ** 2) + np.sum(np.abs(self.v.data) ** 2)
+        s = np.sum(np.abs(self.data[:3]) ** 2) + np.sum(np.abs(self.data[3:]) ** 2)
         return float(np.sqrt(0.5 * s * self.grid.cell_volume))
 
 
 def swap_blocks(psi: WaveField) -> WaveField:
     """Exchange the u and v blocks (the sigma_1 (x) I operation)."""
-    return WaveField(psi.grid, psi.v.copy(), psi.u.copy(), psi.mass, psi.time)
+    return WaveField(psi.grid, psi.data[[3, 4, 5, 0, 1, 2]], psi.mass, psi.time)
 
 
 def project_constraints(psi: WaveField) -> WaveField:
     """Project both blocks onto the divergence-free subspace."""
-    return WaveField(
-        psi.grid, project_transverse(psi.u), project_transverse(psi.v), psi.mass, psi.time
-    )
+    blocks = psi.data.reshape(2, 3, *psi.grid.shape)
+    return WaveField(psi.grid, _transverse(psi.grid, blocks).reshape(psi.data.shape),
+                     psi.mass, psi.time)
 
 
 def divergence_residuals(psi: WaveField) -> tuple[float, float]:
@@ -370,14 +363,15 @@ def random_wave_field(
     rng = np.random.default_rng(seed)
     u = random_vector_field(grid, k_cutoff, rng, kmax=kmax, normalize=False)
     v = random_vector_field(grid, k_cutoff, rng, kmax=kmax, normalize=False)
+    psi = WaveField(grid, np.concatenate([u.data, v.data]), mass)
     if transverse:
-        u = project_transverse(u)
-        v = project_transverse(v)
-    psi = WaveField(grid, u, v, mass)
+        # both blocks in one batch: glibc then puts the state in the heap
+        # above the space its temporaries free, which a free run reuses
+        # every step; a state below that space cost 2x the page faults
+        psi = project_constraints(psi)
     n = psi.norm()
     if n > 0:
-        psi.u.data /= n
-        psi.v.data /= n
+        psi.data /= n
     return psi
 
 
@@ -397,12 +391,9 @@ def gaussian_wave_packet(
     envelope = np.exp(-r2 / (2.0 * sigma**2)) * np.exp(
         1j * np.tensordot(np.asarray(k0, float), x, axes=(0, 0))
     )
-    u = np.asarray(u_polarization, complex)[:, None, None, None] * envelope
-    v = np.asarray(v_polarization, complex)[:, None, None, None] * envelope
-    psi = WaveField(grid, VectorField(grid, u), VectorField(grid, v), mass)
-    n = psi.norm()
-    psi.u.data /= n
-    psi.v.data /= n
+    pol = np.concatenate([np.asarray(u_polarization, complex), np.asarray(v_polarization, complex)])
+    psi = WaveField(grid, pol[:, None, None, None] * envelope, mass)
+    psi.data /= psi.norm()
     return psi
 
 
@@ -414,5 +405,4 @@ def plane_eigenmode_field(
     psi6 = algebra.eigenmode(k, mass, branch, polarization)
     x = coordinates(grid)
     phase = amplitude * np.exp(1j * np.tensordot(k, x, axes=(0, 0)))
-    stack = psi6[:, None, None, None] * phase
-    return WaveField.from_stack(grid, stack, mass)
+    return WaveField(grid, psi6[:, None, None, None] * phase, mass)

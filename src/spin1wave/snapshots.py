@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .fields import Grid, VectorField, WaveField
+from .fields import Grid, WaveField
 
 MAGIC = b"S1WF"
 VERSION = 1
@@ -36,7 +36,7 @@ def write_snapshot(psi: WaveField, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for comp in (*psi.u.data, *psi.v.data):
+        for comp in psi.data:
             fh.write(np.ascontiguousarray(comp.ravel(order="F"), dtype="<c16").tobytes())
 
 
@@ -74,10 +74,4 @@ def read_snapshot(path) -> WaveField:
     data = np.stack(
         [c.reshape(grid.shape, order="F") for c in comps]
     ).astype(np.complex128)
-    return WaveField(
-        grid,
-        VectorField(grid, data[:3]),
-        VectorField(grid, data[3:]),
-        mass,
-        time,
-    )
+    return WaveField(grid, data, mass, time)

@@ -124,9 +124,9 @@ def test_criterion_05_kgf_dichotomy():
         fitted = []
         for n in (1, 2, 3):
             mode = fields.plane_eigenmode_field(grid, mass, (0, 0, n), branch, "long")
-            base = mode.stack()
+            base = mode.data
             phases = [
-                np.angle(np.vdot(base, prop.evolve(mode, float(t)).stack())) for t in times
+                np.angle(np.vdot(base, prop.evolve(mode, float(t)).data)) for t in times
             ]
             fitted.append(-np.polyfit(times, np.unwrap(phases), 1)[0])
         ok = ok and all(abs(w - expected) <= 1e-10 for w in fitted)
@@ -175,8 +175,8 @@ def test_criterion_08_em_identities():
     chi = 0.1 * np.cos(x[0]) + 0.07 * np.sin(x[1])
     dt = 0.02
     dev = em.gauge_covariance_deviation(psi, ext, chi, 0.2, dt)
-    a = em.evolve_em(psi, ext, 0.2, dt).final.stack()
-    b = em.evolve_em(psi, ext, 0.2, dt / 2).final.stack()
+    a = em.evolve_em(psi, ext, 0.2, dt).final.data
+    b = em.evolve_em(psi, ext, 0.2, dt / 2).final.data
     self_err = float(np.linalg.norm(a - b) / np.linalg.norm(a))
     ok = ok and dev <= max(4.0 * self_err, 1e-9)
     report(
@@ -232,7 +232,7 @@ def test_criterion_11_io_reproducibility(tmp_path):
     snapshots.write_snapshot(psi, p1)
     back = snapshots.read_snapshot(p1)
     snapshots.write_snapshot(back, p2)
-    ok = np.array_equal(psi.stack(), back.stack()) and p1.read_bytes() == p2.read_bytes()
+    ok = np.array_equal(psi.data, back.data) and p1.read_bytes() == p2.read_bytes()
 
     cfg = {
         "grid": {"nx": 8, "ny": 8, "nz": 8,

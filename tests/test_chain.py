@@ -173,7 +173,7 @@ def test_sampling_matches_plane_wave_superposition():
         ph = fields.plane_wave(grid, md.k, (1, 0, 0)).data[0]
         expected[:3] += np.asarray(md.u)[:, None, None, None] * ph
         expected[3:] += np.asarray(md.v)[:, None, None, None] * ph
-    assert np.max(np.abs(psi.stack() - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+    assert np.max(np.abs(psi.data - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 def test_sampling_rejects_incommensurate_modes():

@@ -34,8 +34,8 @@ def test_eigenmode_evolves_by_pure_phase(prop):
     lam = np.hypot(np.linalg.norm(k), MASS)
     psi = fields.plane_eigenmode_field(GRID, MASS, (1, 2, 0), +1, "t1")
     out = prop.evolve(psi, 0.83)
-    expected = np.exp(-1j * lam * 0.83) * psi.stack()
-    assert np.max(np.abs(out.stack() - expected)) <= 1e-12
+    expected = np.exp(-1j * lam * 0.83) * psi.data
+    assert np.max(np.abs(out.data - expected)) <= 1e-12
 
 
 def test_superposition_evolves_linearly(prop):
@@ -44,23 +44,23 @@ def test_superposition_evolves_linearly(prop):
     k1 = fields.mode_wavevector(GRID, (0, 0, 1))
     lam1 = np.hypot(np.linalg.norm(k1), MASS)
     lam2 = -MASS
-    both = fields.WaveField.from_stack(GRID, m1.stack() + m2.stack(), MASS)
+    both = fields.WaveField(GRID, m1.data + m2.data, MASS)
     out = prop.evolve(both, 1.9)
-    expected = np.exp(-1j * lam1 * 1.9) * m1.stack() + np.exp(-1j * lam2 * 1.9) * m2.stack()
-    assert np.max(np.abs(out.stack() - expected)) <= 1e-12
+    expected = np.exp(-1j * lam1 * 1.9) * m1.data + np.exp(-1j * lam2 * 1.9) * m2.data
+    assert np.max(np.abs(out.data - expected)) <= 1e-12
 
 
 def test_zero_momentum_u_block_phase(prop):
     stack = np.zeros((6, *GRID.shape), complex)
     stack[0] = 1.0
-    psi = fields.WaveField.from_stack(GRID, stack, MASS)
+    psi = fields.WaveField(GRID, stack, MASS)
     out = prop.evolve(psi, 0.5)
-    assert np.max(np.abs(out.stack()[0] - np.exp(-1j * MASS * 0.5))) <= 1e-14
+    assert np.max(np.abs(out.data[0] - np.exp(-1j * MASS * 0.5))) <= 1e-14
     # v-block rotates the other way
     stack2 = np.zeros((6, *GRID.shape), complex)
     stack2[4] = 1.0
-    out2 = prop.evolve(fields.WaveField.from_stack(GRID, stack2, MASS), 0.5)
-    assert np.max(np.abs(out2.stack()[4] - np.exp(+1j * MASS * 0.5))) <= 1e-14
+    out2 = prop.evolve(fields.WaveField(GRID, stack2, MASS), 0.5)
+    assert np.max(np.abs(out2.data[4] - np.exp(+1j * MASS * 0.5))) <= 1e-14
 
 
 def test_unitarity_and_energy_conservation(prop, psi_t):
@@ -98,7 +98,7 @@ def test_current_cross_product_example():
     stack = np.zeros((6, *GRID.shape), complex)
     stack[0] = f
     stack[4] = f
-    psi = fields.WaveField.from_stack(GRID, stack, MASS)
+    psi = fields.WaveField(GRID, stack, MASS)
     j = dynamics.probability_current(psi)
     assert np.max(np.abs(j[0])) <= 1e-15
     assert np.max(np.abs(j[1])) <= 1e-15
@@ -115,7 +115,7 @@ def test_current_matrix_form_matches_dense_einsum():
     # oracle: the full 3x6x6 contraction, zero entries included
     rng = np.random.default_rng(13)
     stack = rng.standard_normal((6, 6, 8, 10)) + 1j * rng.standard_normal((6, 6, 8, 10))
-    psi = fields.WaveField.from_stack(fields.Grid(6, 8, 10, 3.0, 4.5, 7.0), stack, MASS)
+    psi = fields.WaveField(fields.Grid(6, 8, 10, 3.0, 4.5, 7.0), stack, MASS)
     a_stack = algebra.matrix_set().a_stack()
     dense = 0.5 * np.einsum("kij,i...,j...->k...", a_stack, stack.conj(), stack).real
     got = dynamics.probability_current_matrix_form(psi)
@@ -159,7 +159,7 @@ def test_record_continuity_fails_for_white_noise(mass):
     rng = np.random.default_rng(9)
     stack = rng.standard_normal((6, *ANISO.shape)) + 1j * rng.standard_normal((6, *ANISO.shape))
     stack /= np.sqrt(0.5 * np.sum(np.abs(stack) ** 2) * ANISO.cell_volume)  # unit norm
-    psi = fields.WaveField.from_stack(ANISO, stack, mass)
+    psi = fields.WaveField(ANISO, stack, mass)
     assert dynamics.diagnostics(psi).continuity_res >= 1e-2
 
 
@@ -197,7 +197,7 @@ def _peak_in_stacks(call) -> float:
 def test_kernel_peak_memory(kernel, bound):
     # outputs preallocated, no whole-stack temporaries
     psi = fields.random_wave_field(ANISO, MASS, 2.0, seed=5, transverse=True)
-    stack = psi.stack()
+    stack = psi.data
     sh = fields.fftn(stack)
     prop = FreePropagator(ANISO, MASS)
     call = {
@@ -228,10 +228,10 @@ def test_longitudinal_branch_frequency_independent_of_k(prop):
         fitted = []
         for n in (1, 2, 3):
             psi = fields.plane_eigenmode_field(GRID, MASS, (0, 0, n), branch, "long")
-            base = psi.stack()
+            base = psi.data
             phases = []
             for t in times:
-                out = prop.evolve(psi, float(t)).stack()
+                out = prop.evolve(psi, float(t)).data
                 phases.append(np.angle(np.vdot(base, out)))
             slope = np.polyfit(times, np.unwrap(phases), 1)[0]
             fitted.append(-slope)
@@ -263,12 +263,12 @@ def test_angular_momentum_packet_32():
 def test_evolve_free_matches_propagator(psi_t, prop):
     a = dynamics.evolve_free(psi_t, 0.9, 0.1).final
     b = prop.evolve(psi_t, 0.9)
-    assert np.max(np.abs(a.stack() - b.stack())) == 0.0
+    assert np.max(np.abs(a.data - b.data)) == 0.0
     assert a.time == psi_t.time + 0.9
 
 
 def test_evolve_free_detects_non_finite_state():
-    bad = fields.WaveField.from_stack(GRID, np.full((6, *GRID.shape), np.nan, dtype=complex), MASS)
+    bad = fields.WaveField(GRID, np.full((6, *GRID.shape), np.nan, dtype=complex), MASS)
     with pytest.raises(NonFiniteState):
         dynamics.evolve_free(bad, 1.0, 0.5)
 
@@ -340,7 +340,7 @@ def test_fft_counts(fft_transforms, prop, psi_t):
     fft_transforms.clear()
     dynamics.diagnostics(psi_t)
     assert sum(fft_transforms) <= 18
-    sh = fields.fftn(psi_t.stack())
+    sh = fields.fftn(psi_t.data)
     fft_transforms.clear()
     dynamics.diagnostics(psi_t, sh)
     assert sum(fft_transforms) <= 12  # 18 when the record transformed the state again

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spin1wave import fields
+from spin1wave.errors import GridMismatch
 from spin1wave.fields import Grid, VectorField
 
 
@@ -154,18 +155,62 @@ def test_grid_mismatch_raises():
     other = Grid.cubic(8)
     f = VectorField.zeros(GRID)
     g = VectorField.zeros(other)
-    with pytest.raises(Exception):
-        _ = f + g
+    with pytest.raises(GridMismatch):
+        fields.inner(f, g)
+
+
+def test_wave_field_blocks_are_views_of_its_stack():
+    psi = fields.random_wave_field(GRID, 1.0, 2.0, seed=3)
+    assert psi.data.shape == (6, *GRID.shape) and psi.data.dtype == np.complex128
+    assert np.shares_memory(psi.u.data, psi.data) and np.shares_memory(psi.v.data, psi.data)
+    assert psi.u.grid == psi.v.grid == GRID
+    psi.u.data[2] = 3.0
+    psi.v.data[0] = -1.0
+    assert np.all(psi.data[2] == 3.0) and np.all(psi.data[3] == -1.0)
+
+
+def test_wave_field_wraps_its_array_without_a_copy():
+    stack = np.zeros((6, *GRID.shape), complex)
+    assert fields.WaveField(GRID, stack, 1.0).data is stack
+
+
+@pytest.mark.parametrize("shape", [(3, *GRID.shape), (2, 3, *GRID.shape), (6, 8, 16, 16)])
+def test_wave_field_rejects_wrong_shape(shape):
+    with pytest.raises(ValueError, match="shape"):
+        fields.WaveField(GRID, np.zeros(shape, complex), 1.0)
+
+
+def test_wave_field_rejects_negative_mass():
+    with pytest.raises(ValueError, match="mass"):
+        fields.WaveField.zeros(GRID, -1.0)
+
+
+def test_wave_field_copy_does_not_alias():
+    psi = fields.random_wave_field(GRID, 1.0, 2.0, seed=4)
+    psi.time = 0.75
+    c = psi.copy()
+    assert not np.shares_memory(c.data, psi.data)
+    assert (c.grid, c.mass, c.time) == (psi.grid, psi.mass, psi.time)
+    assert np.array_equal(c.data, psi.data)
+    c.data[...] = 0.0
+    assert abs(psi.norm() - 1.0) <= 1e-13
+
+
+def test_swap_blocks_exchanges_u_and_v():
+    psi = fields.random_wave_field(GRID, 1.0, 2.0, seed=6)
+    sw = fields.swap_blocks(psi)
+    assert np.array_equal(sw.u.data, psi.v.data) and np.array_equal(sw.v.data, psi.u.data)
+    assert not np.shares_memory(sw.data, psi.data)
 
 
 def test_plane_eigenmode_field_matches_matrix_eigenmode():
     from spin1wave import dynamics
 
     psi = fields.plane_eigenmode_field(GRID, 1.0, (0, 0, 1), +1, "t1")
-    h = dynamics.apply_free_hamiltonian(psi)
+    h = dynamics.apply_hamiltonian_stack(GRID, 1.0, psi.data)
     k = fields.mode_wavevector(GRID, (0, 0, 1))
     lam = np.hypot(np.linalg.norm(k), 1.0)
-    assert np.max(np.abs(h.stack() - lam * psi.stack())) <= 1e-12
+    assert np.max(np.abs(h - lam * psi.data)) <= 1e-12
 
 
 ANISO = Grid(16, 12, 10, 7.0, 5.5, 4.5)
