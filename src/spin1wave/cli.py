@@ -41,8 +41,13 @@ def _config_errors(what: str):
 
 def _require_object(value, what: str) -> dict:
     """A config entry that must be a JSON object; ConfigError otherwise."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return _require_type(value, dict, "a JSON object", what)
+
+
+def _require_type(value, kind: type, name: str, what: str):
+    """A config entry that must be of one JSON type; ConfigError otherwise."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be {name}, got {type(value).__name__}")
     return value
 
 
@@ -302,7 +307,8 @@ def _build_initial(cfg: dict, grid, mass: float):
             mass,
             k_cutoff=_config_number(ic.get("k_cutoff", 2.0), "k_cutoff"),
             seed=_config_number(ic["seed"], "initial_condition seed", low=0, integer=True),
-            transverse=bool(ic.get("transverse", True)),
+            transverse=_require_type(ic.get("transverse", True), bool, "true or false",
+                                     "initial_condition transverse"),
         )
     if ic["type"] == "plane_modes":
         modes = ic.get("modes")
@@ -356,6 +362,9 @@ def _cmd_evolve(args) -> int:
         ext = _build_external(cfg, grid, charge)
 
     out_cfg = _require_object(cfg.get("output", {}), "output")
+    for key in ("snapshot", "diagnostics"):
+        if out_cfg.get(key) is not None:
+            _require_type(out_cfg[key], str, "a path string", f"output {key}")
     snap_path = args.out or out_cfg.get("snapshot")
     diag_path = args.diag or out_cfg.get("diagnostics")
 

@@ -22,7 +22,10 @@ d_t rho comes from the generator it applies for the energy.
 The kernels follow the rule of fields: each allocates its outputs once, at
 full size, and builds them component by component or in place, with no
 temporary the size of a whole six-component stack.  Each keeps the
-operation order of the plain array expression it replaces.
+operation order of the plain array expression it replaces.  The free
+symbol and the free step write into a stack the caller passes as out=,
+and run lends its one spare stack to the integrator, so a free step
+allocates no whole stack.
 """
 from __future__ import annotations
 
@@ -42,13 +45,16 @@ def omega_max(grid: fields.Grid, mass: float) -> float:
     return float(np.sqrt(np.max(k2) + mass**2))
 
 
-def _hamiltonian_symbol(k: np.ndarray, mass: float, sh: np.ndarray) -> np.ndarray:
+def _hamiltonian_symbol(k: np.ndarray, mass: float, sh: np.ndarray, *,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """H(k) = a.k + m b applied per mode to a spectral (6, nx, ny, nz) stack:
     upper -> k x v + m u, lower -> -k x u - m v = u x k - m v.  The cross
     products are written component by component, each as np.cross forms
-    it (a_j b_k - a_k b_j), so the result is np.cross's bit for bit."""
+    it (a_j b_k - a_k b_j), so the result is np.cross's bit for bit.  The
+    result goes into out (a new stack if None), which must not overlap sh."""
     u, v = sh[:3], sh[3:]
-    out = np.empty_like(sh)
+    if out is None:
+        out = np.empty_like(sh)
     tmp = np.empty_like(sh[0])
     for i in range(3):
         a, b = (i + 1) % 3, (i + 2) % 3
@@ -90,8 +96,10 @@ class FreePropagator:
         self.evals = np.sqrt(knorm**2 + self.mass**2)
         self.evecs = k / np.where(knorm > 0.0, knorm, 1.0)
 
-    def evolve_spectrum(self, sh: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H(k) t) applied to a spectral (6, nx, ny, nz) stack.
+    def evolve_spectrum(self, sh: np.ndarray, t: float, *,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """exp(-i H(k) t) applied to a spectral (6, nx, ny, nz) stack, into
+        out (a new stack if None), which must not overlap sh.
 
         With H = m b + a.k and (a.k) P_L = 0, the closed form expands to
         (c - i s m b) - i s a.k + P_L (exp(-i m t b) - c + i s m b), where
@@ -104,7 +112,7 @@ class FreePropagator:
         s = t * np.sinc(wt / np.pi)  # sin(wt)/w, finite at w = 0
         alpha = c - 1j * m * s
         delta = np.exp(-1j * m * t) - alpha
-        out = _hamiltonian_symbol(fields.wavevectors(self.grid), 0.0, sh)
+        out = _hamiltonian_symbol(fields.wavevectors(self.grid), 0.0, sh, out=out)
         out *= -1j * s
         tmp = np.empty_like(alpha)
         for block, a, d in ((slice(0, 3), alpha, delta), (slice(3, 6), alpha.conj(), delta.conj())):
@@ -287,25 +295,26 @@ class Evolution:
 
 def run(psi: WaveField, t_final: float, dt: float, diag_stride: int, n_steps: int,
         advance, record_state) -> Evolution:
-    """The run loop of free and coupled evolution.  advance(sh, steps, span)
-    moves the stack's spectrum sh steps steps of dt (span in time) in place,
-    so one spectrum is held; at each schedule entry the state returns to real
-    space, checked finite, and with diag_stride > 0 record_state(state, sh)
-    gives its record."""
+    """The run loop of free and coupled evolution.  It holds two stacks: the
+    spectrum sh and one spare.  advance(sh, steps, span, spare) moves sh
+    steps steps of dt (span in time) in place and may use spare as scratch.
+    At each schedule entry the state returns to real space in spare,
+    checked finite, and with diag_stride > 0 record_state(state, sh) gives
+    its record.  record_state must not keep the state's array (or sh): the
+    next advance overwrites it.  The final state is the spare itself."""
     grid = psi.grid
     sh = fields.fftn(psi.data)
+    spare = np.empty_like(sh)
     records: list[DiagnosticsRecord] = []
     step, t = 0, 0.0
     for next_step, next_t in record_schedule(t_final, dt, diag_stride, n_steps):
-        state = None  # the last record's state is not held while advancing
         if next_step > step:
-            advance(sh, next_step - step, next_t - t)
+            advance(sh, next_step - step, next_t - t, spare)
         step, t = next_step, next_t
-        stack = fields.ifftn(sh)
-        if not np.all(np.isfinite(stack.view(float))):
+        fields.ifftn(sh, out=spare)
+        if not np.all(np.isfinite(spare.view(float))):
             raise NonFiniteState(f"non-finite field values at step {step}")
-        state = WaveField(grid, stack, psi.mass, psi.time + t)  # wraps, no copy
-        del stack
+        state = WaveField(grid, spare, psi.mass, psi.time + t)  # wraps, no copy
         if diag_stride > 0:
             records.append(record_state(state, sh))
     return Evolution(state, records)
@@ -315,8 +324,11 @@ def evolve_free(psi: WaveField, t_final: float, dt: float, diag_stride: int = 0)
     """Exact free evolution to t_final in the run loop; the propagator is
     exact over any span, so t_final need not be a multiple of dt."""
     prop = FreePropagator(psi.grid, psi.mass)
-    return run(psi, t_final, dt, diag_stride, step_count(t_final, dt),
-               lambda sh, steps, span: np.copyto(sh, prop.evolve_spectrum(sh, span)), diagnostics)
+
+    def advance(sh: np.ndarray, steps: int, span: float, spare: np.ndarray) -> None:
+        np.copyto(sh, prop.evolve_spectrum(sh, span, out=spare))
+
+    return run(psi, t_final, dt, diag_stride, step_count(t_final, dt), advance, diagnostics)
 
 
 def continuity_residual(

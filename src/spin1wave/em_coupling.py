@@ -21,6 +21,13 @@ scalar FFTs per apply on a 6-stack.  The record is dynamics.record with this
 generator and the covariant divergence pi.w: 32 scalar FFTs.  evolve_em
 runs RK4 steps in dynamics.run, the run loop free evolution uses too.
 
+The generator and the RK4 step follow the kernel rule of fields: each
+writes into an out= stack and a work= workspace that its caller may lend
+(allocating them only where the caller passes none, on the same code
+path), and _sandwich transforms in place.  evolve_em builds a step's five
+stacks once per advance, from the run's spare stack and four more, so a
+step allocates no whole stack.
+
 Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by a
 preconditioned conjugate-gradient solve of pi.pi phi = pi.w followed by
 w -> w - pi phi, with the free inverse Laplacian as the preconditioner; a CG
@@ -163,39 +170,51 @@ def _check_grids(psi: WaveField, ext: ExternalField):
         raise GridMismatch("state and external field live on different grids")
 
 
-def _sandwich(grid: Grid, sh: np.ndarray, pointwise) -> np.ndarray:
+def _sandwich(grid: Grid, sh: np.ndarray, pointwise, *, band: np.ndarray | None = None
+              ) -> np.ndarray:
     """The one dealiased multiplication, on spectra: D[M(x) D psi] for the
     spectrum sh of psi, where pointwise applies M(x) to the real-space field
-    D psi, which it may overwrite.  Returns the spectrum of the product,
-    already truncated."""
+    D psi, which it may overwrite, and returns a complex128 array that is
+    its own (new, or D psi itself).  D psi is formed in band (a new array
+    of sh's shape if None), and both transforms run in place.  Returns the
+    spectrum of the product, already truncated."""
     mask = dealias_mask(grid)
-    out = fields.fftn(pointwise(fields.ifftn(mask * sh)))
+    d = np.multiply(mask, sh, out=band)
+    out = pointwise(fields.ifftn(d, out=d))
+    fields.fftn(out, out=out)
     out *= mask
     return out
 
 
-def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_d=0.0) -> np.ndarray:
+def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_d=0.0, *,
+                  out: np.ndarray | None = None, work=None) -> np.ndarray:
     """H_A + e phi_d on the spectrum of a 6-stack, H_A = a.(p - eA) + m b:
     the free symbol H(k) plus one sandwich of the pointwise coupling
-    e(phi_d - a.A_d).  phi_d = 0 gives H_A alone."""
-    out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh)
+    e(phi_d - a.A_d).  phi_d = 0 gives H_A alone.  The result goes into out;
+    work is two stacks of scratch at e != 0, the sandwich's band and the
+    a.A_d product.  Either is allocated if None; out must not overlap sh or
+    work."""
+    out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh, out=out)
     if ext.charge != 0.0:
+        band, product = work if work is not None else (None, None)
 
         def coupling(d):
-            a_d = dynamics._hamiltonian_symbol(ext.avec_d, 0.0, d)
+            a_d = dynamics._hamiltonian_symbol(ext.avec_d, 0.0, d, out=product)
             d *= phi_d
             d -= a_d
             return d
 
-        coupled = _sandwich(ext.grid, sh, coupling)
+        coupled = _sandwich(ext.grid, sh, coupling, band=band)
         coupled *= ext.charge
         out += coupled
     return out
 
 
-def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
-    """(H_A + e Phi) on the spectrum of a 6-stack; 12 scalar FFTs at e != 0."""
-    return _h_a_spectrum(sh, ext, mass, ext.phi_d)
+def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, *,
+                        out: np.ndarray | None = None, work=None) -> np.ndarray:
+    """(H_A + e Phi) on the spectrum of a 6-stack; 12 scalar FFTs at e != 0.
+    out and work as in _h_a_spectrum."""
+    return _h_a_spectrum(sh, ext, mass, ext.phi_d, out=out, work=work)
 
 
 def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
@@ -438,34 +457,38 @@ def stability_bound(grid: Grid, mass: float, ext: ExternalField) -> float:
     return 0.5 / (kmax + e * float(np.max(np.abs(ext.avec))) + e * float(np.max(np.abs(ext.phi))) + mass)
 
 
-def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float) -> np.ndarray:
+def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
+              work=None) -> np.ndarray:
     """One classical RK4 step on the spectrum sh of a 6-stack, in place;
     returns sh.  Every stage stays a spectrum, so a step costs four
     generator applies and no other transform.  The update is
-    sh + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, with the sum
-    and the stage argument each held in one buffer."""
+    sh + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order.  work is five
+    stacks of scratch, none of them sh: the stage argument, the sum, the
+    stage derivative, and the generator's two (allocated if None), so a
+    step with a workspace allocates no whole stack."""
+    if work is None:
+        work = [np.empty_like(sh) for _ in range(5)]
+    arg, acc, k = work[:3]
 
-    def rhs(s):
-        g = _generator_spectrum(s, ext, mass)
+    def rhs(s, out):
+        g = _generator_spectrum(s, ext, mass, out=out, work=work[3:])
         g *= -1j
         return g
-
-    arg = np.empty_like(sh)
 
     def stage(k, h):
         """The stage argument sh + h k, written into arg."""
         return np.add(np.multiply(k, h, out=arg), sh, out=arg)
 
-    acc = rhs(sh)  # k1
-    k = rhs(stage(acc, 0.5 * dt))  # k2
+    rhs(sh, acc)  # k1
+    rhs(stage(acc, 0.5 * dt), k)  # k2
     stage(k, 0.5 * dt)
     k *= 2.0
     acc += k
-    k = rhs(arg)  # k3
+    rhs(arg, k)  # k3
     stage(k, dt)
     k *= 2.0
     acc += k
-    acc += rhs(arg)  # k4
+    acc += rhs(arg, k)  # k4
     acc *= dt / 6.0
     sh += acc
     return sh
@@ -496,9 +519,12 @@ def evolve_em(
         raise StepTooLarge(f"dt={dt:.3e} exceeds the RK4 stability bound {bound:.3e}")
     n_steps = dynamics.step_count(t_final, dt, multiple=True)
 
-    def advance(sh: np.ndarray, steps: int, span: float) -> None:
+    def advance(sh: np.ndarray, steps: int, span: float, spare: np.ndarray) -> None:
+        # the steps' workspace: the run's spare and four stacks that live
+        # only while advancing, so a record never holds them
+        work = [spare, *(np.empty_like(sh) for _ in range(4))]
         for _ in range(steps):
-            _rk4_step(sh, ext, psi.mass, dt)
+            _rk4_step(sh, ext, psi.mass, dt, work=work)
 
     return dynamics.run(psi, t_final, dt, diag_stride, n_steps, advance,
                         lambda state, sh: _em_diagnostics(state, sh, ext))

@@ -15,8 +15,12 @@ transverse projector.
 Kernel rule, here, in dynamics and in the coupled generator and RK4 step
 of em_coupling: a spectral kernel allocates its outputs once, at full
 size, and builds them component by component or in place; it holds no
-temporary the size of a whole six-component stack.  fftn and ifftn
-transform into their one output.
+temporary the size of a whole six-component stack.  A time-stepping
+kernel takes its output (out=) and whole-stack scratch (work=) from the
+caller, by keyword, and allocates them only where the caller passes none,
+running the same code either way, so a run loop that lends it buffers
+allocates no whole stack per step.  fftn and ifftn transform into their
+one output, which may be their input.
 """
 from __future__ import annotations
 
@@ -110,17 +114,20 @@ def coordinates(grid: Grid) -> np.ndarray:
     return mesh
 
 
-def fftn(data: np.ndarray) -> np.ndarray:
-    """Forward transform over the trailing three axes, into one new
-    complex128 array that every axis pass writes (without out= each pass
-    allocates a fresh array)."""
-    out = np.empty(np.shape(data), dtype=np.complex128)
+def fftn(data: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward transform over the trailing three axes into out, a complex128
+    array of data's shape that every axis pass writes (without it numpy
+    allocates a fresh array per pass); a new one if out is None.  out may
+    be data itself: the in-place transform gives the same bits."""
+    if out is None:
+        out = np.empty(np.shape(data), dtype=np.complex128)
     return np.fft.fftn(data, axes=(-3, -2, -1), out=out)
 
 
-def ifftn(data: np.ndarray) -> np.ndarray:
-    """Inverse transform over the trailing three axes, into one new array."""
-    out = np.empty(np.shape(data), dtype=np.complex128)
+def ifftn(data: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse transform over the trailing three axes, into out as fftn."""
+    if out is None:
+        out = np.empty(np.shape(data), dtype=np.complex128)
     return np.fft.ifftn(data, axes=(-3, -2, -1), out=out)
 
 

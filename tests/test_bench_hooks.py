@@ -20,10 +20,43 @@ assert [s["name"] for s in tracer.spans] == ["dynamics.propagator_build"], trace
 """
 
 
-def test_probe_installs_its_wrappers_on_the_package():
+# A tiny traced coupled run: the run loop must call the wrapped RK4 step once
+# per step, and every transform of a step must reach the wrapped
+# fields.fftn/ifftn, which read the data from their first argument.
+COUPLED_SCRIPT = """
+import sys
+sys.path.insert(0, "perfbench")
+import probe, tracing
+tracer = tracing.Tracer("t")
+probe.install(tracer)
+from spin1wave import em_coupling as em, fields
+grid = fields.Grid.cubic(8)
+ext = em.random_smooth_external(grid, 0.5, seed=11, amplitude=0.2, nmax=1)
+psi = fields.random_wave_field(grid, 1.0, 1.0, seed=3, transverse=True)
+dt = 0.5 * em.stability_bound(grid, 1.0, ext)
+tracer.spans.clear()
+em.evolve_em(psi, ext, 3 * dt, dt)
+steps = [s for s in tracer.spans if s["name"] == "em_coupling.rk4_step"]
+assert len(steps) == 3, steps
+per_step = [sum(c["transforms"] for c in tracer.spans
+                if c["name"] == "fields.fft" and c["parent"] == s["id"]) for s in steps]
+assert per_step == [48, 48, 48], per_step
+"""
+
+
+def _run(script: str) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_probe_installs_its_wrappers_on_the_package():
+    proc = _run(SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_coupled_run_counts_steps_and_transforms():
+    proc = _run(COUPLED_SCRIPT)
     assert proc.returncode == 0, proc.stderr

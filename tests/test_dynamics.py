@@ -193,18 +193,25 @@ def _peak_in_stacks(call) -> float:
 
 
 @pytest.mark.parametrize("kernel, bound", [
-    ("fftn", 1.1), ("ifftn", 1.1), ("evolve_spectrum", 3.0), ("diagnostics", 3.0)])
+    ("fftn", 1.1), ("ifftn", 1.1), ("evolve_spectrum", 3.0), ("diagnostics", 3.0),
+    ("evolve_spectrum_out", 2.0), ("rk4_step_work", 1.0)])
 def test_kernel_peak_memory(kernel, bound):
-    # outputs preallocated, no whole-stack temporaries
+    # outputs preallocated, no whole-stack temporaries; with out= or work=
+    # lent, no whole stack at all
     psi = fields.random_wave_field(ANISO, MASS, 2.0, seed=5, transverse=True)
     stack = psi.data
     sh = fields.fftn(stack)
     prop = FreePropagator(ANISO, MASS)
+    ext = em_coupling.random_smooth_external(ANISO, 0.5, seed=21, amplitude=0.2, nmax=1)
+    out = np.empty_like(sh)
+    work = [np.empty_like(sh) for _ in range(5)]
     call = {
         "fftn": lambda: fields.fftn(stack),
         "ifftn": lambda: fields.ifftn(sh),
         "evolve_spectrum": lambda: prop.evolve_spectrum(sh, 0.7),
         "diagnostics": lambda: dynamics.diagnostics(psi, sh),
+        "evolve_spectrum_out": lambda: prop.evolve_spectrum(sh, 0.7, out=out),
+        "rk4_step_work": lambda: em_coupling._rk4_step(sh, ext, MASS, 1e-3, work=work),
     }[kernel]
     assert _peak_in_stacks(call) <= bound
 

@@ -392,6 +392,10 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
         _plane_mode(n=[0, 0, 1], amplitude=float("nan")),
         _plane_mode(n=[0, 0, 1.5]),
         {"grid": {"nx": 8.5, "ny": 8, "nz": 8, "lx": 6.3, "ly": 6.3, "lz": 6.3}},
+        # an integer path would be opened as a file descriptor
+        {"output": {"diagnostics": 1}},
+        {"output": {"snapshot": ["state.s1wf"]}},
+        _random_ic(transverse="no"),
     ],
     ids=["mass-not-a-number", "mode-without-n", "mode-at-k0", "stride-not-an-int",
          "coupled-t-final-not-multiple-of-dt", "mode-not-an-object",
@@ -402,7 +406,8 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
          "seed-not-whole", "random-field-amplitude-nan", "random-field-amplitude-infinite",
          "random-field-seed-not-whole", "fourier-cos-nan", "fourier-mode-not-whole",
          "mode-amplitude-short", "mode-amplitude-nan", "mode-index-not-whole",
-         "nx-not-whole"],
+         "nx-not-whole", "diagnostics-path-an-integer", "snapshot-path-a-list",
+         "transverse-not-a-boolean"],
 )
 def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
     path = evolve_config(tmp_path, **overrides)
