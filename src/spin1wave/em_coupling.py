@@ -9,24 +9,39 @@ multiplication operator exactly Hermitian on the grid and keeps the operator
 identities exact as long as the products of fields and potentials stay
 inside the dealiased band.
 
-One kernel, _sandwich, computes every such product on spectra: mask, one
-inverse FFT, a pointwise product, one forward FFT, mask.  Each operator has
-one spectral core, and every composite (RK4 stages, the record, the identity
-checks, the projection CG) chains cores on spectra; norm ratios and inner
-products are taken there too, since the FFT scales both sides alike.  Real
-space is used at the public boundary (ifftn o core o fftn), for max-norm
-residuals and for a record's state.  The generator is the free symbol H(k)
-of dynamics plus one sandwich of the pointwise coupling e(Phi_d - a.A_d), 12
-scalar FFTs per apply on a 6-stack.  The record is dynamics.record with this
-generator and the covariant divergence pi.w: 32 scalar FFTs.  evolve_em
-runs RK4 steps in dynamics.run, the run loop free evolution uses too.
+One kernel, _sandwich, computes every such product on spectra: copy the
+band, one inverse FFT, a pointwise product, one forward FFT, add the band.
+It forms the product on a product grid, per axis
+N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1), with K = (N - 1) // 3
+the band and K_A the potential's Fourier bandwidth (the ExternalField's
+bandwidth; N' = N where it is unknown).  That is the zero-padding argument
+of the 2/3 rule with the pad sized by the potential: the band holds
+|n| <= K, the potential |n| <= min(K_A, K), so on N' points no mode of their
+product aliases into the band, and the kept band is the full grid's in
+exact arithmetic; only the potential's roundoff modes beyond K_A are left
+out.  The gain needs K_A < K (the random fields of nmax 1: 16^3 for 24^3,
+24^3 for 32^3); with K_A >= K the product grid has 3K + 1 points rounded
+up, at most the grid.  The transform counts stay those of the full grid,
+the transforms are smaller.  The potentials are sampled on the
+product grid once, when the ExternalField is built.
+
+Each operator has one spectral core, and every composite (RK4 stages, the
+record, the identity checks, the projection CG) chains cores on spectra;
+norm ratios and inner products are taken there too, since the FFT scales
+both sides alike.  Real space is used at the public boundary
+(ifftn o core o fftn), for max-norm residuals and for a record's state.
+The generator is the free symbol H(k) of dynamics plus one sandwich of the
+pointwise coupling e(Phi_d - a.A_d), 12 scalar FFTs per apply on a
+6-stack.  The record is dynamics.record with this generator and the
+covariant divergence pi.w: 32 scalar FFTs.  evolve_em runs RK4 steps in
+dynamics.run, the run loop free evolution uses too.
 
 The generator and the RK4 step follow the kernel rule of fields: each
 writes into an out= stack and a work= workspace that its caller may lend
 (allocating them only where the caller passes none, on the same code
 path), and _sandwich transforms in place.  evolve_em builds a step's five
-stacks once per advance, from the run's spare stack and four more, so a
-step allocates no whole stack.
+stacks once per advance: the run's spare stack, two more, and the
+generator's two stacks on the product grid, so a step allocates no stack.
 
 Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by a
 preconditioned conjugate-gradient solve of pi.pi phi = pi.w followed by
@@ -45,6 +60,9 @@ plus a kernel sector at exactly m^2 (one SVD of the 2n^2 x n^2 stack
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,40 +73,113 @@ from .fields import Grid, VectorField, WaveField
 from .reports import ResidualReport
 
 
+def _band(grid: Grid) -> tuple[int, int, int]:
+    """The 2/3-rule band per axis: the modes with |n_i| <= K_i = (N_i - 1) // 3,
+    which are those with 3|n_i| < N_i."""
+    return tuple((n - 1) // 3 for n in grid.shape)
+
+
+def _box_mask(shape: tuple, bandwidth: tuple) -> np.ndarray:
+    """The modes |n_i| <= bandwidth_i of a grid of the given shape."""
+    mx, my, mz = (np.abs(np.rint(np.fft.fftfreq(n) * n)) <= b for n, b in zip(shape, bandwidth))
+    return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
+
+
 @functools.lru_cache(maxsize=32)
 def dealias_mask(grid: Grid) -> np.ndarray:
     """Sharp 2/3-rule mask: keep integer mode indices with 3|n| < N."""
-    masks = []
-    for n in grid.shape:
-        idx = np.rint(np.fft.fftfreq(n) * n).astype(int)
-        masks.append(3 * np.abs(idx) < n)
-    mx, my, mz = np.meshgrid(*masks, indexing="ij")
-    m = mx & my & mz
+    m = _box_mask(grid.shape, _band(grid))
     m.setflags(write=False)
     return m
 
 
-def _dealias_real(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    """Truncate a real field's trailing three axes to the dealiased band."""
-    return fields.ifftn(fields.fftn(arr.astype(np.complex128)) * dealias_mask(grid)).real
+def _smooth_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length the FFT factors into small
+    radices."""
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
+
+
+def _product_shape(grid: Grid, bandwidth) -> tuple[int, int, int]:
+    """The grid the sandwich forms its products on: per axis
+    N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1) for the band K
+    and the potential's bandwidth K_A; the grid itself where K_A is unknown."""
+    if bandwidth is None:
+        return grid.shape
+    return tuple(min(n, _smooth_size(2 * k + min(ka, k) + 1))
+                 for n, k, ka in zip(grid.shape, _band(grid), bandwidth))
+
+
+@functools.lru_cache(maxsize=32)
+def _band_blocks(src: tuple, dst: tuple, bandwidth: tuple) -> tuple:
+    """Index pairs (into a grid of shape src, into one of shape dst) over the
+    trailing three axes, one per corner block of the modes |n_i| <=
+    bandwidth_i; both grids hold those modes apart from their Nyquist
+    modes."""
+    axes = []
+    for ns, nd, b in zip(src, dst, bandwidth):
+        pairs = [(slice(0, b + 1), slice(0, b + 1))]
+        if b:
+            pairs.append((slice(ns - b, ns), slice(nd - b, nd)))
+        axes.append(pairs)
+    return tuple(((..., *(p[0] for p in corner)), (..., *(p[1] for p in corner)))
+                 for corner in itertools.product(*axes))
+
+
+def _restrict(spec: np.ndarray, bandwidth: tuple, out: np.ndarray) -> np.ndarray:
+    """The modes |n_i| <= bandwidth_i of spec, written into out, a spectrum
+    on a grid of its own trailing shape, which is zero elsewhere."""
+    out.fill(0.0)
+    for src, dst in _band_blocks(spec.shape[-3:], out.shape[-3:], bandwidth):
+        out[dst] = spec[src]
+    return out
+
+
+def _scratch(buf: np.ndarray | None, shape: tuple) -> np.ndarray:
+    """A complex128 scratch array of the given shape: a view of the first
+    elements of buf, a contiguous complex128 array at least that large, or a
+    new array if buf is None."""
+    if buf is None:
+        return np.empty(shape, dtype=np.complex128)
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 @dataclass
 class ExternalField:
     """Static external potential (Phi, A) with charge e; field strengths
     E = -grad Phi and H = curl A are derived spectrally.  Dealiased copies
-    of everything are precomputed for the sandwiched multiplications."""
+    of everything are precomputed for the sandwiched multiplications, on
+    the grid (phi_d, avec_d, evec_d, hvec_d) and on the product grid of
+    shape product_shape (phi_p, avec_p, evec_p, hvec_p), where _sandwich
+    forms its products.
+
+    bandwidth is the potentials' Fourier bandwidth per axis, the largest
+    |n_i| of a mode they hold, or None where it is unknown (the product
+    grid is then the grid).  ValueError if the spectrum of phi or avec
+    exceeds 1e-12 of its largest coefficient beyond it."""
 
     grid: Grid
     charge: float
     phi: np.ndarray
     avec: np.ndarray
+    bandwidth: tuple[int, int, int] | None = None
     evec: np.ndarray = field(init=False)
     hvec: np.ndarray = field(init=False)
     phi_d: np.ndarray = field(init=False)
     avec_d: np.ndarray = field(init=False)
     evec_d: np.ndarray = field(init=False)
     hvec_d: np.ndarray = field(init=False)
+    product_shape: tuple[int, int, int] = field(init=False)
+    phi_p: np.ndarray = field(init=False, repr=False)
+    avec_p: np.ndarray = field(init=False, repr=False)
+    evec_p: np.ndarray = field(init=False, repr=False)
+    hvec_p: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
@@ -97,39 +188,87 @@ class ExternalField:
             raise ValueError("phi shape does not match the grid")
         if self.avec.shape != (3, *self.grid.shape):
             raise ValueError("avec shape does not match the grid")
+        if self.bandwidth is not None:
+            self.bandwidth = tuple(operator.index(b) for b in self.bandwidth)
+            if len(self.bandwidth) != 3 or min(self.bandwidth) < 0:
+                raise ValueError(f"bandwidth must be three integers >= 0, got {self.bandwidth}")
+        self.product_shape = _product_shape(self.grid, self.bandwidth)
         self.evec = -fields.gradient(self.grid, self.phi).data.real
         self.hvec = fields.curl(VectorField(self.grid, self.avec.astype(complex))).data.real
-        self.phi_d = _dealias_real(self.grid, self.phi)
-        self.avec_d = _dealias_real(self.grid, self.avec)
-        self.evec_d = _dealias_real(self.grid, self.evec)
-        self.hvec_d = _dealias_real(self.grid, self.hvec)
+        self.phi_d, self.phi_p = self._dealias(self.phi, "phi")
+        self.avec_d, self.avec_p = self._dealias(self.avec, "avec")
+        self.evec_d, self.evec_p = self._dealias(self.evec)
+        self.hvec_d, self.hvec_p = self._dealias(self.hvec)
+
+    def _dealias(self, arr: np.ndarray, name: str | None = None):
+        """A real field truncated to the dealiased band, sampled on the grid
+        and on the product grid, whose spectrum keeps the modes within the
+        band and the bandwidth.  With a name, first checks arr's spectrum
+        against the bandwidth."""
+        spec = fields.fftn(arr.astype(np.complex128))
+        if name is not None and self.bandwidth is not None:
+            size = np.abs(spec)
+            beyond = np.max(size, where=~_box_mask(self.grid.shape, self.bandwidth), initial=0.0)
+            if beyond > 1e-12 * np.max(size):
+                raise ValueError(f"{name} has modes beyond the bandwidth {self.bandwidth}, "
+                                 f"up to {beyond / np.max(size):.1e} of its largest")
+        spec *= dealias_mask(self.grid)
+        band = _band(self.grid)
+        if self.bandwidth is not None:
+            band = tuple(map(min, band, self.bandwidth))
+        on_product = np.empty((*arr.shape[:-3], *self.product_shape), dtype=np.complex128)
+        on_product = fields.ifftn(_restrict(spec, band, on_product), out=on_product).real
+        # the inverse transform divided by the product grid's points, the
+        # values need the grid's
+        on_product *= math.prod(self.product_shape) / self.grid.npoints
+        return fields.ifftn(spec).real, on_product
 
     @staticmethod
     def zero(grid: Grid, charge: float = 0.0) -> "ExternalField":
-        return ExternalField(grid, charge, np.zeros(grid.shape), np.zeros((3, *grid.shape)))
+        return ExternalField(grid, charge, np.zeros(grid.shape), np.zeros((3, *grid.shape)),
+                             (0, 0, 0))
 
     @staticmethod
     def from_fourier_series(grid: Grid, charge: float, phi_terms=(), a_terms=()) -> "ExternalField":
         """Build real periodic potentials from cosine/sine coefficients.
 
-        phi_terms: iterable of {"n": [ix,iy,iz], "cos": c, "sin": s}
-        a_terms:   same plus "component": 0|1|2 or "x"|"y"|"z".
+        phi_terms: iterable of {"n": [ix,iy,iz], "cos": c, "sin": s}, n three
+                   integers
+        a_terms:   same plus "component": "x"|"y"|"z" or an integer 0-2.
+
+        The bandwidth is the largest |n_i| of the terms per axis.
+        ValueError for any other n or component.
         """
         x = fields.coordinates(grid)
         phi = np.zeros(grid.shape)
         avec = np.zeros((3, *grid.shape))
-        comp_map = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
+        bandwidth = np.zeros(3, dtype=int)
 
         def series(term):
-            k = fields.mode_wavevector(grid, term["n"])
-            arg = np.tensordot(k, x, axes=(0, 0))
+            n = np.asarray(term["n"], dtype=float)
+            if n.shape != (3,) or not np.all(np.isfinite(n) & (n == np.rint(n))):
+                raise ValueError(f"mode index n must be three integers, got {term['n']!r}")
+            # a mode beyond the grid's range |n_i| <= N_i / 2 aliases into it
+            np.maximum(bandwidth, np.minimum(np.abs(n), grid.shape).astype(int), out=bandwidth)
+            arg = np.tensordot(fields.mode_wavevector(grid, n), x, axes=(0, 0))
             return term.get("cos", 0.0) * np.cos(arg) + term.get("sin", 0.0) * np.sin(arg)
 
         for term in phi_terms:
             phi += series(term)
         for term in a_terms:
-            avec[comp_map[term["component"]]] += series(term)
-        return ExternalField(grid, charge, phi, avec)
+            avec[_component(term["component"])] += series(term)
+        return ExternalField(grid, charge, phi, avec, tuple(bandwidth.tolist()))
+
+
+def _component(name) -> int:
+    """The axis of an a_terms component: "x", "y", "z" or an integer 0-2
+    (not a bool or a float); ValueError otherwise."""
+    if isinstance(name, str) and name in ("x", "y", "z"):
+        return "xyz".index(name)
+    if isinstance(name, (int, np.integer)) and not isinstance(name, bool) and 0 <= name <= 2:
+        return int(name)
+    raise ValueError(f"a_terms component must be \"x\", \"y\", \"z\" or an integer 0-2, "
+                     f"got {name!r}")
 
 
 def random_smooth_external(
@@ -170,43 +309,59 @@ def _check_grids(psi: WaveField, ext: ExternalField):
         raise GridMismatch("state and external field live on different grids")
 
 
-def _sandwich(grid: Grid, sh: np.ndarray, pointwise, *, band: np.ndarray | None = None
-              ) -> np.ndarray:
-    """The one dealiased multiplication, on spectra: D[M(x) D psi] for the
-    spectrum sh of psi, where pointwise applies M(x) to the real-space field
-    D psi, which it may overwrite, and returns a complex128 array that is
-    its own (new, or D psi itself).  D psi is formed in band (a new array
-    of sh's shape if None), and both transforms run in place.  Returns the
-    spectrum of the product, already truncated."""
-    mask = dealias_mask(grid)
-    d = np.multiply(mask, sh, out=band)
-    out = pointwise(fields.ifftn(d, out=d))
-    fields.fftn(out, out=out)
-    out *= mask
+def _sandwich(ext: ExternalField, sh: np.ndarray, pointwise, out: np.ndarray, scale: float,
+              *, band: np.ndarray | None = None) -> np.ndarray:
+    """The one dealiased multiplication, on spectra: adds scale * D[M(x) D psi]
+    into out, a spectrum on ext.grid, for the spectrum sh of psi, and
+    returns out.
+
+    The product is formed on the product grid, ext.product_shape.  The
+    band of sh (the modes |n_i| <= K_i of the 2/3 rule) is copied into a
+    zeroed product-grid array, band viewed from its start (a new array if
+    None), where an inverse FFT in place gives D psi.  pointwise applies
+    M(x), made of the product-grid potentials ext.*_p, to it; it may
+    overwrite D psi and returns a complex128 array that is its own.  A
+    forward FFT in place, the scale, and the band of the result is added
+    into out.  M is linear in D psi, so the two transforms' differing
+    normalizations (N'/N into the product grid, N/N' out of it) cancel and
+    neither is applied.
+
+    Exact: D psi has modes |n_i| <= K_i and M, restricted to the potential's
+    bandwidth K_A, has |n_i| <= min(K_A, K_i), so on N' >= 2K + min(K_A, K) + 1
+    points no mode of their product aliases into the band.  The kept band
+    is the one the full grid gives; only the roundoff modes of the
+    potential beyond K_A are left out.  The gain needs K_A < K; the
+    transform counts are those of the full grid."""
+    kept = _band(ext.grid)
+    d = _restrict(sh, kept, _scratch(band, (*sh.shape[:-3], *ext.product_shape)))
+    product = pointwise(fields.ifftn(d, out=d))
+    fields.fftn(product, out=product)
+    product *= scale
+    for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, kept):
+        out[dst] += product[src]
     return out
 
 
-def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_d=0.0, *,
+def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_p=0.0, *,
                   out: np.ndarray | None = None, work=None) -> np.ndarray:
-    """H_A + e phi_d on the spectrum of a 6-stack, H_A = a.(p - eA) + m b:
+    """H_A + e phi_p on the spectrum of a 6-stack, H_A = a.(p - eA) + m b:
     the free symbol H(k) plus one sandwich of the pointwise coupling
-    e(phi_d - a.A_d).  phi_d = 0 gives H_A alone.  The result goes into out;
-    work is two stacks of scratch at e != 0, the sandwich's band and the
-    a.A_d product.  Either is allocated if None; out must not overlap sh or
-    work."""
+    e(phi_p - a.A_p), phi_p on the product grid.  phi_p = 0 gives H_A
+    alone.  The result goes into out, which must not overlap sh or work; a
+    new stack if None.  work is the sandwich's two product-grid stacks at
+    e != 0, the band and the a.A_p product, each viewed from its start (a
+    stack of sh's shape will do); either is allocated if None."""
     out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh, out=out)
     if ext.charge != 0.0:
         band, product = work if work is not None else (None, None)
 
         def coupling(d):
-            a_d = dynamics._hamiltonian_symbol(ext.avec_d, 0.0, d, out=product)
-            d *= phi_d
+            a_d = dynamics._hamiltonian_symbol(ext.avec_p, 0.0, d, out=_scratch(product, d.shape))
+            d *= phi_p
             d -= a_d
             return d
 
-        coupled = _sandwich(ext.grid, sh, coupling, band=band)
-        coupled *= ext.charge
-        out += coupled
+        _sandwich(ext, sh, coupling, out, ext.charge, band=band)
     return out
 
 
@@ -214,7 +369,7 @@ def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, *,
                         out: np.ndarray | None = None, work=None) -> np.ndarray:
     """(H_A + e Phi) on the spectrum of a 6-stack; 12 scalar FFTs at e != 0.
     out and work as in _h_a_spectrum."""
-    return _h_a_spectrum(sh, ext, mass, ext.phi_d, out=out, work=work)
+    return _h_a_spectrum(sh, ext, mass, ext.phi_p, out=out, work=work)
 
 
 def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
@@ -228,9 +383,7 @@ def _pi_vector_spectrum(ext: ExternalField, fh: np.ndarray) -> np.ndarray:
     fh = fh[..., None, :, :, :]
     out = fields.wavevectors(ext.grid) * fh
     if ext.charge != 0.0:
-        coupled = _sandwich(ext.grid, fh, lambda d: ext.avec_d * d)
-        coupled *= ext.charge
-        out -= coupled
+        _sandwich(ext, fh, lambda d: ext.avec_p * d, out, -ext.charge)
     return out
 
 
@@ -241,12 +394,12 @@ def pi_vector(ext: ExternalField, f: np.ndarray) -> np.ndarray:
 
 def _pi_dot_spectrum(ext: ExternalField, wh: np.ndarray) -> np.ndarray:
     """(p - eA) . w on the spectrum wh of a (..., 3, nx, ny, nz) vector field;
-    returns the spectrum of the scalar field.  The three products A_d w_d
+    returns the spectrum of the scalar field.  The three products A_p w_d
     are summed before the outer transform, which the linearity of the
     truncation makes exact."""
     out = fields.vector_dot(fields.wavevectors(ext.grid), wh)
     if ext.charge != 0.0:
-        out -= ext.charge * _sandwich(ext.grid, wh, lambda d: fields.vector_dot(ext.avec_d, d))
+        _sandwich(ext, wh, lambda d: fields.vector_dot(ext.avec_p, d), out, -ext.charge)
     return out
 
 
@@ -375,14 +528,15 @@ def _sigma_dot_h(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
 
     def pointwise(d):
         blocks = d.reshape(2, 3, *d.shape[1:])
-        return 1j * np.cross(ext.hvec_d, blocks, axisa=0, axisb=1, axisc=1).reshape(d.shape)
+        return 1j * np.cross(ext.hvec_p, blocks, axisa=0, axisb=1, axisc=1).reshape(d.shape)
 
-    return _sandwich(ext.grid, sh, pointwise)
+    return _sandwich(ext, sh, pointwise, np.zeros_like(sh), 1.0)
 
 
 def _a_dot_e(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
     """(a.E) Psi = (E x v, -E x u), sandwiched, on a 6-stack spectrum."""
-    return _sandwich(ext.grid, sh, lambda d: dynamics._hamiltonian_symbol(ext.evec_d, 0.0, d))
+    return _sandwich(ext, sh, lambda d: dynamics._hamiltonian_symbol(ext.evec_p, 0.0, d),
+                     np.zeros_like(sh), 1.0)
 
 
 def constrained_square_check(
@@ -457,6 +611,11 @@ def stability_bound(grid: Grid, mass: float, ext: ExternalField) -> float:
     return 0.5 / (kmax + e * float(np.max(np.abs(ext.avec))) + e * float(np.max(np.abs(ext.phi))) + mass)
 
 
+def _product_stack(ext: ExternalField) -> np.ndarray:
+    """An empty 6-stack on ext's product grid."""
+    return np.empty((6, *ext.product_shape), dtype=np.complex128)
+
+
 def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
               work=None) -> np.ndarray:
     """One classical RK4 step on the spectrum sh of a 6-stack, in place;
@@ -464,10 +623,11 @@ def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
     generator applies and no other transform.  The update is
     sh + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order.  work is five
     stacks of scratch, none of them sh: the stage argument, the sum, the
-    stage derivative, and the generator's two (allocated if None), so a
-    step with a workspace allocates no whole stack."""
+    stage derivative, and the generator's two product-grid stacks
+    (allocated if None), so a step with a workspace allocates no whole
+    stack."""
     if work is None:
-        work = [np.empty_like(sh) for _ in range(5)]
+        work = [*(np.empty_like(sh) for _ in range(3)), _product_stack(ext), _product_stack(ext)]
     arg, acc, k = work[:3]
 
     def rhs(s, out):
@@ -520,9 +680,11 @@ def evolve_em(
     n_steps = dynamics.step_count(t_final, dt, multiple=True)
 
     def advance(sh: np.ndarray, steps: int, span: float, spare: np.ndarray) -> None:
-        # the steps' workspace: the run's spare and four stacks that live
-        # only while advancing, so a record never holds them
-        work = [spare, *(np.empty_like(sh) for _ in range(4))]
+        # the steps' workspace: the run's spare, two more stacks and the
+        # generator's two product-grid stacks, which live only while
+        # advancing, so a record never holds them
+        work = [spare, np.empty_like(sh), np.empty_like(sh), _product_stack(ext),
+                _product_stack(ext)]
         for _ in range(steps):
             _rk4_step(sh, ext, psi.mass, dt, work=work)
 
@@ -553,7 +715,8 @@ def second_order_residual(
         _rk4_step(minus, ext, m, -h)
 
     def mulphi(s):
-        return _sandwich(ext.grid, s, lambda d: ext.phi_d * d) if e != 0.0 else np.zeros_like(s)
+        out = np.zeros_like(s)
+        return _sandwich(ext, s, lambda d: ext.phi_p * d, out, 1.0) if e != 0.0 else out
 
     ddt = (plus - minus) / (2.0 * dt)
     d2dt = (plus - 2.0 * sh0 + minus) / dt**2

@@ -388,28 +388,114 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("mass", [0.0, 1.0])
-def test_fused_operators_match_unfused_oracle(ext_aniso, mass):
-    # white noise carries the k = 0, Nyquist and above-band modes
+# Anisotropic bandwidth: terms along z only, (0, 0, 2).
+ONE_AXIS = {"phi_terms": [{"n": [0, 0, 2], "cos": 0.2, "sin": -0.1}],
+            "a_terms": [{"n": [0, 0, 1], "sin": 0.3, "component": "x"},
+                        {"n": [0, 0, 2], "cos": 0.2, "component": 1}]}
+
+
+def _field(name, grid):
+    """The fields the product grid is checked with: random of nmax 1 and 2,
+    terms along one axis, the zero field at e != 0, the nmax 1 field built
+    from its arrays (no bandwidth), and one mode at the Nyquist index."""
+    def random(nmax):
+        return em.random_smooth_external(grid, 0.5, seed=21, amplitude=0.2, nmax=nmax)
+
+    return {
+        "nmax1": lambda: random(1),
+        "nmax2": lambda: random(2),
+        "one-axis": lambda: em.ExternalField.from_fourier_series(grid, 0.5, **ONE_AXIS),
+        "zero": lambda: em.ExternalField.zero(grid, 0.5),
+        "from-arrays": lambda: em.ExternalField(grid, 0.5, random(1).phi, random(1).avec),
+        "nyquist": lambda: em.ExternalField.from_fourier_series(
+            grid, 0.5, [{"n": [g // 2 for g in grid.shape], "cos": 0.1}]),
+    }[name]()
+
+
+@pytest.mark.parametrize(
+    "mass, field", [(0.0, "nmax1"), (1.0, "nmax1"), (1.0, "nmax2"), (1.0, "one-axis"),
+                    (1.0, "zero"), (1.0, "from-arrays")],
+    ids=["0.0", "1.0", "nmax2", "one-axis", "zero-charged", "from-arrays"])
+def test_fused_operators_match_unfused_oracle(mass, field):
+    # white noise carries the k = 0, Nyquist and above-band modes; the
+    # oracle forms every product on the full grid, the operators on the
+    # product grids of test_product_grid_shapes
+    ext = _field(field, ANISO)
     stack = _white_noise((6, *ANISO.shape), 1)
     f = _white_noise(ANISO.shape, 2)
     w = _white_noise((3, *ANISO.shape), 3)
     pairs = [
-        (em.apply_total_generator(stack, ext_aniso, mass),
-         _oracle_generator(stack, ext_aniso, mass)),
-        (_h_a(stack, ext_aniso, 0.0), _oracle_a_pi(stack, ext_aniso)),
-        (em.pi_vector(ext_aniso, f), _oracle_pi_vector(ext_aniso, f)),
-        (em.pi_dot(ext_aniso, w), _oracle_pi_dot(ext_aniso, w)),
-        (fields.ifftn(em._sigma_dot_h(ext_aniso, fields.fftn(stack))),
-         _oracle_sigma_dot_h(ext_aniso, stack)),
-        (fields.ifftn(em._a_dot_e(ext_aniso, fields.fftn(stack))),
-         _oracle_a_dot_e(ext_aniso, stack)),
+        (em.apply_total_generator(stack, ext, mass), _oracle_generator(stack, ext, mass)),
+        (_h_a(stack, ext, 0.0), _oracle_a_pi(stack, ext)),
+        (em.pi_vector(ext, f), _oracle_pi_vector(ext, f)),
+        (em.pi_dot(ext, w), _oracle_pi_dot(ext, w)),
+        (fields.ifftn(em._sigma_dot_h(ext, fields.fftn(stack))), _oracle_sigma_dot_h(ext, stack)),
+        (fields.ifftn(em._a_dot_e(ext, fields.fftn(stack))), _oracle_a_dot_e(ext, stack)),
     ]
-    for new, old in pairs:
-        assert _rel(new, old) <= 1e-13
-    dt = 0.5 * em.stability_bound(ANISO, mass, ext_aniso)
-    step = fields.ifftn(em._rk4_step(fields.fftn(stack), ext_aniso, mass, dt))
-    assert _rel(step, _oracle_rk4_step(stack, ext_aniso, mass, dt)) <= 1e-13
+    dt = 0.5 * em.stability_bound(ANISO, mass, ext)
+    pairs.append((fields.ifftn(em._rk4_step(fields.fftn(stack), ext, mass, dt)),
+                  _oracle_rk4_step(stack, ext, mass, dt)))
+    for new, old in pairs:  # relative error <= 1e-13, or both zero (the zero field)
+        assert np.linalg.norm(new - old) <= 1e-13 * np.linalg.norm(old)
+
+
+@pytest.mark.parametrize("grid, field, bandwidth, shape", [
+    (fields.Grid.cubic(24), "nmax1", (1, 1, 1), (16, 16, 16)),
+    (fields.Grid.cubic(32), "nmax1", (1, 1, 1), (24, 24, 24)),
+    (ANISO, "nmax1", (1, 1, 1), (6, 8, 8)),
+    (ANISO, "nmax2", (2, 2, 2), (8, 9, 9)),
+    (ANISO, "one-axis", (0, 0, 2), (5, 8, 9)),
+    (ANISO, "zero", (0, 0, 0), (5, 8, 8)),
+    (ANISO, "from-arrays", None, ANISO.shape),
+    (fields.Grid.cubic(12), "nyquist", (6, 6, 6), (10, 10, 10)),  # K_A >= K: 3K + 1 points
+], ids=["24-nmax1", "32-nmax1", "aniso-nmax1", "aniso-nmax2", "aniso-one-axis", "aniso-zero",
+        "aniso-from-arrays", "12-full-bandwidth"])
+def test_product_grid_shapes(grid, field, bandwidth, shape):
+    # per axis N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1),
+    # K = (N - 1) // 3; the grid itself where K_A is unknown
+    ext = _field(field, grid)
+    assert ext.bandwidth == bandwidth
+    assert ext.product_shape == shape
+    for name in ("phi", "avec", "evec", "hvec"):
+        on_grid = getattr(ext, name + "_d")
+        assert getattr(ext, name + "_p").shape == (*on_grid.shape[:-3], *shape)
+
+
+def test_declared_bandwidth_must_cover_the_potentials():
+    phi = em.ExternalField.from_fourier_series(GRID, 0.5, [{"n": [0, 0, 2], "cos": 0.3}]).phi
+    avec = em.ExternalField.from_fourier_series(
+        GRID, 0.5, a_terms=[{"n": [1, 0, 0], "sin": 0.3, "component": "z"}]).avec
+    zeros = np.zeros((3, *GRID.shape))
+    em.ExternalField(GRID, 0.5, phi, avec, (1, 0, 2))
+    for bad in ((1, 0, 1), (0, 0, 2)):
+        with pytest.raises(ValueError):
+            em.ExternalField(GRID, 0.5, phi, avec, bad)
+    with pytest.raises(ValueError):
+        em.ExternalField(GRID, 0.5, phi, zeros, (0, 0, 1))
+    with pytest.raises(ValueError):
+        em.ExternalField(GRID, 0.5, np.zeros(GRID.shape), avec, (0, 0, 0))
+    for bad in ((1, 1), (1, -1, 1), (1.5, 1, 1)):
+        with pytest.raises((ValueError, TypeError)):
+            em.ExternalField(GRID, 0.5, phi, avec, bad)
+
+
+@pytest.mark.parametrize("terms", [
+    {"phi_terms": [{"n": [0.5, 0, 0], "cos": 0.1}]},
+    {"a_terms": [{"n": [0, 1, 0], "sin": 0.1, "component": "x"},
+                 {"n": [0, 0, 1e-3], "sin": 0.1, "component": 0}]},
+    {"phi_terms": [{"n": [1, 0], "cos": 0.1}]},
+    {"phi_terms": [{"n": [1, float("nan"), 0], "cos": 0.1}]},
+    {"a_terms": [{"n": [0, 1, 0], "sin": 0.1, "component": True}]},
+    {"a_terms": [{"n": [0, 1, 0], "sin": 0.1, "component": 1.0}]},
+    {"a_terms": [{"n": [0, 1, 0], "sin": 0.1, "component": "w"}]},
+    {"a_terms": [{"n": [0, 1, 0], "sin": 0.1, "component": 3}]},
+], ids=["n-half-integer", "n-small-fraction", "n-short", "n-nan", "component-bool",
+        "component-float", "component-unknown-name", "component-out-of-range"])
+def test_fourier_series_rejects_bad_terms(terms):
+    # a fractional mode is not periodic on the box (n = 0.5 jumps by 0.38 at
+    # the seam here) and has no bandwidth
+    with pytest.raises(ValueError):
+        em.ExternalField.from_fourier_series(GRID, 0.5, **terms)
 
 
 def test_rk4_step_in_place_matches_formula_bit_for_bit():

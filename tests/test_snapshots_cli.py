@@ -396,6 +396,9 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
         {"output": {"diagnostics": 1}},
         {"output": {"snapshot": ["state.s1wf"]}},
         _random_ic(transverse="no"),
+        _coupled(a_terms=[{"component": True, "n": [0, 1, 0], "sin": 0.2}]),
+        _coupled(a_terms=[{"component": 1.0, "n": [0, 1, 0], "sin": 0.2}]),
+        _coupled(a_terms=[{"component": "w", "n": [0, 1, 0], "sin": 0.2}]),
     ],
     ids=["mass-not-a-number", "mode-without-n", "mode-at-k0", "stride-not-an-int",
          "coupled-t-final-not-multiple-of-dt", "mode-not-an-object",
@@ -407,7 +410,8 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
          "random-field-seed-not-whole", "fourier-cos-nan", "fourier-mode-not-whole",
          "mode-amplitude-short", "mode-amplitude-nan", "mode-index-not-whole",
          "nx-not-whole", "diagnostics-path-an-integer", "snapshot-path-a-list",
-         "transverse-not-a-boolean"],
+         "transverse-not-a-boolean", "a-component-a-boolean", "a-component-a-float",
+         "a-component-unknown-name"],
 )
 def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
     path = evolve_config(tmp_path, **overrides)
