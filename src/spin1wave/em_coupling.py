@@ -14,16 +14,17 @@ band, one inverse FFT, a pointwise product, one forward FFT, add the band.
 It forms the product on a product grid, per axis
 N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1), with K = (N - 1) // 3
 the band and K_A the potential's Fourier bandwidth (the ExternalField's
-bandwidth; N' = N where it is unknown).  That is the zero-padding argument
-of the 2/3 rule with the pad sized by the potential: the band holds
-|n| <= K, the potential |n| <= min(K_A, K), so on N' points no mode of their
-product aliases into the band, and the kept band is the full grid's in
-exact arithmetic; only the potential's roundoff modes beyond K_A are left
-out.  The gain needs K_A < K (the random fields of nmax 1: 16^3 for 24^3,
-24^3 for 32^3); with K_A >= K the product grid has 3K + 1 points rounded
-up, at most the grid.  The transform counts stay those of the full grid,
-the transforms are smaller.  The potentials are sampled on the
-product grid once, when the ExternalField is built.
+bandwidth, measured from the potentials' spectra).  That is the
+zero-padding argument of the 2/3 rule with the pad sized by the
+potential: the band holds |n| <= K, the potential |n| <= min(K_A, K), so
+on N' points no mode of their product aliases into the band, and the kept
+band is the full grid's in exact arithmetic; only the potential's modes
+beyond K_A, below 1e-12 of its largest, are left out.  The gain needs
+K_A < K (the random fields of nmax 1: 16^3 for 24^3, 24^3 for 32^3); with
+K_A >= K the product grid has 3K + 1 points rounded up, at most the grid.
+The transform counts stay those of the full grid, the transforms are
+smaller.  The potentials are sampled on the product grid once, when the
+ExternalField is built.
 
 Each operator has one spectral core, and every composite (RK4 stages, the
 record, the identity checks, the projection CG) chains cores on spectra;
@@ -62,7 +63,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,16 +79,15 @@ def _band(grid: Grid) -> tuple[int, int, int]:
     return tuple((n - 1) // 3 for n in grid.shape)
 
 
-def _box_mask(shape: tuple, bandwidth: tuple) -> np.ndarray:
-    """The modes |n_i| <= bandwidth_i of a grid of the given shape."""
-    mx, my, mz = (np.abs(np.rint(np.fft.fftfreq(n) * n)) <= b for n, b in zip(shape, bandwidth))
-    return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
-
-
 @functools.lru_cache(maxsize=32)
 def dealias_mask(grid: Grid) -> np.ndarray:
     """Sharp 2/3-rule mask: keep integer mode indices with 3|n| < N."""
-    m = _box_mask(grid.shape, _band(grid))
+    masks = []
+    for n in grid.shape:
+        idx = np.rint(np.fft.fftfreq(n) * n).astype(int)
+        masks.append(3 * np.abs(idx) < n)
+    mx, my, mz = np.meshgrid(*masks, indexing="ij")
+    m = mx & my & mz
     m.setflags(write=False)
     return m
 
@@ -106,12 +105,23 @@ def _smooth_size(n: int) -> int:
         n += 1
 
 
-def _product_shape(grid: Grid, bandwidth) -> tuple[int, int, int]:
+def _bandwidth(spec: np.ndarray) -> tuple[int, int, int]:
+    """Per axis, the largest |n_i| of a mode of spec (over its trailing three
+    axes) above 1e-12 of its largest coefficient; 0 where none is."""
+    size = np.abs(spec).reshape(-1, *spec.shape[-3:]).max(axis=0)
+    held = size > 1e-12 * np.max(size)
+    bandwidth = []
+    for axis, n in enumerate(spec.shape[-3:]):
+        index = np.abs(np.rint(np.fft.fftfreq(n) * n)).astype(int)
+        on_axis = held.any(axis=tuple(a for a in range(3) if a != axis))
+        bandwidth.append(int(np.max(index, where=on_axis, initial=0)))
+    return tuple(bandwidth)
+
+
+def _product_shape(grid: Grid, bandwidth: tuple) -> tuple[int, int, int]:
     """The grid the sandwich forms its products on: per axis
     N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1) for the band K
-    and the potential's bandwidth K_A; the grid itself where K_A is unknown."""
-    if bandwidth is None:
-        return grid.shape
+    and the potential's bandwidth K_A."""
     return tuple(min(n, _smooth_size(2 * k + min(ka, k) + 1))
                  for n, k, ka in zip(grid.shape, _band(grid), bandwidth))
 
@@ -153,28 +163,23 @@ def _scratch(buf: np.ndarray | None, shape: tuple) -> np.ndarray:
 @dataclass
 class ExternalField:
     """Static external potential (Phi, A) with charge e; field strengths
-    E = -grad Phi and H = curl A are derived spectrally.  Dealiased copies
-    of everything are precomputed for the sandwiched multiplications, on
-    the grid (phi_d, avec_d, evec_d, hvec_d) and on the product grid of
-    shape product_shape (phi_p, avec_p, evec_p, hvec_p), where _sandwich
-    forms its products.
+    E = -grad Phi and H = curl A are derived spectrally.  The potentials
+    and field strengths are precomputed for the sandwiched multiplications,
+    dealiased and sampled on the product grid of shape product_shape
+    (phi_p, avec_p, evec_p, hvec_p), where _sandwich forms its products.
 
-    bandwidth is the potentials' Fourier bandwidth per axis, the largest
-    |n_i| of a mode they hold, or None where it is unknown (the product
-    grid is then the grid).  ValueError if the spectrum of phi or avec
-    exceeds 1e-12 of its largest coefficient beyond it."""
+    bandwidth is the potentials' Fourier bandwidth per axis, measured: the
+    largest |n_i| of a mode where the spectrum of phi or of avec exceeds
+    1e-12 of its largest coefficient (smaller modes count as roundoff and
+    are left out of the products); 0 for a zero potential."""
 
     grid: Grid
     charge: float
     phi: np.ndarray
     avec: np.ndarray
-    bandwidth: tuple[int, int, int] | None = None
     evec: np.ndarray = field(init=False)
     hvec: np.ndarray = field(init=False)
-    phi_d: np.ndarray = field(init=False)
-    avec_d: np.ndarray = field(init=False)
-    evec_d: np.ndarray = field(init=False)
-    hvec_d: np.ndarray = field(init=False)
+    bandwidth: tuple[int, int, int] = field(init=False)
     product_shape: tuple[int, int, int] = field(init=False)
     phi_p: np.ndarray = field(init=False, repr=False)
     avec_p: np.ndarray = field(init=False, repr=False)
@@ -188,45 +193,31 @@ class ExternalField:
             raise ValueError("phi shape does not match the grid")
         if self.avec.shape != (3, *self.grid.shape):
             raise ValueError("avec shape does not match the grid")
-        if self.bandwidth is not None:
-            self.bandwidth = tuple(operator.index(b) for b in self.bandwidth)
-            if len(self.bandwidth) != 3 or min(self.bandwidth) < 0:
-                raise ValueError(f"bandwidth must be three integers >= 0, got {self.bandwidth}")
+        phi_h = fields.fftn(self.phi.astype(np.complex128))
+        avec_h = fields.fftn(self.avec.astype(np.complex128))
+        self.bandwidth = tuple(map(max, _bandwidth(phi_h), _bandwidth(avec_h)))
         self.product_shape = _product_shape(self.grid, self.bandwidth)
         self.evec = -fields.gradient(self.grid, self.phi).data.real
         self.hvec = fields.curl(VectorField(self.grid, self.avec.astype(complex))).data.real
-        self.phi_d, self.phi_p = self._dealias(self.phi, "phi")
-        self.avec_d, self.avec_p = self._dealias(self.avec, "avec")
-        self.evec_d, self.evec_p = self._dealias(self.evec)
-        self.hvec_d, self.hvec_p = self._dealias(self.hvec)
+        self.phi_p = self._on_product_grid(phi_h)
+        self.avec_p = self._on_product_grid(avec_h)
+        self.evec_p = self._on_product_grid(fields.fftn(self.evec.astype(np.complex128)))
+        self.hvec_p = self._on_product_grid(fields.fftn(self.hvec.astype(np.complex128)))
 
-    def _dealias(self, arr: np.ndarray, name: str | None = None):
-        """A real field truncated to the dealiased band, sampled on the grid
-        and on the product grid, whose spectrum keeps the modes within the
-        band and the bandwidth.  With a name, first checks arr's spectrum
-        against the bandwidth."""
-        spec = fields.fftn(arr.astype(np.complex128))
-        if name is not None and self.bandwidth is not None:
-            size = np.abs(spec)
-            beyond = np.max(size, where=~_box_mask(self.grid.shape, self.bandwidth), initial=0.0)
-            if beyond > 1e-12 * np.max(size):
-                raise ValueError(f"{name} has modes beyond the bandwidth {self.bandwidth}, "
-                                 f"up to {beyond / np.max(size):.1e} of its largest")
-        spec *= dealias_mask(self.grid)
-        band = _band(self.grid)
-        if self.bandwidth is not None:
-            band = tuple(map(min, band, self.bandwidth))
-        on_product = np.empty((*arr.shape[:-3], *self.product_shape), dtype=np.complex128)
-        on_product = fields.ifftn(_restrict(spec, band, on_product), out=on_product).real
+    def _on_product_grid(self, spec: np.ndarray) -> np.ndarray:
+        """The real field of spectrum spec, on the grid, truncated to the
+        dealiased band and the bandwidth and sampled on the product grid."""
+        kept = tuple(map(min, _band(self.grid), self.bandwidth))
+        out = np.empty((*spec.shape[:-3], *self.product_shape), dtype=np.complex128)
+        out = fields.ifftn(_restrict(spec, kept, out), out=out).real
         # the inverse transform divided by the product grid's points, the
         # values need the grid's
-        on_product *= math.prod(self.product_shape) / self.grid.npoints
-        return fields.ifftn(spec).real, on_product
+        out *= math.prod(self.product_shape) / self.grid.npoints
+        return out
 
     @staticmethod
     def zero(grid: Grid, charge: float = 0.0) -> "ExternalField":
-        return ExternalField(grid, charge, np.zeros(grid.shape), np.zeros((3, *grid.shape)),
-                             (0, 0, 0))
+        return ExternalField(grid, charge, np.zeros(grid.shape), np.zeros((3, *grid.shape)))
 
     @staticmethod
     def from_fourier_series(grid: Grid, charge: float, phi_terms=(), a_terms=()) -> "ExternalField":
@@ -236,20 +227,16 @@ class ExternalField:
                    integers
         a_terms:   same plus "component": "x"|"y"|"z" or an integer 0-2.
 
-        The bandwidth is the largest |n_i| of the terms per axis.
         ValueError for any other n or component.
         """
         x = fields.coordinates(grid)
         phi = np.zeros(grid.shape)
         avec = np.zeros((3, *grid.shape))
-        bandwidth = np.zeros(3, dtype=int)
 
         def series(term):
             n = np.asarray(term["n"], dtype=float)
             if n.shape != (3,) or not np.all(np.isfinite(n) & (n == np.rint(n))):
                 raise ValueError(f"mode index n must be three integers, got {term['n']!r}")
-            # a mode beyond the grid's range |n_i| <= N_i / 2 aliases into it
-            np.maximum(bandwidth, np.minimum(np.abs(n), grid.shape).astype(int), out=bandwidth)
             arg = np.tensordot(fields.mode_wavevector(grid, n), x, axes=(0, 0))
             return term.get("cos", 0.0) * np.cos(arg) + term.get("sin", 0.0) * np.sin(arg)
 
@@ -257,7 +244,7 @@ class ExternalField:
             phi += series(term)
         for term in a_terms:
             avec[_component(term["component"])] += series(term)
-        return ExternalField(grid, charge, phi, avec, tuple(bandwidth.tolist()))
+        return ExternalField(grid, charge, phi, avec)
 
 
 def _component(name) -> int:
@@ -329,8 +316,8 @@ def _sandwich(ext: ExternalField, sh: np.ndarray, pointwise, out: np.ndarray, sc
     Exact: D psi has modes |n_i| <= K_i and M, restricted to the potential's
     bandwidth K_A, has |n_i| <= min(K_A, K_i), so on N' >= 2K + min(K_A, K) + 1
     points no mode of their product aliases into the band.  The kept band
-    is the one the full grid gives; only the roundoff modes of the
-    potential beyond K_A are left out.  The gain needs K_A < K; the
+    is the one the full grid gives; only the modes of the potential beyond
+    K_A, below 1e-12 of its largest, are left out.  The gain needs K_A < K; the
     transform counts are those of the full grid."""
     kept = _band(ext.grid)
     d = _restrict(sh, kept, _scratch(band, (*sh.shape[:-3], *ext.product_shape)))

@@ -286,14 +286,20 @@ def test_dealias_mask_cuts_upper_third():
 
 # Oracle: the unfused composition the sandwich kernel replaced.  Each
 # multiplication truncates, multiplies and truncates in its own round trip
-# through real space, and the free a.p part has its own k x kernel.
+# through real space on the full grid, with potentials it truncates itself,
+# and the free a.p part has its own k x kernel.
+
+
+def _dealiased(ext, arr):
+    return fields.ifftn(fields.fftn(arr.astype(complex)) * em.dealias_mask(ext.grid)).real
 
 
 def _oracle_sandwich_cross(ext, stack6_dealiased_hat):
     din = fields.ifftn(stack6_dealiased_hat)
+    avec_d = _dealiased(ext, ext.avec)
     out = np.empty_like(din)
-    out[:3] = np.cross(ext.avec_d, din[3:], axisa=0, axisb=0, axisc=0)
-    out[3:] = -np.cross(ext.avec_d, din[:3], axisa=0, axisb=0, axisc=0)
+    out[:3] = np.cross(avec_d, din[3:], axisa=0, axisb=0, axisc=0)
+    out[3:] = -np.cross(avec_d, din[:3], axisa=0, axisb=0, axisc=0)
     return fields.ifftn(fields.fftn(out) * em.dealias_mask(ext.grid))
 
 
@@ -320,7 +326,7 @@ def _oracle_generator(psi_stack, ext, mass):
     out[:3] += mass * psi_stack[:3]
     out[3:] -= mass * psi_stack[3:]
     if ext.charge != 0.0:
-        out += ext.charge * _oracle_mul_scalar_sandwich(ext, ext.phi_d, psi_stack)
+        out += ext.charge * _oracle_mul_scalar_sandwich(ext, _dealiased(ext, ext.phi), psi_stack)
     return out
 
 
@@ -328,7 +334,7 @@ def _oracle_pi_vector(ext, f):
     k = fields.wavevectors(ext.grid)
     out = fields.ifftn(k * fields.fftn(f)[None])
     if ext.charge != 0.0:
-        out -= ext.charge * _oracle_mul_scalar_sandwich(ext, ext.avec_d, f[None])
+        out -= ext.charge * _oracle_mul_scalar_sandwich(ext, _dealiased(ext, ext.avec), f[None])
     return out
 
 
@@ -336,25 +342,28 @@ def _oracle_pi_dot(ext, w):
     k = fields.wavevectors(ext.grid)
     out = fields.ifftn(np.sum(k * fields.fftn(w), axis=0))
     if ext.charge != 0.0:
-        out -= ext.charge * np.sum(_oracle_mul_scalar_sandwich(ext, ext.avec_d, w), axis=0)
+        products = _oracle_mul_scalar_sandwich(ext, _dealiased(ext, ext.avec), w)
+        out -= ext.charge * np.sum(products, axis=0)
     return out
 
 
 def _oracle_sigma_dot_h(ext, stack):
     m = em.dealias_mask(ext.grid)
     din = fields.ifftn(fields.fftn(stack) * m)
+    hvec_d = _dealiased(ext, ext.hvec)
     out = np.empty_like(din)
-    out[:3] = 1j * np.cross(ext.hvec_d, din[:3], axisa=0, axisb=0, axisc=0)
-    out[3:] = 1j * np.cross(ext.hvec_d, din[3:], axisa=0, axisb=0, axisc=0)
+    out[:3] = 1j * np.cross(hvec_d, din[:3], axisa=0, axisb=0, axisc=0)
+    out[3:] = 1j * np.cross(hvec_d, din[3:], axisa=0, axisb=0, axisc=0)
     return fields.ifftn(fields.fftn(out) * m)
 
 
 def _oracle_a_dot_e(ext, stack):
     m = em.dealias_mask(ext.grid)
     din = fields.ifftn(fields.fftn(stack) * m)
+    evec_d = _dealiased(ext, ext.evec)
     out = np.empty_like(din)
-    out[:3] = np.cross(ext.evec_d, din[3:], axisa=0, axisb=0, axisc=0)
-    out[3:] = -np.cross(ext.evec_d, din[:3], axisa=0, axisb=0, axisc=0)
+    out[:3] = np.cross(evec_d, din[3:], axisa=0, axisb=0, axisc=0)
+    out[3:] = -np.cross(evec_d, din[:3], axisa=0, axisb=0, axisc=0)
     return fields.ifftn(fields.fftn(out) * m)
 
 
@@ -394,10 +403,23 @@ ONE_AXIS = {"phi_terms": [{"n": [0, 0, 2], "cos": 0.2, "sin": -0.1}],
                         {"n": [0, 0, 2], "cos": 0.2, "component": 1}]}
 
 
+def _beyond_band(grid):
+    """Terms in the band, at its edge K and at K + 1 on every axis, so the
+    bandwidth exceeds the band."""
+    k = [(n - 1) // 3 for n in grid.shape]
+    k1 = [b + 1 for b in k]
+    return em.ExternalField.from_fourier_series(
+        grid, 0.5,
+        [{"n": [1, 1, 0], "cos": 0.2}, {"n": k, "sin": 0.15}, {"n": k1, "cos": 0.1}],
+        [{"n": [0, k1[1], 1], "sin": 0.2, "component": "x"},
+         {"n": [1, 0, 1], "cos": 0.15, "component": "y"},
+         {"n": [k[0], 0, -k1[2]], "cos": 0.1, "component": "z"}])
+
+
 def _field(name, grid):
     """The fields the product grid is checked with: random of nmax 1 and 2,
     terms along one axis, the zero field at e != 0, the nmax 1 field built
-    from its arrays (no bandwidth), and one mode at the Nyquist index."""
+    from its arrays, and terms beyond the band."""
     def random(nmax):
         return em.random_smooth_external(grid, 0.5, seed=21, amplitude=0.2, nmax=nmax)
 
@@ -407,15 +429,14 @@ def _field(name, grid):
         "one-axis": lambda: em.ExternalField.from_fourier_series(grid, 0.5, **ONE_AXIS),
         "zero": lambda: em.ExternalField.zero(grid, 0.5),
         "from-arrays": lambda: em.ExternalField(grid, 0.5, random(1).phi, random(1).avec),
-        "nyquist": lambda: em.ExternalField.from_fourier_series(
-            grid, 0.5, [{"n": [g // 2 for g in grid.shape], "cos": 0.1}]),
+        "beyond-band": lambda: _beyond_band(grid),
     }[name]()
 
 
 @pytest.mark.parametrize(
     "mass, field", [(0.0, "nmax1"), (1.0, "nmax1"), (1.0, "nmax2"), (1.0, "one-axis"),
-                    (1.0, "zero"), (1.0, "from-arrays")],
-    ids=["0.0", "1.0", "nmax2", "one-axis", "zero-charged", "from-arrays"])
+                    (1.0, "zero"), (1.0, "from-arrays"), (1.0, "beyond-band")],
+    ids=["0.0", "1.0", "nmax2", "one-axis", "zero-charged", "from-arrays", "beyond-band"])
 def test_fused_operators_match_unfused_oracle(mass, field):
     # white noise carries the k = 0, Nyquist and above-band modes; the
     # oracle forms every product on the full grid, the operators on the
@@ -446,37 +467,35 @@ def test_fused_operators_match_unfused_oracle(mass, field):
     (ANISO, "nmax2", (2, 2, 2), (8, 9, 9)),
     (ANISO, "one-axis", (0, 0, 2), (5, 8, 9)),
     (ANISO, "zero", (0, 0, 0), (5, 8, 8)),
-    (ANISO, "from-arrays", None, ANISO.shape),
-    (fields.Grid.cubic(12), "nyquist", (6, 6, 6), (10, 10, 10)),  # K_A >= K: 3K + 1 points
+    (ANISO, "from-arrays", (1, 1, 1), (6, 8, 8)),
+    (ANISO, "beyond-band", (3, 4, 4), (8, 10, 10)),  # K_A > K: 3K + 1 points rounded up
+    (fields.Grid.cubic(12), "beyond-band", (4, 4, 4), (10, 10, 10)),
 ], ids=["24-nmax1", "32-nmax1", "aniso-nmax1", "aniso-nmax2", "aniso-one-axis", "aniso-zero",
-        "aniso-from-arrays", "12-full-bandwidth"])
+        "aniso-from-arrays", "aniso-beyond-band", "12-beyond-band"])
 def test_product_grid_shapes(grid, field, bandwidth, shape):
     # per axis N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1),
-    # K = (N - 1) // 3; the grid itself where K_A is unknown
+    # K = (N - 1) // 3, with the bandwidth K_A measured from the potentials
     ext = _field(field, grid)
     assert ext.bandwidth == bandwidth
     assert ext.product_shape == shape
     for name in ("phi", "avec", "evec", "hvec"):
-        on_grid = getattr(ext, name + "_d")
+        on_grid = getattr(ext, name)
         assert getattr(ext, name + "_p").shape == (*on_grid.shape[:-3], *shape)
 
 
-def test_declared_bandwidth_must_cover_the_potentials():
-    phi = em.ExternalField.from_fourier_series(GRID, 0.5, [{"n": [0, 0, 2], "cos": 0.3}]).phi
-    avec = em.ExternalField.from_fourier_series(
-        GRID, 0.5, a_terms=[{"n": [1, 0, 0], "sin": 0.3, "component": "z"}]).avec
-    zeros = np.zeros((3, *GRID.shape))
-    em.ExternalField(GRID, 0.5, phi, avec, (1, 0, 2))
-    for bad in ((1, 0, 1), (0, 0, 2)):
-        with pytest.raises(ValueError):
-            em.ExternalField(GRID, 0.5, phi, avec, bad)
-    with pytest.raises(ValueError):
-        em.ExternalField(GRID, 0.5, phi, zeros, (0, 0, 1))
-    with pytest.raises(ValueError):
-        em.ExternalField(GRID, 0.5, np.zeros(GRID.shape), avec, (0, 0, 0))
-    for bad in ((1, 1), (1, -1, 1), (1.5, 1, 1)):
-        with pytest.raises((ValueError, TypeError)):
-            em.ExternalField(GRID, 0.5, phi, avec, bad)
+def test_bandwidth_counts_modes_above_roundoff():
+    # per axis the largest |n_i| of a mode of phi or of avec above 1e-12 of
+    # that potential's largest coefficient; smaller modes are roundoff
+    def mode(n):
+        return em.ExternalField.from_fourier_series(GRID, 0.5, [{"n": n, "cos": 0.3}]).phi
+
+    zero = np.zeros(GRID.shape)
+    for size, bandwidth in ((1e-14, (0, 0, 2)), (1e-10, (5, 0, 2))):
+        f = mode([0, 0, 2]) + size * mode([5, 0, 0])
+        assert em.ExternalField(GRID, 0.5, f, np.stack([zero] * 3)).bandwidth == bandwidth
+        assert em.ExternalField(GRID, 0.5, zero, np.stack([f, zero, f])).bandwidth == bandwidth
+    small_avec = 1e-6 * np.stack([mode([0, 3, 0]), zero, zero])
+    assert em.ExternalField(GRID, 0.5, mode([0, 0, 2]), small_avec).bandwidth == (0, 3, 2)
 
 
 @pytest.mark.parametrize("terms", [
