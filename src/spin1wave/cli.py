@@ -2,6 +2,14 @@
 Command-line front end: subcommand dispatch, JSON configs and reports, CSV
 diagnostics, binary snapshots.
 
+The evolve and em-check configs are each described once, as a table of
+nodes (_EVOLVE, _EM_CHECK): a bounded number, a JSON type or value set, a
+list, an object with exactly its keys (each required or with a default), and
+a choice between nodes.  A config is parsed through its table before any
+input is built.  A wrong type, a number out of bounds, a missing required key
+or an unknown key is one ConfigError line naming the dotted key.  The numeric
+flags' argparse types check with the same number node.
+
 Exit codes: 0 all checks passed, 1 a verification failed (the report is
 still emitted, or a typed numerical error is printed as one line), 2 usage
 or configuration error, which includes the evolve runs' ScheduleError and
@@ -28,80 +36,172 @@ class ConfigError(Exception):
 
 @contextlib.contextmanager
 def _config_errors(what: str):
-    """Report the lookup and conversion errors raised while a config is
-    parsed and its inputs are built as ConfigError.  Wrap no numerics in it:
-    StepTooLarge, for one, is a ValueError."""
+    """Report the ValueErrors the library raises for inputs it refuses (an
+    odd grid, a plane mode at k = 0, an underflowing k_cutoff) as
+    ConfigError.  Wrap only the building of inputs in it: StepTooLarge, for
+    one, is a ValueError."""
     try:
         yield
-    except KeyError as exc:
-        raise ConfigError(f"{what} config missing key: {exc}") from exc
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid {what} config: {exc}") from exc
 
 
-def _require_object(value, what: str) -> dict:
-    """A config entry that must be a JSON object; ConfigError otherwise."""
-    return _require_type(value, dict, "a JSON object", what)
+# ------------------------------------------------------------ config table
+# node.parse(value, key) returns the JSON value converted (numbers to int or
+# float, objects with their defaults) or raises ConfigError naming the key.
 
 
-def _require_type(value, kind: type, name: str, what: str):
-    """A config entry that must be of one JSON type; ConfigError otherwise."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"{what} must be {name}, got {type(value).__name__}")
-    return value
+class _Number:
+    """A JSON number (a bool is none) that is finite, in [low, high] and,
+    with integer=True, whole."""
+
+    def __init__(self, low=-math.inf, high=math.inf, integer=False):
+        self.low, self.high, self.integer = low, high, integer
+
+    def __str__(self) -> str:
+        kind = "an integer" if self.integer else "a finite number"
+        if self.high < math.inf:
+            return f"{kind} in [{self.low}, {self.high}]"
+        return f"{kind} >= {self.low}" if self.low > -math.inf else kind
+
+    def parse(self, value, key: str):
+        try:  # math.isfinite overflows on an integer beyond the doubles
+            ok = (type(value) in (int, float) and math.isfinite(value)
+                  and self.low <= value <= self.high
+                  and (not self.integer or value == int(value)))
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {self}, got {value!r}")
+        return int(value) if self.integer else float(value)
 
 
-def _config_number(value, what: str, low=-math.inf, integer=False):
-    """A config number that is finite, >= low and, with integer=True, whole;
-    ConfigError otherwise, so NaN, Infinity, 1.5 or -1 never reach the
-    numerics.  Unconvertible values raise inside _config_errors."""
-    number = float(value)
-    if not (math.isfinite(number) and number >= low and (not integer or number.is_integer())):
-        kind = "an integer" if integer else "a finite number"
-        bound = f" >= {low}" if low > -math.inf else ""
-        raise ConfigError(f"{what} must be {kind}{bound}, got {value!r}")
-    return int(value) if integer else number
+class _Type:
+    """A value of one of the JSON types `kinds`, described by `name`; or one
+    of `values`, type included (true is not 1, nor is 1.0)."""
+
+    def __init__(self, name="", *kinds, values=()):
+        self.kinds = kinds or tuple({type(v) for v in values})
+        self.name = name or "one of " + ", ".join(json.dumps(v) for v in values)
+        self.values = values
+
+    def parse(self, value, key: str):
+        if type(value) not in self.kinds or self.values and value not in self.values:
+            raise ConfigError(f"{key} must be {self.name}, got {value!r}")
+        return value
 
 
-def _in_range(convert, what: str, low=-math.inf, high=math.inf):
-    """argparse type: convert(text) if it is finite and in [low, high], else a
+class _List:
+    """A JSON array of item nodes, of `length` items or at least `least`."""
+
+    def __init__(self, item, length=None, least=0):
+        self.item, self.length, self.least = item, length, least
+
+    def parse(self, value, key: str):
+        size = len(value) if type(value) is list else -1
+        if size < self.least or self.length not in (None, size):
+            count = (f" of {self.length} items" if self.length is not None
+                     else f" of at least {self.least} items" if self.least else "")
+            raise ConfigError(f"{key} must be a list{count}, got {value!r}")
+        return [self.item.parse(v, f"{key}[{i}]") for i, v in enumerate(value)]
+
+
+class _Object:
+    """A JSON object with exactly the given keys, each given as its node
+    (required) or as (node, default).  A missing key takes its default,
+    parsed like a given value; a default of None stays None."""
+
+    def __init__(self, **keys):
+        self.keys = {k: v if type(v) is tuple else (v, ...) for k, v in keys.items()}
+
+    def parse(self, value, key: str):
+        if type(value) is not dict:
+            raise ConfigError(f"{key or 'a config'} must be a JSON object, "
+                              f"got {type(value).__name__}")
+        path = f"{key}." if key else ""
+        for name in value:
+            if name not in self.keys:
+                raise ConfigError(f"unknown key {path}{name}; allowed: {', '.join(self.keys)}")
+        out = {}
+        for name, (node, default) in self.keys.items():
+            if name in value:
+                out[name] = node.parse(value[name], path + name)
+            elif default is ...:
+                raise ConfigError(f"missing required key {path}{name}")
+            else:
+                out[name] = None if default is None else node.parse(default, path + name)
+        return out
+
+
+class _Choice:
+    """A value read by one of several nodes: the case pick(value) names."""
+
+    def __init__(self, pick, **cases):
+        self.pick, self.cases = pick, cases
+
+    def parse(self, value, key: str):
+        return self.cases[self.pick(value)].parse(value, key)
+
+
+def _arg(node: _Number):
+    """argparse type of a _Number node: text that is no such number is a
     usage error (exit 2)."""
-    if high < math.inf:
-        what = f"{what} in [{low}, {high}]"
-    elif low > -math.inf:
-        what = f"{what} >= {low}"
 
     def parse(text: str):
         try:
-            value = convert(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and low <= value <= high):
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-        return value
+            return node.parse((int if node.integer else float)(text), "")
+        except (ValueError, ConfigError):
+            raise argparse.ArgumentTypeError(f"expected {node}, got {text!r}") from None
 
     return parse
 
 
-_finite_real = _in_range(float, "a finite real")
-
-
-def _mode_count(text: str) -> int:
-    """argparse type of chain-check --modes; imports chain only when used."""
-    from .chain import MAX_MODES
-
-    return _in_range(int, "an integer", 1, MAX_MODES)(text)
+_REAL = _Number()
+_NATURAL = _Number(0, integer=True)  # seeds and term counts
+_POSITIVE = _Number(1, integer=True)
+_INDEX = _List(_Number(integer=True), length=3)  # a mode index n
+_GRID = _Object(nx=_NATURAL, ny=_NATURAL, nz=_NATURAL, lx=_REAL, ly=_REAL, lz=_REAL)
+_TERM = {"n": _INDEX, "cos": (_REAL, 0.0), "sin": (_REAL, 0.0)}
+_COMPONENT = _Type(values=("x", "y", "z", 0, 1, 2))
+_RANDOM_FIELD = _Object(seed=_NATURAL, amplitude=(_REAL, 0.3), nmax=(_NATURAL, 2),
+                        n_terms=(_NATURAL, 4))
+_EXTERNAL = _Choice(
+    lambda spec: "random" if type(spec) is dict and "random" in spec else "series",
+    random=_Object(random=(_RANDOM_FIELD, None)),
+    series=_Object(phi_terms=(_List(_Object(**_TERM)), []),
+                   a_terms=(_List(_Object(component=_COMPONENT, **_TERM)), [])),
+)
+_IC_TYPE = _Type(values=("random_band_limited", "plane_modes"))
+_MODE = _Object(
+    n=_INDEX, branch=(_Type(values=("+", "-", 1, -1)), "+"),
+    polarization=(_Type(values=("t1", "t2", "long")), "t1"),
+    amplitude=(_Choice(lambda a: "pair" if type(a) is list else "real",
+                       real=_REAL, pair=_List(_REAL, length=2)), 1.0),
+)
+_INITIAL = _Choice(
+    lambda ic: "plane_modes" if type(ic) is dict and ic.get("type") == "plane_modes"
+    else "random_band_limited",
+    random_band_limited=_Object(type=_IC_TYPE, seed=_NATURAL, k_cutoff=(_REAL, 2.0),
+                                transverse=(_Type("true or false", bool), True)),
+    plane_modes=_Object(type=_IC_TYPE, modes=_List(_MODE, least=1)),
+)
+_PATH = _Type("a path string or null", str, type(None))
+_EVOLVE = _Object(
+    grid=_GRID, mass=(_Number(0), 0.0), charge=(_REAL, 0.0), initial_condition=_INITIAL,
+    evolution=_Object(t_final=_REAL, dt=_REAL, diag_stride=(_POSITIVE, 1)),
+    external_field=(_EXTERNAL, None), output=(_Object(snapshot=(_PATH, None),
+                                                      diagnostics=(_PATH, None)), {}),
+)
+_EM_CHECK = _Object(grid=_GRID, mass=(_Number(0), 1.0), charge=(_REAL, 0.0), seed=_NATURAL,
+                    trials=(_POSITIVE, 5), external_field=(_EXTERNAL, None))
+_finite_real = _arg(_REAL)
 
 
 def _apply_thread_cap() -> None:
     val = os.environ.get("SPIN1_THREADS", "").strip()
     if val and val != "0":
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
             os.environ.setdefault(var, val)
 
 
@@ -178,20 +278,9 @@ def _cmd_dispersion(args) -> int:
     dev = float(np.max(np.abs(ev - ref)))
     ok = dev <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "k": k,
-                    "m": args.m,
-                    "eigenvalues": ev.tolist(),
-                    "analytic": ref.tolist(),
-                    "max_deviation": dev,
-                    "all_passed": ok,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        report = {"k": k, "m": args.m, "eigenvalues": ev.tolist(), "analytic": ref.tolist(),
+                  "max_deviation": dev, "all_passed": ok}
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print("eigenvalues:", " ".join(_fmt(x) for x in ev))
         print(f"analytic deviation: {dev:.3e}  ->", "PASS" if ok else "FAIL")
@@ -221,14 +310,10 @@ def _cmd_chain_check(args) -> int:
         off = chain.with_off_shell(pw, 0.25)
         rep_off = chain.system_residual(chain.derive_uv(off, variant="h", mass_sign=args.mass_sign))
         controls = ResidualReport()
-        controls.add_lower(
-            "broken_lorenz_gauss_residual", rep_broken.value("gauss_residual"), 1e-3
-        )
-        controls.add_lower(
-            "off_shell_system_residual",
-            rep_off.value("matrix_form_satisfied"),
-            1e-3,
-        )
+        controls.add_lower("broken_lorenz_gauss_residual", rep_broken.value("gauss_residual"),
+                           1e-3)
+        controls.add_lower("off_shell_system_residual", rep_off.value("matrix_form_satisfied"),
+                           1e-3)
         sections["negative_controls"] = controls
     return _emit(sections, args.json)
 
@@ -236,105 +321,35 @@ def _cmd_chain_check(args) -> int:
 # ------------------------------------------------------------------ evolve
 
 
-def _build_grid(cfg: dict):
-    from . import fields
-
-    with _config_errors("grid"):
-        g = cfg["grid"]
-        return fields.Grid(
-            *(_config_number(g[n], f"grid {n}", integer=True) for n in ("nx", "ny", "nz")),
-            *(_config_number(g[n], f"grid {n}") for n in ("lx", "ly", "lz")),
-        )
-
-
-def _mode_index(value, what: str) -> list[int]:
-    """An integer mode index triple; ConfigError otherwise."""
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{what} must be three integers, got {value!r}")
-    return [_config_number(n, what, integer=True) for n in value]
-
-
-def _fourier_terms(terms, what: str) -> list[dict]:
-    """Fourier-series terms with their mode index and coefficients checked."""
-    out = []
-    for term in terms:
-        term = dict(_require_object(term, f"a {what} entry"))
-        term["n"] = _mode_index(term["n"], f"{what} n")
-        for part in ("cos", "sin"):
-            if part in term:
-                term[part] = _config_number(term[part], f"{what} {part}")
-        out.append(term)
-    return out
-
-
-def _build_external(cfg: dict, grid, charge: float):
+def _build_external(spec, grid, charge: float):
     from . import em_coupling
 
-    spec = cfg.get("external_field")
     if spec is None:
         return None
-    _require_object(spec, "external_field")
     if "random" in spec:
-        r = _require_object(spec["random"], "external_field.random")
-        if "seed" not in r:
-            raise ConfigError("random external field requires a seed")
-        return em_coupling.random_smooth_external(
-            grid,
-            charge,
-            seed=_config_number(r["seed"], "random field seed", low=0, integer=True),
-            amplitude=_config_number(r.get("amplitude", 0.3), "random field amplitude"),
-            nmax=_config_number(r.get("nmax", 2), "random field nmax", low=0, integer=True),
-            n_terms=_config_number(r.get("n_terms", 4), "random field n_terms", low=0,
-                                   integer=True),
-        )
-    return em_coupling.ExternalField.from_fourier_series(
-        grid, charge, _fourier_terms(spec.get("phi_terms", ()), "phi_terms"),
-        _fourier_terms(spec.get("a_terms", ()), "a_terms"),
-    )
+        return em_coupling.random_smooth_external(grid, charge, **spec["random"])
+    return em_coupling.ExternalField.from_fourier_series(grid, charge, spec["phi_terms"],
+                                                         spec["a_terms"])
 
 
-def _build_initial(cfg: dict, grid, mass: float):
+def _build_initial(ic: dict, grid, mass: float):
     from . import fields
 
-    ic = cfg.get("initial_condition")
-    if not ic or "type" not in _require_object(ic, "initial_condition"):
-        raise ConfigError("initial_condition with a type is required")
     if ic["type"] == "random_band_limited":
-        if "seed" not in ic:
-            raise ConfigError("random initial data requires a seed (reproducibility)")
-        return fields.random_wave_field(
-            grid,
-            mass,
-            k_cutoff=_config_number(ic.get("k_cutoff", 2.0), "k_cutoff"),
-            seed=_config_number(ic["seed"], "initial_condition seed", low=0, integer=True),
-            transverse=_require_type(ic.get("transverse", True), bool, "true or false",
-                                     "initial_condition transverse"),
+        return fields.random_wave_field(grid, mass, k_cutoff=ic["k_cutoff"], seed=ic["seed"],
+                                        transverse=ic["transverse"])
+    psi = None
+    for m in ic["modes"]:
+        amp = m["amplitude"]
+        one = fields.plane_eigenmode_field(
+            grid, mass, m["n"], {"+": 1, "-": -1}.get(m["branch"], m["branch"]),
+            m["polarization"], amplitude=complex(*(amp if type(amp) is list else (amp, 0.0)))
         )
-    if ic["type"] == "plane_modes":
-        modes = ic.get("modes")
-        if not modes:
-            raise ConfigError("plane_modes initial condition needs a nonempty mode list")
-        psi = None
-        for m in modes:
-            _require_object(m, "a plane_modes entry")
-            branch = {"+": 1, "-": -1, 1: 1, -1: -1}.get(m.get("branch", "+"))
-            if branch is None:
-                raise ConfigError(f"bad branch {m.get('branch')!r}")
-            amp = m.get("amplitude", 1.0)
-            parts = amp if isinstance(amp, (list, tuple)) else [amp, 0.0]
-            if len(parts) != 2:
-                raise ConfigError(f"a plane_modes amplitude is a number or [re, im], got {amp!r}")
-            amp = complex(*(_config_number(x, "plane_modes amplitude") for x in parts))
-            one = fields.plane_eigenmode_field(
-                grid, mass, _mode_index(m["n"], "plane_modes n"), branch,
-                m.get("polarization", "t1"), amplitude=amp
-            )
-            if psi is None:
-                psi = one
-            else:
-                psi.data += one.data
-        return psi
-    raise ConfigError(f"unknown initial condition type {ic['type']!r}")
+        if psi is None:
+            psi = one
+        else:
+            psi.data += one.data
+    return psi
 
 
 def _write_csv(path, records) -> None:
@@ -347,48 +362,30 @@ def _write_csv(path, records) -> None:
 
 
 def _cmd_evolve(args) -> int:
-    from . import dynamics, em_coupling, snapshots
+    from . import dynamics, em_coupling, fields, snapshots
 
-    cfg = _load_json(args.config)
-    grid = _build_grid(cfg)
+    cfg = _EVOLVE.parse(_load_json(args.config), "")
     with _config_errors("evolve"):
-        mass = _config_number(cfg.get("mass", 0.0), "mass", low=0)
-        charge = _config_number(cfg.get("charge", 0.0), "charge")
-        evo = cfg.get("evolution", {})
-        t_final = _config_number(evo["t_final"], "t_final")
-        dt = _config_number(evo["dt"], "dt")
-        stride = _config_number(evo.get("diag_stride", 1), "diag_stride", low=1, integer=True)
-        psi = _build_initial(cfg, grid, mass)
-        ext = _build_external(cfg, grid, charge)
+        grid = fields.Grid(**cfg["grid"])
+        psi = _build_initial(cfg["initial_condition"], grid, cfg["mass"])
+        ext = _build_external(cfg["external_field"], grid, cfg["charge"])
+    snap_path = args.out or cfg["output"]["snapshot"]
+    diag_path = args.diag or cfg["output"]["diagnostics"]
 
-    out_cfg = _require_object(cfg.get("output", {}), "output")
-    for key in ("snapshot", "diagnostics"):
-        if out_cfg.get(key) is not None:
-            _require_type(out_cfg[key], str, "a path string", f"output {key}")
-    snap_path = args.out or out_cfg.get("snapshot")
-    diag_path = args.diag or out_cfg.get("diagnostics")
-
-    run = (dynamics.evolve_free(psi, t_final, dt, stride) if ext is None
-           else em_coupling.evolve_em(psi, ext, t_final, dt, stride))
+    # a charge with no external_field evolves freely
+    evo = cfg["evolution"]
+    schedule = evo["t_final"], evo["dt"], evo["diag_stride"]
+    run = (dynamics.evolve_free(psi, *schedule) if ext is None
+           else em_coupling.evolve_em(psi, ext, *schedule))
     final = run.final
     if diag_path:
         _write_csv(diag_path, run.records)
     if snap_path:
         snapshots.write_snapshot(final, snap_path)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "t_final": final.time,
-                    "norm": final.norm(),
-                    "records": len(run.records),
-                    "snapshot": snap_path,
-                    "diagnostics": diag_path,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        report = {"t_final": final.time, "norm": final.norm(), "records": len(run.records),
+                  "snapshot": snap_path, "diagnostics": diag_path}
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(f"evolved to t={final.time:g}; norm={final.norm():.12g}; {len(run.records)} records")
     return 0
@@ -398,21 +395,15 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_em_check(args) -> int:
-    from . import em_coupling
+    from . import em_coupling, fields
 
-    cfg = _load_json(args.config)
-    grid = _build_grid(cfg)
+    cfg = _EM_CHECK.parse(_load_json(args.config), "")
+    mass, seed, trials = cfg["mass"], cfg["seed"], cfg["trials"]
     with _config_errors("em-check"):
-        mass = _config_number(cfg.get("mass", 1.0), "mass", low=0)
-        charge = _config_number(cfg.get("charge", 0.0), "charge")
-        seed = cfg.get("seed")
-        if seed is None:
-            raise ConfigError("em-check config requires a seed")
-        seed = _config_number(seed, "seed", low=0, integer=True)
-        trials = _config_number(cfg.get("trials", 5), "trials", low=1, integer=True)
-        ext = _build_external(cfg, grid, charge)
+        grid = fields.Grid(**cfg["grid"])
+        ext = _build_external(cfg["external_field"], grid, cfg["charge"])
     if ext is None:
-        ext = em_coupling.ExternalField.zero(grid, charge)
+        ext = em_coupling.ExternalField.zero(grid, cfg["charge"])
     sections = {
         "hermiticity": em_coupling.hermiticity_check(ext, mass, trials=trials, seed=seed),
         "squared_identity": em_coupling.squared_hamiltonian_check(ext, mass, trials=trials, seed=seed),
@@ -464,6 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def modes(text: str) -> int:  # chain, and numpy with it, is imported only if given
+        from .chain import MAX_MODES
+
+        return _arg(_Number(1, MAX_MODES, integer=True))(text)
+
     p = sub.add_parser("verify-algebra", help="exact matrix identity suite")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_algebra)
@@ -476,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dispersion)
 
     p = sub.add_parser("chain-check", help="plane-wave chain residual checks")
-    p.add_argument("--seed", type=_in_range(int, "an integer", 0), default=0)
-    p.add_argument("--modes", type=_mode_count, default=20)
-    p.add_argument("--mass", type=_in_range(float, "a finite real", 0), default=1.0)
+    p.add_argument("--seed", type=_arg(_NATURAL), default=0)
+    p.add_argument("--modes", type=modes, default=20)
+    p.add_argument("--mass", type=_arg(_Number(0)), default=1.0)
     p.add_argument("--variant", choices=["h", "e", "a"], default="h")
     p.add_argument("--mass-sign", choices=["+", "-"], default="-")
     p.add_argument("--controls", action="store_true", help="include negative controls")
@@ -498,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_em_check)
 
     p = sub.add_parser("landau", help="uniform-field lattice spectrum and clusters")
-    p.add_argument("--grid", type=_in_range(int, "an integer", 4), default=16)
-    p.add_argument("--flux", type=_in_range(int, "an integer", 1), default=1)
+    p.add_argument("--grid", type=_arg(_Number(4, integer=True)), default=16)
+    p.add_argument("--flux", type=_arg(_POSITIVE), default=1)
     p.add_argument("--mass", type=_finite_real, default=1.0)
     p.add_argument("--charge", type=_finite_real, default=1.0)
     p.add_argument("--csv", help="write sorted squared eigenvalues here")

@@ -69,7 +69,7 @@ import numpy as np
 
 from . import algebra, fields, dynamics
 from .errors import GridMismatch, NoConvergence, StepTooLarge
-from .fields import Grid, VectorField, WaveField
+from .fields import Grid, WaveField
 from .reports import ResidualReport
 
 
@@ -197,12 +197,15 @@ class ExternalField:
         avec_h = fields.fftn(self.avec.astype(np.complex128))
         self.bandwidth = tuple(map(max, _bandwidth(phi_h), _bandwidth(avec_h)))
         self.product_shape = _product_shape(self.grid, self.bandwidth)
-        self.evec = -fields.gradient(self.grid, self.phi).data.real
-        self.hvec = fields.curl(VectorField(self.grid, self.avec.astype(complex))).data.real
+        # E and H from the spectra of grad Phi and curl A, formed as
+        # fields.gradient and fields.curl form them; one spectrum at a time
+        k = fields.wavevectors(self.grid)
+        spec = 1j * k * phi_h
+        self.evec, self.evec_p = -fields.ifftn(spec).real, -self._on_product_grid(spec)
+        spec = 1j * np.cross(k, avec_h, axisa=0, axisb=0, axisc=0)
+        self.hvec, self.hvec_p = fields.ifftn(spec).real, self._on_product_grid(spec)
         self.phi_p = self._on_product_grid(phi_h)
         self.avec_p = self._on_product_grid(avec_h)
-        self.evec_p = self._on_product_grid(fields.fftn(self.evec.astype(np.complex128)))
-        self.hvec_p = self._on_product_grid(fields.fftn(self.hvec.astype(np.complex128)))
 
     def _on_product_grid(self, spec: np.ndarray) -> np.ndarray:
         """The real field of spectrum spec, on the grid, truncated to the

@@ -616,6 +616,18 @@ def test_coupled_fft_counts(fft_transforms, psi, ext):
     assert (transforms_until_cap(5) - transforms_until_cap(2)) / 3 <= 9
 
 
+def test_external_field_build(fft_transforms, ext):
+    # E and H come from the spectra the build holds: 20 scalar transforms,
+    # 4 forward, 6 back to the grid for E and H, 10 onto the product grid
+    fft_transforms.clear()
+    built = em.ExternalField(GRID, ext.charge, ext.phi, ext.avec)
+    assert sum(fft_transforms) == 20
+    # on the grid they are fields.gradient's and fields.curl's, bit for bit
+    assert np.array_equal(built.evec, -fields.gradient(GRID, ext.phi).data.real)
+    curl = fields.curl(fields.VectorField(GRID, ext.avec.astype(complex)))
+    assert np.array_equal(built.hvec, curl.data.real)
+
+
 def test_constrained_check_reports_cg_telemetry(ext):
     rep = em.constrained_square_check(ext, MASS, trials=2, seed=4)
     assert int(rep.notes["cg_max_iterations"]) >= 1

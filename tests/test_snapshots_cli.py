@@ -348,6 +348,34 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
     assert len(csv.read_text().splitlines()) >= 3
 
 
+# Configs that a parser ignoring unknown keys and converting with float()
+# would run: id -> (overrides, the key the one error line names).  The first
+# would run a free evolution at stride 1, its field and stride misspelled.
+_RANDOM_FIELD = {"random": {"seed": 11, "amplitude": 0.2, "nmax": 1}}
+_TABLE_REFUSED = {
+    "misspelled-field-and-stride": (
+        {"charge": 0.5, "external_feild": _RANDOM_FIELD,
+         "evolution": {"t_final": 0.2, "dt": 0.02, "diag_strid": 3}}, "external_feild"),
+    "mass-a-boolean": ({"mass": True}, "mass"),
+    "dt-a-string": ({"evolution": {"t_final": 1.0, "dt": "0.1"}}, "evolution.dt"),
+    "branch-a-boolean": (_plane_mode(n=[0, 0, 1], branch=True), "modes[0].branch"),
+    "branch-a-float": (_plane_mode(n=[0, 0, 1], branch=1.0), "modes[0].branch"),
+    "mode-index-strings": (_plane_mode(n=["0", "0", "1"]), "modes[0].n[0]"),
+    "phi-terms-an-object": (_coupled(phi_terms={}), "external_field.phi_terms"),
+    "random-with-phi-terms": (
+        _coupled(**_RANDOM_FIELD, phi_terms=[{"n": [1, 0, 0], "cos": 0.1}]),
+        "external_field.phi_terms"),
+    "polarisation-misspelled": (_plane_mode(n=[0, 0, 1], polarisation="long"),
+                                "modes[0].polarisation"),
+    "grid-unknown-key": (
+        {"grid": {"nx": 8, "ny": 8, "nz": 8, "lx": 6.3, "ly": 6.3, "lz": 6.3, "nw": 8}},
+        "grid.nw"),
+    "output-unknown-key": ({"output": {"diagnostic": "d.csv"}}, "output.diagnostic"),
+    "fourier-term-unknown-key": (_coupled(phi_terms=[{"n": [1, 0, 0], "cos": 0.1, "son": 0.3}]),
+                                 "phi_terms[0].son"),
+}
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -399,6 +427,7 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
         _coupled(a_terms=[{"component": True, "n": [0, 1, 0], "sin": 0.2}]),
         _coupled(a_terms=[{"component": 1.0, "n": [0, 1, 0], "sin": 0.2}]),
         _coupled(a_terms=[{"component": "w", "n": [0, 1, 0], "sin": 0.2}]),
+        *(overrides for overrides, _ in _TABLE_REFUSED.values()),
     ],
     ids=["mass-not-a-number", "mode-without-n", "mode-at-k0", "stride-not-an-int",
          "coupled-t-final-not-multiple-of-dt", "mode-not-an-object",
@@ -411,13 +440,44 @@ def test_cli_evolve_with_external_field(tmp_path, capsys):
          "mode-amplitude-short", "mode-amplitude-nan", "mode-index-not-whole",
          "nx-not-whole", "diagnostics-path-an-integer", "snapshot-path-a-list",
          "transverse-not-a-boolean", "a-component-a-boolean", "a-component-a-float",
-         "a-component-unknown-name"],
+         "a-component-unknown-name", *_TABLE_REFUSED],
 )
 def test_cli_evolve_bad_config_exits_2(tmp_path, capsys, overrides):
     path = evolve_config(tmp_path, **overrides)
     assert cli.main(["evolve", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("overrides, key", _TABLE_REFUSED.values(), ids=_TABLE_REFUSED)
+def test_cli_evolve_config_error_names_the_key(tmp_path, capsys, overrides, key):
+    assert cli.main(["evolve", "--config", str(evolve_config(tmp_path, **overrides))]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_cli_evolve_charge_without_field_is_free(tmp_path):
+    # a charge in no external field evolves freely, as at charge 0
+    csv = [tmp_path / "neutral.csv", tmp_path / "charged.csv"]
+    for charge, path in zip((0.0, 0.5), csv):
+        cfg = evolve_config(tmp_path, charge=charge)
+        assert cli.main(["evolve", "--config", str(cfg), "--diag", str(path)]) == 0
+    assert csv[0].read_bytes() == csv[1].read_bytes()
+
+
+@pytest.mark.parametrize("command, overrides", [("evolve", {"mass": True}),
+                                                ("em-check", {"trails": 2})],
+                         ids=["evolve-mass-a-boolean", "em-check-misspelled-trials"])
+def test_cli_bad_config_exits_2_under_optimize(tmp_path, command, overrides):
+    # python -O strips asserts: no config check may rest on one
+    config = evolve_config if command == "evolve" else em_check_config
+    path = config(tmp_path, **overrides)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "spin1wave.cli", command, "--config", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -561,16 +621,19 @@ def test_cli_em_check_external_not_an_object_exits_2(tmp_path, capsys):
         {"mass": -1.0},
         {"charge": float("inf")},
         {"external_field": {"random": {"seed": 11, "amplitude": float("nan"), "nmax": 1}}},
+        {"trails": 2},
     ],
     ids=["trials-0", "trials-not-whole", "seed-negative", "seed-not-a-number",
          "seed-not-whole", "mass-nan", "mass-negative", "charge-infinite",
-         "random-field-amplitude-nan"],
+         "random-field-amplitude-nan", "trials-misspelled"],
 )
 def test_cli_em_check_bad_config_exits_2(tmp_path, capsys, overrides):
     path = em_check_config(tmp_path, **overrides)
     assert cli.main(["em-check", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    if "trails" in overrides:  # not the default 5 trials, run silently
+        assert "trails" in err
 
 
 def test_cli_em_check_reports_cg_telemetry(tmp_path, capsys):
