@@ -16,7 +16,8 @@ grid = fields.Grid.cubic(24)
 mass = 1.0
 ext = em.random_smooth_external(grid, charge=0.5, seed=88, amplitude=0.2, nmax=1)
 print(f"grid 24^3, m = {mass}, e = {ext.charge}")
-print(f"max|A| = {np.max(np.abs(ext.avec)):.3f}, max|H| = {np.max(np.abs(ext.hvec)):.3f}")
+hvec = fields.curl(grid, ext.avec).real  # H = curl A
+print(f"max|A| = {np.max(np.abs(ext.avec)):.3f}, max|H| = {np.max(np.abs(hvec)):.3f}")
 
 print("\ncoupled generator is Hermitian:")
 rep = em.hermiticity_check(ext, mass, trials=3, seed=1)

@@ -5,7 +5,7 @@ wave equation of a massive spin-1 particle.
 Submodules
 ----------
 algebra       exact spin-1 / Dirac-comparison matrix construction and checks
-fields        periodic grids, vector and wave fields, spectral operators
+fields        periodic grids, wave fields, spectral operators on arrays
 chain         plane-wave potential chains and residual oracles
 dynamics      exact free evolution, conservation and symmetry diagnostics
 em_coupling   static external electromagnetic field: identities, RK4, Landau

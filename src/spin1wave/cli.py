@@ -210,13 +210,15 @@ def _fmt(x: float) -> str:
 
 
 def _load_json(path) -> dict:
+    """The JSON value in the UTF-8 file at path; ConfigError if the file
+    cannot be read or is not UTF-8 JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _print_report(name: str, rep) -> None:
@@ -514,7 +516,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, FormatError, ScheduleError, StepTooLarge) as exc:
+    except (ConfigError, OSError, FormatError, ScheduleError, StepTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CurrentMismatch, NonFiniteState, NoConvergence) as exc:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import algebra, fields
 from .errors import CurrentMismatch, NonFiniteState, ScheduleError, StepTooLarge
-from .fields import WaveField, VectorField
+from .fields import WaveField
 
 
 def omega_max(grid: fields.Grid, mass: float) -> float:
@@ -244,7 +244,7 @@ def record(psi: WaveField, sh: np.ndarray, generator, divergence) -> Diagnostics
 
 def _continuity_norm(grid: fields.Grid, drho: np.ndarray, j: np.ndarray) -> float:
     """L2 norm of d_t rho + div j over the grid."""
-    divj = fields.divergence(VectorField(grid, j.astype(complex))).real
+    divj = fields.divergence(grid, j).real
     return float(np.sqrt(np.sum((drho + divj) ** 2) * grid.cell_volume))
 
 
@@ -386,8 +386,8 @@ def kgf_residual(psi: WaveField) -> KgfResidual:
     transverse = num / max(den * ref, 1e-300)
 
     k_long = fields.mode_wavevector(grid, (0, 0, 1))
-    psi_l = fields.plane_wave(grid, k_long, (0.0, 0.0, 1.0))
-    stack_l = np.concatenate([psi_l.data, np.zeros_like(psi_l.data)])
+    u_l = fields.plane_wave(grid, k_long, (0.0, 0.0, 1.0))
+    stack_l = np.concatenate([u_l, np.zeros_like(u_l)])
     num_l, den_l = rel_residual(stack_l)
     return KgfResidual(transverse_res=transverse, longitudinal_demo=num_l / max(den_l, 1e-300))
 

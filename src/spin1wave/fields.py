@@ -1,10 +1,14 @@
 """
-Periodic-box grids, complex three-vector fields and six-component wave
-fields, with pseudospectral differential operators.
+Periodic-box grids, six-component wave fields and pseudospectral
+differential operators.
 
-A WaveField holds its state as one (6, nx, ny, nz) stack in component
-order (u_x, u_y, u_z, v_x, v_y, v_z), the layout every kernel works on;
-its u and v blocks are VectorField views of that stack, not copies.
+One array rule: a vector field is a complex (..., 3, nx, ny, nz) array on
+a Grid, the vector axis at -4 and any leading axes batched, and every
+vector operator (curl, divergence, gradient, project_transverse) takes the
+grid first and works over those leading axes.  A WaveField holds its state
+as one (6, nx, ny, nz) stack in component order (u_x, u_y, u_z, v_x, v_y,
+v_z), the layout every kernel works on; data[:3] and data[3:] are its two
+blocks, and data.reshape(2, 3, nx, ny, nz) is both at once.
 
 Conventions: wavenumbers per axis are 2*pi*n/L on the standard FFT integer
 range; the Nyquist mode is zeroed in every first-derivative operator so that
@@ -25,12 +29,11 @@ one output, which may be their input.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
-from .errors import GridMismatch
 
 
 @dataclass(frozen=True)
@@ -159,38 +162,13 @@ def real_vdot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", xf, yf))
 
 
-@dataclass
-class VectorField:
-    """Complex 3-vector field sampled on a Grid; data shape (3, nx, ny, nz)."""
-
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.shape != (3, *self.grid.shape):
-            raise ValueError(f"expected data shape {(3, *self.grid.shape)}, got {self.data.shape}")
-
-    @staticmethod
-    def zeros(grid: Grid) -> "VectorField":
-        return VectorField(grid, np.zeros((3, *grid.shape), dtype=np.complex128))
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.data.copy())
-
-
-def _same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
-
-
-def plane_wave(grid: Grid, k, eps) -> VectorField:
-    """eps * exp(i k.x) sampled on the grid; k need not be commensurate."""
+def plane_wave(grid: Grid, k, eps) -> np.ndarray:
+    """eps * exp(i k.x) sampled on the grid, shape (3, nx, ny, nz); k need
+    not be commensurate."""
     k = np.asarray(k, dtype=float)
     x = coordinates(grid)
     phase = np.exp(1j * np.tensordot(k, x, axes=(0, 0)))
-    data = np.asarray(eps, dtype=complex)[:, None, None, None] * phase
-    return VectorField(grid, data)
+    return np.asarray(eps, dtype=complex)[:, None, None, None] * phase
 
 
 def mode_wavevector(grid: Grid, n_index) -> np.ndarray:
@@ -199,38 +177,34 @@ def mode_wavevector(grid: Grid, n_index) -> np.ndarray:
     return 2.0 * np.pi * n / np.array([grid.lx, grid.ly, grid.lz])
 
 
-def curl(f: VectorField) -> VectorField:
-    """Spectral curl: per mode, amplitude -> i k x amplitude."""
-    k = wavevectors(f.grid)
-    fh = fftn(f.data)
-    out = 1j * np.cross(k, fh, axisa=0, axisb=0, axisc=0)
-    return VectorField(f.grid, ifftn(out))
+def curl(grid: Grid, w: np.ndarray) -> np.ndarray:
+    """Spectral curl of a (..., 3, nx, ny, nz) field: per mode,
+    amplitude -> i k x amplitude."""
+    k = wavevectors(grid)
+    out = 1j * np.cross(k, fftn(w), axisa=0, axisb=-4, axisc=-4)
+    return ifftn(out)
 
 
-def divergence(f: VectorField) -> np.ndarray:
-    """Spectral divergence: per mode, i k . amplitude.  Returns a complex
-    scalar field of shape (nx, ny, nz)."""
-    k = wavevectors(f.grid)
-    return ifftn(1j * vector_dot(k, fftn(f.data)))
+def divergence(grid: Grid, w: np.ndarray) -> np.ndarray:
+    """Spectral divergence of a (..., 3, nx, ny, nz) field: per mode,
+    i k . amplitude.  Returns a complex (..., nx, ny, nz) scalar field."""
+    k = wavevectors(grid)
+    return ifftn(1j * vector_dot(k, fftn(w)))
 
 
-def gradient(grid: Grid, scalar: np.ndarray) -> VectorField:
-    """Spectral gradient of a scalar field."""
+def gradient(grid: Grid, scalar: np.ndarray) -> np.ndarray:
+    """Spectral gradient of a (..., nx, ny, nz) scalar field; returns a
+    (..., 3, nx, ny, nz) field."""
     k = wavevectors(grid)
     sh = fftn(np.asarray(scalar, dtype=np.complex128))
-    return VectorField(grid, ifftn(1j * k * sh[None]))
+    return ifftn(1j * k * sh[..., None, :, :, :])
 
 
-def project_transverse(f: VectorField) -> VectorField:
-    """Remove the longitudinal part: per mode k != 0,
+def project_transverse(grid: Grid, w: np.ndarray) -> np.ndarray:
+    """Remove the longitudinal part of each 3-vector block of a
+    (..., 3, nx, ny, nz) field, into one new array: per mode k != 0,
     amplitude -> amplitude - k (k.amplitude)/|k|^2.  The k = 0 mode is
     unchanged.  Output divergence is at round-off."""
-    return VectorField(f.grid, _transverse(f.grid, f.data))
-
-
-def _transverse(grid: Grid, w: np.ndarray) -> np.ndarray:
-    """project_transverse on each 3-vector block of a (..., 3, nx, ny, nz)
-    array, into one new array."""
     k = wavevectors(grid)
     k2 = np.sum(k * k, axis=0)
     fh = fftn(w)
@@ -241,26 +215,13 @@ def _transverse(grid: Grid, w: np.ndarray) -> np.ndarray:
     return ifftn(fh)
 
 
-def inner(fa: VectorField, fb: VectorField) -> complex:
-    """Grid inner product sum(conj(a).b) * dV."""
-    _same_grid(fa, fb)
-    return vdot(fa.data, fb.data) * fa.grid.cell_volume
-
-
-def l2_norm(f: VectorField) -> float:
-    return float(np.sqrt(np.sum(np.abs(f.data) ** 2) * f.grid.cell_volume))
-
-
-def max_abs(f: VectorField) -> float:
-    return float(np.max(np.abs(f.data)))
-
-
 @dataclass
 class WaveField:
     """Six-component state on a periodic grid: data is one complex128
-    (6, nx, ny, nz) stack, u_x..u_z then v_x..v_z, and u, v are VectorField
-    views of its two blocks.  The constructor wraps data without a copy, so
-    a caller that goes on using the array must pass a copy.
+    (6, nx, ny, nz) stack, u_x..u_z then v_x..v_z; its blocks u = data[:3]
+    and v = data[3:] are vector fields by the array rule of this module.
+    The constructor wraps data without a copy, so a caller that goes on
+    using the array must pass a copy.
 
     The wave function is (u_x,u_y,u_z,v_x,v_y,v_z)/sqrt(2); the 1/sqrt(2)
     normalization is applied by the diagnostics, not stored here.
@@ -277,14 +238,6 @@ class WaveField:
             raise ValueError(f"expected data shape {(6, *self.grid.shape)}, got {self.data.shape}")
         if self.mass < 0:
             raise ValueError("mass must be >= 0")
-
-    @property
-    def u(self) -> VectorField:
-        return VectorField(self.grid, self.data[:3])
-
-    @property
-    def v(self) -> VectorField:
-        return VectorField(self.grid, self.data[3:])
 
     @staticmethod
     def zeros(grid: Grid, mass: float) -> "WaveField":
@@ -307,16 +260,15 @@ def swap_blocks(psi: WaveField) -> WaveField:
 def project_constraints(psi: WaveField) -> WaveField:
     """Project both blocks onto the divergence-free subspace."""
     blocks = psi.data.reshape(2, 3, *psi.grid.shape)
-    return WaveField(psi.grid, _transverse(psi.grid, blocks).reshape(psi.data.shape),
+    return WaveField(psi.grid, project_transverse(psi.grid, blocks).reshape(psi.data.shape),
                      psi.mass, psi.time)
 
 
 def divergence_residuals(psi: WaveField) -> tuple[float, float]:
     """max |div u|, max |div v| over the grid."""
-    return (
-        float(np.max(np.abs(divergence(psi.u)))),
-        float(np.max(np.abs(divergence(psi.v)))),
-    )
+    div = divergence(psi.grid, psi.data.reshape(2, 3, *psi.grid.shape))
+    div_u, div_v = np.max(np.abs(div), axis=(1, 2, 3)).tolist()
+    return div_u, div_v
 
 
 def nyquist_wavenumber(grid: Grid) -> float:
@@ -331,10 +283,10 @@ def random_vector_field(
     k_cutoff: float,
     rng,
     kmax: float | None = None,
-    normalize: bool = True,
-) -> VectorField:
-    """Band-limited random field: complex Gaussian spectral amplitudes with
-    envelope exp(-|k|^2 / (2 k_cutoff^2)), hard-truncated at kmax.
+) -> np.ndarray:
+    """Band-limited random (3, nx, ny, nz) field: complex Gaussian spectral
+    amplitudes with envelope exp(-|k|^2 / (2 k_cutoff^2)), hard-truncated at
+    kmax; not normalized.
 
     The default kmax is a quarter of the smallest axis Nyquist wavenumber,
     so that quadratic quantities (densities, currents) of the field remain
@@ -349,12 +301,7 @@ def random_vector_field(
     envelope = np.exp(-k2 / (2.0 * k_cutoff**2)) * (k2 <= kmax**2)
     shape = (3, *grid.shape)
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = VectorField(grid, ifftn(amps * envelope[None]))
-    if normalize:
-        n = l2_norm(f)
-        if n > 0:
-            f.data /= n
-    return f
+    return ifftn(amps * envelope[None])
 
 
 def random_wave_field(
@@ -368,9 +315,9 @@ def random_wave_field(
     """Seeded band-limited random state, unit norm; optionally projected
     onto the constraint subspace before normalization."""
     rng = np.random.default_rng(seed)
-    u = random_vector_field(grid, k_cutoff, rng, kmax=kmax, normalize=False)
-    v = random_vector_field(grid, k_cutoff, rng, kmax=kmax, normalize=False)
-    psi = WaveField(grid, np.concatenate([u.data, v.data]), mass)
+    u = random_vector_field(grid, k_cutoff, rng, kmax=kmax)
+    v = random_vector_field(grid, k_cutoff, rng, kmax=kmax)
+    psi = WaveField(grid, np.concatenate([u, v]), mass)
     if transverse:
         # both blocks in one batch: glibc then puts the state in the heap
         # above the space its temporaries free, which a free run reuses

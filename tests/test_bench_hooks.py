@@ -44,6 +44,33 @@ assert per_step == [48, 48, 48], per_step
 """
 
 
+# A tiny traced free evolve through the CLI, 8^3 and 3 records: every record
+# must go through the wrapped dynamics.diagnostics and the initial state
+# through the wrapped fields.random_wave_field.
+FREE_SCRIPT = """
+import json, os, sys, tempfile
+sys.path.insert(0, "perfbench")
+import probe, tracing
+tracer = tracing.Tracer("t")
+probe.install(tracer)
+from spin1wave import cli
+cfg = {"grid": {"nx": 8, "ny": 8, "nz": 8, "lx": 6.0, "ly": 6.0, "lz": 6.0}, "mass": 1.0,
+       "initial_condition": {"type": "random_band_limited", "k_cutoff": 1.0, "seed": 3,
+                             "transverse": True},
+       "evolution": {"t_final": 1.0, "dt": 0.5, "diag_stride": 1}}
+with tempfile.TemporaryDirectory() as tmp:
+    path, csv = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "diag.csv")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main(["evolve", "--config", path, "--diag", csv]) == 0
+    with open(csv) as fh:
+        rows = len(fh.readlines()) - 1
+names = [s["name"] for s in tracer.spans]
+assert rows == 3 and names.count("dynamics.diagnostics") == rows, (rows, names)
+assert names.count("fields.random_wave_field") == 1, names
+"""
+
+
 def _run(script: str) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
@@ -59,4 +86,9 @@ def test_probe_installs_its_wrappers_on_the_package():
 
 def test_traced_coupled_run_counts_steps_and_transforms():
     proc = _run(COUPLED_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_free_run_records_through_the_wrappers():
+    proc = _run(FREE_SCRIPT)
     assert proc.returncode == 0, proc.stderr

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from spin1wave import fields
-from spin1wave.errors import GridMismatch
-from spin1wave.fields import Grid, VectorField
+from spin1wave.fields import Grid
 
 
 GRID = Grid.cubic(16)
+
+
+def _unit(f):
+    """f divided by its grid L2 norm sqrt(sum |f|^2 dV)."""
+    return f / float(np.sqrt(np.sum(np.abs(f) ** 2) * GRID.cell_volume))
 
 
 def test_grid_validation():
@@ -23,99 +27,99 @@ def test_grid_validation():
 def test_curl_of_plane_wave():
     k = fields.mode_wavevector(GRID, (0, 0, 1))
     f = fields.plane_wave(GRID, k, (1, 0, 0))
-    cf = fields.curl(f)
+    cf = fields.curl(GRID, f)
     expected = fields.plane_wave(GRID, k, (0, 1j * k[2], 0))
-    assert np.max(np.abs(cf.data - expected.data)) <= 1e-13
+    assert np.max(np.abs(cf - expected)) <= 1e-13
 
 
 def test_curl_of_constant_is_zero():
-    f = VectorField(GRID, np.ones((3, *GRID.shape), complex))
-    assert fields.max_abs(fields.curl(f)) <= 1e-14
+    f = np.ones((3, *GRID.shape), complex)
+    assert np.max(np.abs(fields.curl(GRID, f))) <= 1e-14
 
 
 def test_divergence_of_transverse_plane_wave_is_zero():
     k = fields.mode_wavevector(GRID, (0, 0, 2))
     f = fields.plane_wave(GRID, k, (1, 1j, 0))  # eps perpendicular to k
-    assert np.max(np.abs(fields.divergence(f))) <= 1e-13
+    assert np.max(np.abs(fields.divergence(GRID, f))) <= 1e-13
 
 
 def test_divergence_of_longitudinal_plane_wave():
     k = fields.mode_wavevector(GRID, (0, 0, 2))
     f = fields.plane_wave(GRID, k, (0, 0, 1))
-    div = fields.divergence(f)
-    expected = 1j * k[2] * fields.plane_wave(GRID, k, (1, 0, 0)).data[0]
+    div = fields.divergence(GRID, f)
+    expected = 1j * k[2] * fields.plane_wave(GRID, k, (1, 0, 0))[0]
     assert np.max(np.abs(div - expected)) <= 1e-12
 
 
 def test_div_curl_is_zero():
     rng = np.random.default_rng(1)
-    f = fields.random_vector_field(GRID, 2.0, rng)
-    r = np.max(np.abs(fields.divergence(fields.curl(f))))
-    assert r <= 1e-13 * fields.max_abs(f) * 16.0
+    f = _unit(fields.random_vector_field(GRID, 2.0, rng))
+    r = np.max(np.abs(fields.divergence(GRID, fields.curl(GRID, f))))
+    assert r <= 1e-13 * np.max(np.abs(f)) * 16.0
 
 
 def test_curl_grad_is_zero():
     rng = np.random.default_rng(2)
-    s = fields.random_vector_field(GRID, 2.0, rng).data[0]
+    s = _unit(fields.random_vector_field(GRID, 2.0, rng))[0]
     g = fields.gradient(GRID, s)
-    assert fields.max_abs(fields.curl(g)) <= 1e-12
+    assert np.max(np.abs(fields.curl(GRID, g))) <= 1e-12
 
 
 def test_parseval_and_roundtrip():
     rng = np.random.default_rng(3)
-    f = fields.random_vector_field(GRID, 3.0, rng)
-    fh = fields.fftn(f.data)
-    grid_l2 = np.sum(np.abs(f.data) ** 2)
+    f = _unit(fields.random_vector_field(GRID, 3.0, rng))
+    fh = fields.fftn(f)
+    grid_l2 = np.sum(np.abs(f) ** 2)
     spec_l2 = np.sum(np.abs(fh) ** 2) / GRID.npoints
     assert abs(grid_l2 - spec_l2) <= 1e-13 * grid_l2
     back = fields.ifftn(fh)
-    assert np.max(np.abs(back - f.data)) <= 1e-13 * fields.max_abs(f)
+    assert np.max(np.abs(back - f)) <= 1e-13 * np.max(np.abs(f))
 
 
 def test_projector_idempotent():
     rng = np.random.default_rng(4)
-    f = fields.random_vector_field(GRID, 2.0, rng)
-    p1 = fields.project_transverse(f)
-    p2 = fields.project_transverse(p1)
-    assert np.max(np.abs(p2.data - p1.data)) <= 1e-14 * fields.max_abs(f)
+    f = _unit(fields.random_vector_field(GRID, 2.0, rng))
+    p1 = fields.project_transverse(GRID, f)
+    p2 = fields.project_transverse(GRID, p1)
+    assert np.max(np.abs(p2 - p1)) <= 1e-14 * np.max(np.abs(f))
 
 
 def test_projector_self_adjoint():
     rng = np.random.default_rng(5)
-    f = fields.random_vector_field(GRID, 2.0, rng)
-    g = fields.random_vector_field(GRID, 2.0, rng)
-    lhs = fields.inner(fields.project_transverse(f), g)
-    rhs = fields.inner(f, fields.project_transverse(g))
+    f = _unit(fields.random_vector_field(GRID, 2.0, rng))
+    g = _unit(fields.random_vector_field(GRID, 2.0, rng))
+    lhs = fields.vdot(fields.project_transverse(GRID, f), g) * GRID.cell_volume
+    rhs = fields.vdot(f, fields.project_transverse(GRID, g)) * GRID.cell_volume
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
 def test_projector_output_divergence_free():
     rng = np.random.default_rng(6)
-    f = fields.random_vector_field(GRID, 2.0, rng)
-    p = fields.project_transverse(f)
-    assert np.max(np.abs(fields.divergence(p))) <= 1e-12 * fields.max_abs(f)
+    f = _unit(fields.random_vector_field(GRID, 2.0, rng))
+    p = fields.project_transverse(GRID, f)
+    assert np.max(np.abs(fields.divergence(GRID, p))) <= 1e-12 * np.max(np.abs(f))
 
 
 def test_projector_kills_longitudinal_keeps_transverse():
     k = fields.mode_wavevector(GRID, (0, 0, 2))
     lng = fields.plane_wave(GRID, k, (0, 0, 1))
-    assert fields.max_abs(fields.project_transverse(lng)) <= 1e-14
+    assert np.max(np.abs(fields.project_transverse(GRID, lng))) <= 1e-14
     trans = fields.plane_wave(GRID, k, (1, 0, 0))
-    out = fields.project_transverse(trans)
-    assert np.max(np.abs(out.data - trans.data)) <= 1e-14
+    out = fields.project_transverse(GRID, trans)
+    assert np.max(np.abs(out - trans)) <= 1e-14
 
 
 def test_projector_leaves_k0_mode_unchanged():
-    f = VectorField(GRID, np.ones((3, *GRID.shape), complex))
-    out = fields.project_transverse(f)
-    assert np.max(np.abs(out.data - f.data)) <= 1e-14
+    f = np.ones((3, *GRID.shape), complex)
+    out = fields.project_transverse(GRID, f)
+    assert np.max(np.abs(out - f)) <= 1e-14
 
 
 def test_random_field_reproducible_and_band_limited():
-    f1 = fields.random_vector_field(GRID, 2.0, 123)
-    f2 = fields.random_vector_field(GRID, 2.0, 123)
-    assert np.array_equal(f1.data, f2.data)
-    fh = fields.fftn(f1.data)
+    f1 = _unit(fields.random_vector_field(GRID, 2.0, 123))
+    f2 = _unit(fields.random_vector_field(GRID, 2.0, 123))
+    assert np.array_equal(f1, f2)
+    fh = fields.fftn(f1)
     k2 = fields.k_squared(GRID)
     kmax = 0.25 * fields.nyquist_wavenumber(GRID)
     # transform round trip leaves only fp dust outside the band
@@ -151,21 +155,14 @@ def test_wavevectors_nyquist_zeroing():
     assert k_full[GRID.nx // 2, 0, 0] > 0.0
 
 
-def test_grid_mismatch_raises():
-    other = Grid.cubic(8)
-    f = VectorField.zeros(GRID)
-    g = VectorField.zeros(other)
-    with pytest.raises(GridMismatch):
-        fields.inner(f, g)
-
-
 def test_wave_field_blocks_are_views_of_its_stack():
     psi = fields.random_wave_field(GRID, 1.0, 2.0, seed=3)
     assert psi.data.shape == (6, *GRID.shape) and psi.data.dtype == np.complex128
-    assert np.shares_memory(psi.u.data, psi.data) and np.shares_memory(psi.v.data, psi.data)
-    assert psi.u.grid == psi.v.grid == GRID
-    psi.u.data[2] = 3.0
-    psi.v.data[0] = -1.0
+    # the (2, 3, ...) block view the batched vector operators take
+    blocks = psi.data.reshape(2, 3, *GRID.shape)
+    assert np.shares_memory(blocks, psi.data)
+    blocks[0, 2] = 3.0
+    blocks[1, 0] = -1.0
     assert np.all(psi.data[2] == 3.0) and np.all(psi.data[3] == -1.0)
 
 
@@ -199,7 +196,7 @@ def test_wave_field_copy_does_not_alias():
 def test_swap_blocks_exchanges_u_and_v():
     psi = fields.random_wave_field(GRID, 1.0, 2.0, seed=6)
     sw = fields.swap_blocks(psi)
-    assert np.array_equal(sw.u.data, psi.v.data) and np.array_equal(sw.v.data, psi.u.data)
+    assert np.array_equal(sw.data[:3], psi.data[3:]) and np.array_equal(sw.data[3:], psi.data[:3])
     assert not np.shares_memory(sw.data, psi.data)
 
 
@@ -264,3 +261,19 @@ def test_vdot_and_real_vdot_match_exact_sums():
         # a Fortran-ordered input is summed in C order, as its copy
         assert fields.real_vdot(np.asfortranarray(x), y) == got_re
         assert fields.vdot(np.asfortranarray(x), y) == got
+
+
+def test_vector_operators_batch_over_leading_axes():
+    # each operator on a (2, 3, ...) stack gives, block by block, the bits
+    # it gives on that (3, ...) block alone
+    rng = np.random.default_rng(37)
+    w = rng.standard_normal((2, 3, *ANISO.shape)) + 1j * rng.standard_normal((2, 3, *ANISO.shape))
+    s = rng.standard_normal((2, *ANISO.shape))
+    for op in (fields.curl, fields.divergence, fields.project_transverse):
+        batched = op(ANISO, w)
+        for i in range(2):
+            assert np.array_equal(batched[i], op(ANISO, w[i]))
+    grad = fields.gradient(ANISO, s)
+    assert grad.shape == (2, 3, *ANISO.shape)
+    for i in range(2):
+        assert np.array_equal(grad[i], fields.gradient(ANISO, s[i]))

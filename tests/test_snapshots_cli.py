@@ -28,9 +28,9 @@ def test_roundtrip_bit_exact(tmp_path):
     p = tmp_path / "x.s1wf"
     snapshots.write_snapshot(psi, p)
     back = snapshots.read_snapshot(p)
-    # one (6, nx, ny, nz) stack, its blocks views of it
+    # one (6, nx, ny, nz) stack, its (2, 3, ...) blocks a view of it
     assert back.data.shape == (6, *psi.grid.shape) and back.data.dtype == np.complex128
-    assert np.shares_memory(back.u.data, back.data) and np.shares_memory(back.v.data, back.data)
+    assert np.shares_memory(back.data.reshape(2, 3, *psi.grid.shape), back.data)
     assert np.array_equal(psi.data, back.data)
     assert back.mass == psi.mass and back.time == psi.time
     p2 = tmp_path / "y.s1wf"
@@ -47,11 +47,11 @@ def test_component_order_and_x_fastest(tmp_path):
     flat = np.frombuffer(raw, dtype="<c16", offset=header)
     # first nx entries run along x at y=z=0 of u_x
     nx = psi.grid.nx
-    assert np.array_equal(flat[:nx], psi.u.data[0][:, 0, 0])
+    assert np.array_equal(flat[:nx], psi.data[0][:, 0, 0])
     # v_z is the last component block
     npts = psi.grid.npoints
     assert np.array_equal(
-        flat[5 * npts : 5 * npts + nx], psi.v.data[2][:, 0, 0]
+        flat[5 * npts : 5 * npts + nx], psi.data[5][:, 0, 0]
     )
 
 
@@ -240,6 +240,28 @@ def test_cli_missing_config(capsys):
     rc = cli.main(["evolve", "--config", "/nonexistent/cfg.json"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("case", ["snapshot-info", "config", "diag", "out", "landau-csv",
+                                  "config-not-utf8"])
+def test_cli_path_that_cannot_be_opened_exits_2(tmp_path, capsys, case):
+    # a directory where a file goes, or a config in another encoding
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    cfg = str(evolve_config(tmp_path))
+    if case == "config-not-utf8":
+        (tmp_path / "latin1.json").write_bytes(b'{"mass": 1.0, "note": "\xe9"}')
+    argv = {
+        "snapshot-info": ["snapshot-info", str(folder)],
+        "config": ["evolve", "--config", str(folder)],
+        "diag": ["evolve", "--config", cfg, "--diag", str(folder)],
+        "out": ["evolve", "--config", cfg, "--out", str(folder)],
+        "landau-csv": ["landau", "--grid", "4", "--csv", str(folder)],
+        "config-not-utf8": ["evolve", "--config", str(tmp_path / "latin1.json")],
+    }[case]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_invalid_config_rejected(tmp_path, capsys):
