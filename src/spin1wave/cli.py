@@ -363,6 +363,29 @@ def _write_csv(path, records) -> None:
             fh.write(",".join(_fmt(v) for v in rec.csv_row()) + "\n")
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Open every given output path before the run, in append mode, so an
+    existing file keeps its content until it is written; a path that cannot
+    be opened raises its OSError (exit 2) before any step.  If that or
+    anything in the block fails, the files this command created are
+    removed."""
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.lexists(path)
+            with open(path, "a"):
+                pass
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _cmd_evolve(args) -> int:
     from . import dynamics, em_coupling, fields, snapshots
 
@@ -377,13 +400,14 @@ def _cmd_evolve(args) -> int:
     # a charge with no external_field evolves freely
     evo = cfg["evolution"]
     schedule = evo["t_final"], evo["dt"], evo["diag_stride"]
-    run = (dynamics.evolve_free(psi, *schedule) if ext is None
-           else em_coupling.evolve_em(psi, ext, *schedule))
-    final = run.final
-    if diag_path:
-        _write_csv(diag_path, run.records)
-    if snap_path:
-        snapshots.write_snapshot(final, snap_path)
+    with _outputs(diag_path, snap_path):
+        run = (dynamics.evolve_free(psi, *schedule) if ext is None
+               else em_coupling.evolve_em(psi, ext, *schedule))
+        final = run.final
+        if diag_path:
+            _write_csv(diag_path, run.records)
+        if snap_path:
+            snapshots.write_snapshot(final, snap_path)
     if args.json:
         report = {"t_final": final.time, "norm": final.norm(), "records": len(run.records),
                   "snapshot": snap_path, "diagnostics": diag_path}

@@ -9,9 +9,9 @@ multiplication operator exactly Hermitian on the grid and keeps the operator
 identities exact as long as the products of fields and potentials stay
 inside the dealiased band.
 
-One kernel, _sandwich, computes every such product on spectra: copy the
-band, one inverse FFT, a pointwise product, one forward FFT, add the band.
-It forms the product on a product grid, per axis
+One core, _product, computes every such product on spectra: one inverse
+FFT, a pointwise product, one forward FFT.  It forms the product on a
+product grid, per axis
 N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1), with K = (N - 1) // 3
 the band and K_A the potential's Fourier bandwidth (the ExternalField's
 bandwidth, measured from the potentials' spectra).  That is the
@@ -34,15 +34,23 @@ both sides alike.  Real space is used at the public boundary
 The generator is the free symbol H(k) of dynamics plus one sandwich of the
 pointwise coupling e(Phi_d - a.A_d), 12 scalar FFTs per apply on a
 6-stack.  The record is dynamics.record with this generator and the
-covariant divergence pi.w: 32 scalar FFTs.  evolve_em runs RK4 steps in
+covariant divergence pi.w: 32 scalar FFTs.  evolve_em advances in
 dynamics.run, the run loop free evolution uses too.
 
-The generator and the RK4 step follow the kernel rule of fields: each
-writes into an out= stack and a work= workspace that its caller may lend
-(allocating them only where the caller passes none, on the same code
-path), and _sandwich transforms in place.  evolve_em builds a step's five
-stacks once per advance: the run's spare stack, two more, and the
-generator's two stacks on the product grid, so a step allocates no stack.
+D M D maps the band into itself and annihilates the rest, and H(k) acts
+per mode, so band modes evolve under H(k) + D M D and the others under
+H(k) alone, which the free closed form solves exactly.  RK4 runs on the
+band alone, held as a band stack: a (6, *product_shape) spectrum in the
+product grid's own layout whose non-band planes (K_i + 1 .. N'_i - K_i - 1
+per axis, none where N'_i = 2K_i + 1) stay exactly zero.  _product
+transforms a stage straight into its buffer, the product is added whole
+with its non-band planes zeroed, and H(k) and the stage updates work on
+N'^3 modes, not N^3; a step still takes 48 scalar FFTs.  Per record span
+_advance restricts the spectrum to its band, steps it, moves the whole
+spectrum by the closed form and writes the band back: the band is the
+full-grid RK4's bit for bit, the rest (roundoff, 3.6e-16 of the norm at
+24^3) moves exactly.  The step's five product-grid stacks are lent by
+its caller, so a step allocates no stack.
 
 Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by a
 preconditioned conjugate-gradient solve of pi.pi phi = pi.w followed by
@@ -149,15 +157,6 @@ def _restrict(spec: np.ndarray, bandwidth: tuple, out: np.ndarray) -> np.ndarray
     for src, dst in _band_blocks(spec.shape[-3:], out.shape[-3:], bandwidth):
         out[dst] = spec[src]
     return out
-
-
-def _scratch(buf: np.ndarray | None, shape: tuple) -> np.ndarray:
-    """A complex128 scratch array of the given shape: a view of the first
-    elements of buf, a contiguous complex128 array at least that large, or a
-    new array if buf is None."""
-    if buf is None:
-        return np.empty(shape, dtype=np.complex128)
-    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 @dataclass
@@ -296,22 +295,16 @@ def _check_grids(psi: WaveField, ext: ExternalField):
         raise GridMismatch("state and external field live on different grids")
 
 
-def _sandwich(ext: ExternalField, sh: np.ndarray, pointwise, out: np.ndarray, scale: float,
-              *, band: np.ndarray | None = None) -> np.ndarray:
-    """The one dealiased multiplication, on spectra: adds scale * D[M(x) D psi]
-    into out, a spectrum on ext.grid, for the spectrum sh of psi, and
-    returns out.
-
-    The product is formed on the product grid, ext.product_shape.  The
-    band of sh (the modes |n_i| <= K_i of the 2/3 rule) is copied into a
-    zeroed product-grid array, band viewed from its start (a new array if
-    None), where an inverse FFT in place gives D psi.  pointwise applies
-    M(x), made of the product-grid potentials ext.*_p, to it; it may
-    overwrite D psi and returns a complex128 array that is its own.  A
-    forward FFT in place, the scale, and the band of the result is added
-    into out.  M is linear in D psi, so the two transforms' differing
-    normalizations (N'/N into the product grid, N/N' out of it) cancel and
-    neither is applied.
+def _product(s: np.ndarray, pointwise, scale: float, buf: np.ndarray) -> np.ndarray:
+    """The sandwich core: returns scale * F[M(x) F^-1 s], whose band is
+    scale * D[M D psi], for s the band of the spectrum of psi in the
+    product-grid layout (the modes |n_i| <= K_i of the 2/3 rule, zero
+    elsewhere).  The inverse FFT goes into buf, which may be s; pointwise
+    applies M(x), made of the product-grid potentials ext.*_p, to it, may
+    overwrite it and returns a complex128 array that is its own, which
+    the forward FFT and the scale then overwrite.  M is linear in D psi,
+    so the two transforms' differing normalizations (N'/N into the
+    product grid, N/N' out of it) cancel and neither is applied.
 
     Exact: D psi has modes |n_i| <= K_i and M, restricted to the potential's
     bandwidth K_A, has |n_i| <= min(K_A, K_i), so on N' >= 2K + min(K_A, K) + 1
@@ -319,44 +312,54 @@ def _sandwich(ext: ExternalField, sh: np.ndarray, pointwise, out: np.ndarray, sc
     is the one the full grid gives; only the modes of the potential beyond
     K_A, below 1e-12 of its largest, are left out.  The gain needs K_A < K; the
     transform counts are those of the full grid."""
-    kept = _band(ext.grid)
-    d = _restrict(sh, kept, _scratch(band, (*sh.shape[:-3], *ext.product_shape)))
-    product = pointwise(fields.ifftn(d, out=d))
+    product = pointwise(fields.ifftn(s, out=buf))
     fields.fftn(product, out=product)
     product *= scale
+    return product
+
+
+def _sandwich(ext: ExternalField, sh: np.ndarray, pointwise, out: np.ndarray,
+              scale: float) -> np.ndarray:
+    """The one dealiased multiplication on full-grid spectra: adds
+    scale * D[M(x) D psi] into out, a spectrum on ext.grid, for the spectrum
+    sh of psi, and returns out.  The band of sh goes into a new
+    product-grid array, _product forms the product there, and its band is
+    added into out."""
+    kept = _band(ext.grid)
+    d = _restrict(sh, kept, np.empty((*sh.shape[:-3], *ext.product_shape), dtype=np.complex128))
+    product = _product(d, pointwise, scale, d)
     for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, kept):
         out[dst] += product[src]
     return out
 
 
-def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_p=0.0, *,
-                  out: np.ndarray | None = None, work=None) -> np.ndarray:
+def _coupling(ext: ExternalField, phi_p, product: np.ndarray | None = None):
+    """The pointwise coupling phi_p - a.A_p of H_A + e phi_p, for _product:
+    it overwrites D psi with the result; a.A_p D psi goes into product (a
+    new stack if None)."""
+    def pointwise(d):
+        a_d = dynamics._hamiltonian_symbol(ext.avec_p, 0.0, d, out=product)
+        d *= phi_p
+        d -= a_d
+        return d
+
+    return pointwise
+
+
+def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_p=0.0) -> np.ndarray:
     """H_A + e phi_p on the spectrum of a 6-stack, H_A = a.(p - eA) + m b:
     the free symbol H(k) plus one sandwich of the pointwise coupling
     e(phi_p - a.A_p), phi_p on the product grid.  phi_p = 0 gives H_A
-    alone.  The result goes into out, which must not overlap sh or work; a
-    new stack if None.  work is the sandwich's two product-grid stacks at
-    e != 0, the band and the a.A_p product, each viewed from its start (a
-    stack of sh's shape will do); either is allocated if None."""
-    out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh, out=out)
+    alone."""
+    out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh)
     if ext.charge != 0.0:
-        band, product = work if work is not None else (None, None)
-
-        def coupling(d):
-            a_d = dynamics._hamiltonian_symbol(ext.avec_p, 0.0, d, out=_scratch(product, d.shape))
-            d *= phi_p
-            d -= a_d
-            return d
-
-        _sandwich(ext, sh, coupling, out, ext.charge, band=band)
+        _sandwich(ext, sh, _coupling(ext, phi_p), out, ext.charge)
     return out
 
 
-def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, *,
-                        out: np.ndarray | None = None, work=None) -> np.ndarray:
-    """(H_A + e Phi) on the spectrum of a 6-stack; 12 scalar FFTs at e != 0.
-    out and work as in _h_a_spectrum."""
-    return _h_a_spectrum(sh, ext, mass, ext.phi_p, out=out, work=work)
+def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
+    """(H_A + e Phi) on the spectrum of a 6-stack; 12 scalar FFTs at e != 0."""
+    return _h_a_spectrum(sh, ext, mass, ext.phi_p)
 
 
 def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
@@ -602,22 +605,53 @@ def _product_stack(ext: ExternalField) -> np.ndarray:
     return np.empty((6, *ext.product_shape), dtype=np.complex128)
 
 
+@functools.lru_cache(maxsize=32)
+def _band_wavevectors(grid: Grid, product_shape: tuple) -> np.ndarray:
+    """The wavevectors of grid's band in the product-grid layout of shape
+    product_shape, zero off the band; read-only."""
+    k = _restrict(fields.wavevectors(grid), _band(grid), np.empty((3, *product_shape)))
+    k.setflags(write=False)
+    return k
+
+
+def _clear_off_band(ext: ExternalField, a: np.ndarray) -> np.ndarray:
+    """Zero the non-band planes K_i + 1 .. N'_i - K_i - 1 of a product-grid
+    array (none where N'_i = 2K_i + 1); returns a."""
+    for axis, (k, n) in enumerate(zip(_band(ext.grid), ext.product_shape)):
+        a[(..., *(slice(k + 1, n - k) if i == axis else slice(None) for i in range(3)))] = 0.0
+    return a
+
+
+def _band_generator(s: np.ndarray, ext: ExternalField, mass: float, out: np.ndarray,
+                    work) -> np.ndarray:
+    """(H_A + e Phi) on a band stack s, into out: H(k) with the band's
+    wavevectors plus the coupling's product, off-band planes zeroed, added
+    whole.  out must not overlap s or work, the two product-grid stacks of
+    _product's inverse transform and the a.A_p product.  12 scalar FFTs at
+    e != 0; the band of out is the band of _generator_spectrum bit for bit."""
+    dynamics._hamiltonian_symbol(_band_wavevectors(ext.grid, ext.product_shape), mass, s,
+                                 out=out)
+    if ext.charge != 0.0:
+        out += _clear_off_band(ext, _product(s, _coupling(ext, ext.phi_p, work[1]), ext.charge,
+                                             work[0]))
+    return out
+
+
 def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
               work=None) -> np.ndarray:
-    """One classical RK4 step on the spectrum sh of a 6-stack, in place;
-    returns sh.  Every stage stays a spectrum, so a step costs four
-    generator applies and no other transform.  The update is
-    sh + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order.  work is five
-    stacks of scratch, none of them sh: the stage argument, the sum, the
-    stage derivative, and the generator's two product-grid stacks
-    (allocated if None), so a step with a workspace allocates no whole
-    stack."""
+    """One classical RK4 step on a band stack sh, in place; returns sh.
+    Every stage stays a band stack, so a step costs four generator applies
+    and no other transform.  The update is sh + dt/6 (k1 + 2 k2 + 2 k3 + k4),
+    summed in that order.  work is five product-grid stacks of scratch, none
+    of them sh: the stage argument, the sum, the stage derivative, and the
+    generator's two (allocated if None), so a step with a workspace
+    allocates no whole stack."""
     if work is None:
-        work = [*(np.empty_like(sh) for _ in range(3)), _product_stack(ext), _product_stack(ext)]
+        work = [_product_stack(ext) for _ in range(5)]
     arg, acc, k = work[:3]
 
     def rhs(s, out):
-        g = _generator_spectrum(s, ext, mass, out=out, work=work[3:])
+        g = _band_generator(s, ext, mass, out, work[3:])
         g *= -1j
         return g
 
@@ -640,6 +674,26 @@ def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
     return sh
 
 
+def _advance(sh: np.ndarray, ext: ExternalField, prop: dynamics.FreePropagator, dt: float,
+             steps: int, spare: np.ndarray) -> None:
+    """Move the spectrum sh of a 6-stack steps RK4 steps of dt, in place.
+    Its band goes into a band stack and takes the steps; the rest, which
+    H_A + e Phi leaves to H(k) alone, moves exactly: prop, the free closed
+    form, advances all of sh over steps * dt into spare, the band is
+    written over it, and spare is copied back.  The six product-grid
+    stacks (the band stack and the steps' workspace) live only while
+    advancing."""
+    kept = _band(ext.grid)
+    band = _restrict(sh, kept, _product_stack(ext))
+    work = [_product_stack(ext) for _ in range(5)]
+    for _ in range(steps):
+        _rk4_step(band, ext, prop.mass, dt, work=work)
+    prop.evolve_spectrum(sh, steps * dt, out=spare)
+    for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, kept):
+        spare[dst] = band[src]
+    np.copyto(sh, spare)
+
+
 def _em_diagnostics(psi: WaveField, sh: np.ndarray, ext: ExternalField) -> dynamics.DiagnosticsRecord:
     """The coupled record: dynamics.record with the generator H_A + e Phi and
     the covariant residuals max|pi.u|, max|pi.v| as constraint columns.  sh
@@ -655,8 +709,9 @@ def evolve_em(
     dt: float,
     diag_stride: int = 0,
 ) -> dynamics.Evolution:
-    """Integrate i d_t Psi = (H_A + e Phi) Psi with classical RK4 in
-    dynamics.run (NonFiniteState if the field diverges).  Constraint drift is
+    """Integrate i d_t Psi = (H_A + e Phi) Psi in dynamics.run: classical
+    RK4 on the band, the free closed form off it, through _advance
+    (NonFiniteState if the field diverges).  Constraint drift is
     monitored, never projected away.  Raises StepTooLarge if dt exceeds the
     stability bound, ScheduleError unless t_final is whole steps of dt."""
     _check_grids(psi, ext)
@@ -664,15 +719,10 @@ def evolve_em(
     if dt > bound:
         raise StepTooLarge(f"dt={dt:.3e} exceeds the RK4 stability bound {bound:.3e}")
     n_steps = dynamics.step_count(t_final, dt, multiple=True)
+    prop = dynamics.FreePropagator(psi.grid, psi.mass)
 
     def advance(sh: np.ndarray, steps: int, span: float, spare: np.ndarray) -> None:
-        # the steps' workspace: the run's spare, two more stacks and the
-        # generator's two product-grid stacks, which live only while
-        # advancing, so a record never holds them
-        work = [spare, np.empty_like(sh), np.empty_like(sh), _product_stack(ext),
-                _product_stack(ext)]
-        for _ in range(steps):
-            _rk4_step(sh, ext, psi.mass, dt, work=work)
+        _advance(sh, ext, prop, dt, steps, spare)
 
     return dynamics.run(psi, t_final, dt, diag_stride, n_steps, advance,
                         lambda state, sh: _em_diagnostics(state, sh, ext))
@@ -685,8 +735,8 @@ def second_order_residual(
 
         (i d_t - e Phi)^2 Psi = (pi^2 + m^2) Psi - e (Sigma.H) Psi + i e (a.E) Psi
 
-    The time side is estimated from central differences of RK4-evolved
-    slices at +-dt; the residual converges as O(dt^2).  psi0 should be
+    The time side is estimated from central differences of slices at +-dt
+    that _advance evolves, as evolve_em does; the residual converges as O(dt^2).  psi0 should be
     covariantly projected (the magnetic term needs the constraints)."""
     _check_grids(psi0, ext)
     h = dt / substeps
@@ -695,10 +745,10 @@ def second_order_residual(
     m = psi0.mass
     e = ext.charge
     sh0 = fields.fftn(psi0.data)
+    prop, spare = dynamics.FreePropagator(psi0.grid, m), np.empty_like(sh0)
     plus, minus = sh0.copy(), sh0.copy()
-    for _ in range(substeps):
-        _rk4_step(plus, ext, m, h)
-        _rk4_step(minus, ext, m, -h)
+    _advance(plus, ext, prop, h, substeps, spare)
+    _advance(minus, ext, prop, -h, substeps, spare)
 
     def mulphi(s):
         out = np.zeros_like(s)

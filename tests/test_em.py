@@ -426,10 +426,19 @@ def _beyond_band(grid):
          {"n": [k[0], 0, -k1[2]], "cos": 0.1, "component": "z"}])
 
 
+UNIFORM_PHI, UNIFORM_A = 0.2, np.array([0.3, -0.2, 0.1])
+
+
+def _uniform(grid, a0, charge=0.5):
+    """Constant potentials Phi = UNIFORM_PHI and A = a0: bandwidth 0."""
+    return em.ExternalField(grid, charge, np.full(grid.shape, UNIFORM_PHI),
+                            np.broadcast_to(a0[:, None, None, None], (3, *grid.shape)).copy())
+
+
 def _field(name, grid):
     """The fields the product grid is checked with: random of nmax 1 and 2,
     terms along one axis, the zero field at e != 0, the nmax 1 field built
-    from its arrays, and terms beyond the band."""
+    from its arrays, terms beyond the band, and uniform potentials."""
     def random(nmax):
         return em.random_smooth_external(grid, 0.5, seed=21, amplitude=0.2, nmax=nmax)
 
@@ -440,6 +449,7 @@ def _field(name, grid):
         "zero": lambda: em.ExternalField.zero(grid, 0.5),
         "from-arrays": lambda: em.ExternalField(grid, 0.5, random(1).phi, random(1).avec),
         "beyond-band": lambda: _beyond_band(grid),
+        "uniform": lambda: _uniform(grid, UNIFORM_A),
     }[name]()
 
 
@@ -463,9 +473,17 @@ def test_fused_operators_match_unfused_oracle(mass, field):
         (fields.ifftn(em._sigma_dot_h(ext, fields.fftn(stack))), _oracle_sigma_dot_h(ext, stack)),
         (fields.ifftn(em._a_dot_e(ext, fields.fftn(stack))), _oracle_a_dot_e(ext, stack)),
     ]
+    # one step of a run: the band against the oracle's RK4, the rest, which
+    # the coupling leaves alone, against the free closed form
     dt = 0.5 * em.stability_bound(ANISO, mass, ext)
-    pairs.append((fields.ifftn(em._rk4_step(fields.fftn(stack), ext, mass, dt)),
-                  _oracle_rk4_step(stack, ext, mass, dt)))
+    prop = dynamics.FreePropagator(ANISO, mass)
+    sh = fields.fftn(stack)
+    em._advance(sh, ext, prop, dt, 1, np.empty_like(sh))
+    band = em.dealias_mask(ANISO)
+    rk4 = fields.fftn(_oracle_rk4_step(stack, ext, mass, dt))
+    exact = prop.evolve_spectrum(fields.fftn(stack), dt)
+    pairs.append((fields.ifftn(sh * band), fields.ifftn(rk4 * band)))
+    pairs.append((fields.ifftn(sh * ~band), fields.ifftn(exact * ~band)))
     for new, old in pairs:  # relative error <= 1e-13, or both zero (the zero field)
         assert np.linalg.norm(new - old) <= 1e-13 * np.linalg.norm(old)
 
@@ -526,9 +544,22 @@ def test_fourier_series_rejects_bad_terms(terms):
         em.ExternalField.from_fourier_series(GRID, 0.5, **terms)
 
 
-def test_rk4_step_in_place_matches_formula_bit_for_bit():
-    grid = fields.Grid(16, 12, 10, 7.0, 5.5, 4.5)
-    ext_a = em.random_smooth_external(grid, 0.5, seed=21, amplitude=0.2, nmax=1)
+def _band_stack(ext, sh):
+    """The band of the full-grid spectrum sh, in the product-grid layout."""
+    return em._restrict(sh, em._band(ext.grid), em._product_stack(ext))
+
+
+@pytest.mark.parametrize("grid, field", [
+    (fields.Grid(16, 12, 10, 7.0, 5.5, 4.5), "nmax1"),
+    (ANISO, "nmax1"), (ANISO, "nmax2"), (ANISO, "one-axis"), (ANISO, "zero"),
+    (ANISO, "beyond-band"),  # N' = N
+    (fields.Grid.cubic(14), "uniform"),  # N' = 9 = 2K + 1: no plane off the band
+], ids=["16x12x10", "aniso-nmax1", "aniso-nmax2", "aniso-one-axis", "aniso-zero",
+        "aniso-beyond-band", "14-uniform"])
+def test_rk4_step_in_place_matches_formula_bit_for_bit(grid, field):
+    # the step on a band stack is the band of the full-grid formula, and
+    # keeps the planes off the band at exactly zero
+    ext_a = _field(field, grid)
     sh = fields.fftn(_white_noise((6, *grid.shape), 6))
     dt = 0.5 * em.stability_bound(grid, MASS, ext_a)
 
@@ -540,16 +571,16 @@ def test_rk4_step_in_place_matches_formula_bit_for_bit():
     k3 = rhs(sh + 0.5 * dt * k2)
     k4 = rhs(sh + dt * k3)
     want = sh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    got = sh.copy()
+    got = _band_stack(ext_a, sh)
     assert em._rk4_step(got, ext_a, MASS, dt) is got
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _band_stack(ext_a, want))
 
 
 def test_evolve_em_matches_allocating_steps_bit_for_bit():
-    # the run lends one workspace to all its steps and records its states
-    # from the same spare stack; nothing a step or record leaves in those
-    # buffers may reach the next.  Records at steps 0, 3, 6, 7: advances of
-    # 3 and 1 steps.
+    # the run lends its spare stack to every advance and records its states
+    # from the same stack; nothing an advance or record leaves in it may
+    # reach the next.  Records at steps 0, 3, 6, 7: advances of 3, 3 and 1
+    # steps, here each with a spare of its own.
     grid = fields.Grid(16, 12, 10, 7.0, 5.5, 4.5)
     ext_a = em.random_smooth_external(grid, 0.5, seed=21, amplitude=0.2, nmax=1)
     psi_a = fields.random_wave_field(grid, MASS, 2.0, seed=8, transverse=True)
@@ -557,16 +588,122 @@ def test_evolve_em_matches_allocating_steps_bit_for_bit():
     run = em.evolve_em(psi_a, ext_a, n_steps * dt, dt, diag_stride=stride)
 
     sh = fields.fftn(psi_a.data)
-    want = []
-    for step in range(n_steps + 1):
-        if step % stride == 0 or step == n_steps:
-            state = fields.WaveField(grid, fields.ifftn(sh), MASS, step * dt)
-            want.append(em._em_diagnostics(state, sh, ext_a))
-        if step < n_steps:
-            em._rk4_step(sh, ext_a, MASS, dt)
+    prop = dynamics.FreePropagator(grid, MASS)
+    want, step = [], 0
+    for next_step in (0, 3, 6, 7):
+        if next_step > step:
+            em._advance(sh, ext_a, prop, dt, next_step - step, np.empty_like(sh))
+        step = next_step
+        state = fields.WaveField(grid, fields.ifftn(sh), MASS, step * dt)
+        want.append(em._em_diagnostics(state, sh, ext_a))
     assert np.array_equal(run.final.data, state.data)
     assert run.final.time == state.time
     assert [r.csv_row() for r in run.records] == [r.csv_row() for r in want]
+
+
+def test_evolve_em_splits_band_and_complement(monkeypatch, ext_aniso):
+    # white noise carries real content off the band.  Over one record span
+    # the band takes the RK4 steps on its band stack, bit for bit, with the
+    # planes off the band at exactly zero after every step; the rest moves
+    # by the free closed form over the span, bit for bit.
+    psi_n = fields.WaveField(ANISO, _white_noise((6, *ANISO.shape), 9), MASS)
+    dt, n_steps = 0.5 * em.stability_bound(ANISO, MASS, ext_aniso), 5
+    kept = em._band(ANISO)
+    steps, spectra = [], []
+    rk4_step, diagnostics = em._rk4_step, em._em_diagnostics
+
+    def checked_step(s, *args, **kwargs):
+        rk4_step(s, *args, **kwargs)
+        steps.append(np.array_equal(em._restrict(s, kept, np.empty_like(s)), s))
+        return s
+
+    def captured(state, sh, ext):
+        spectra.append(sh.copy())
+        return diagnostics(state, sh, ext)
+
+    monkeypatch.setattr(em, "_rk4_step", checked_step)
+    monkeypatch.setattr(em, "_em_diagnostics", captured)
+    em.evolve_em(psi_n, ext_aniso, n_steps * dt, dt, diag_stride=n_steps)
+    monkeypatch.undo()
+    assert steps == [True] * n_steps
+
+    sh0 = fields.fftn(psi_n.data)
+    band = _band_stack(ext_aniso, sh0)
+    for _ in range(n_steps):
+        em._rk4_step(band, ext_aniso, MASS, dt)
+    mask = em.dealias_mask(ANISO)
+    assert np.array_equal(_band_stack(ext_aniso, spectra[-1]), band)
+    exact = dynamics.FreePropagator(ANISO, MASS).evolve_spectrum(sh0, n_steps * dt)
+    assert np.array_equal(spectra[-1][:, ~mask], exact[:, ~mask])
+    assert np.linalg.norm(exact[:, ~mask]) > 0.5 * np.linalg.norm(exact)
+
+
+# Exact coupled reference: constant Phi and A.  The sandwich of a constant is
+# diagonal in k, so on the band H_A + e Phi is H(k - eA) + e Phi per mode;
+# off the band it is H(k).  A uniform A is no pure gauge here (e A_i L_i is
+# not a multiple of 2 pi), so the reference checks the coupling itself.
+EXACT_GRID = fields.Grid.cubic(12)
+
+
+@pytest.fixture(scope="module")
+def exact_case():
+    return _uniform(EXACT_GRID, UNIFORM_A), fields.random_wave_field(EXACT_GRID, MASS, 2.0, seed=5)
+
+
+def _shifted_hamiltonians(a0, charge=0.5):
+    """H(k - e a0) + e Phi per band mode of EXACT_GRID, shape (modes, 6, 6),
+    from the algebra's matrices."""
+    k = fields.wavevectors(EXACT_GRID)[:, em.dealias_mask(EXACT_GRID)] - charge * a0[:, None]
+    ms = algebra.matrix_set()
+    return (np.einsum("jm,jab->mab", k, ms.a_stack()) + MASS * ms.b_complex()
+            + charge * UNIFORM_PHI * np.eye(6))
+
+
+def _exact_uniform(sh, a0, t):
+    """exp(-i (H_A + e Phi) t) on the spectrum sh for the uniform potentials
+    with A = a0: per-mode eigh of H(k - eA) + e Phi on the band, the free
+    closed form on the rest."""
+    out = dynamics.FreePropagator(EXACT_GRID, MASS).evolve_spectrum(sh, t)
+    band = em.dealias_mask(EXACT_GRID)
+    w, v = np.linalg.eigh(_shifted_hamiltonians(a0))
+    u = np.einsum("mab,mb,mcb->mac", v, np.exp(-1j * w * t), v.conj())
+    out[:, band] = np.einsum("mab,bm->am", u, sh[:, band])
+    return out
+
+
+def test_uniform_generator_is_the_shifted_symbol(exact_case):
+    # measured 1.1e-16 relative; off the band the generator is H(k) exactly
+    ext_u, psi_u = exact_case
+    sh = fields.fftn(psi_u.data)
+    band = em.dealias_mask(EXACT_GRID)
+    got = em._generator_spectrum(sh, ext_u, MASS)
+    want = dynamics._hamiltonian_symbol(fields.wavevectors(EXACT_GRID), MASS, sh)
+    assert np.array_equal(got[:, ~band], want[:, ~band])
+    want[:, band] = np.einsum("mab,bm->am", _shifted_hamiltonians(UNIFORM_A), sh[:, band])
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def _rk4_error(exact_case, dt, a0):
+    ext_u, psi_u = exact_case
+    got = em.evolve_em(psi_u, ext_u, 1.0, dt).final.data
+    want = fields.ifftn(_exact_uniform(fields.fftn(psi_u.data), a0, 1.0))
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_rk4_global_error_against_exact_uniform_reference(exact_case):
+    # measured at t = 1: 2.6e-7, 1.6e-8, 1.0e-9 (the stability bound is
+    # 0.043); each halving of dt divides the error by 16
+    errors = [_rk4_error(exact_case, dt, UNIFORM_A) for dt in (0.04, 0.02, 0.01)]
+    for error, bound in zip(errors, (4e-7, 2.5e-8, 1.5e-9)):
+        assert error <= bound
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.9 <= np.log2(coarse / fine) <= 4.1
+
+
+def test_exact_uniform_reference_without_a_misses(exact_case):
+    # negative control: the reference with A = 0 keeps Phi but drops the
+    # momentum shift, and misses the run by 0.13, far above the RK4 error
+    assert _rk4_error(exact_case, 0.01, 0.0 * UNIFORM_A) >= 1e-2
 
 
 def test_pi_vector_adjoint_of_pi_dot(ext_aniso):
@@ -599,7 +736,9 @@ def test_coupled_fft_counts(fft_transforms, psi, ext):
     em.apply_total_generator(stack, ext, MASS)
     assert sum(fft_transforms) <= 24
     fft_transforms.clear()
-    em._rk4_step(sh, ext, MASS, 0.01)
+    band = _band_stack(ext, sh)
+    fft_transforms.clear()
+    em._rk4_step(band, ext, MASS, 0.01)
     assert sum(fft_transforms) <= 48
     fft_transforms.clear()
     em.pi_vector(ext, stack[0])

@@ -264,6 +264,41 @@ def test_cli_path_that_cannot_be_opened_exits_2(tmp_path, capsys, case):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["diag-dir", "out-dir-after-diag"])
+def test_cli_evolve_opens_outputs_before_the_run(tmp_path, capsys, monkeypatch, case):
+    # a path that cannot be written exits 2 before any step, and leaves no
+    # file of this command behind
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(dynamics, "run", no_run)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    csv = tmp_path / "d.csv"
+    argv = ["evolve", "--config", str(evolve_config(tmp_path))]
+    argv += {"diag-dir": ["--diag", str(folder)],
+             "out-dir-after-diag": ["--diag", str(csv), "--out", str(folder)]}[case]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not csv.exists()
+
+
+def test_cli_evolve_failed_run_keeps_existing_outputs(tmp_path, capsys, monkeypatch):
+    # an existing output file is not truncated by the early open, and is
+    # not removed when the run fails
+    def failing(*args, **kwargs):
+        raise NonFiniteState("injected")
+
+    monkeypatch.setattr(dynamics, "run", failing)
+    old, new = tmp_path / "old.csv", tmp_path / "new.s1wf"
+    old.write_text("kept\n")
+    argv = ["evolve", "--config", str(evolve_config(tmp_path)), "--diag", str(old),
+            "--out", str(new)]
+    assert cli.main(argv) == 1
+    assert old.read_text() == "kept\n" and not new.exists()
+
+
 def test_cli_invalid_config_rejected(tmp_path, capsys):
     cfg = {
         "grid": {"nx": 15, "ny": 16, "nz": 16, "lx": 6.3, "ly": 6.3, "lz": 6.3},
