@@ -12,7 +12,7 @@ from spin1wave import chain
 
 mass = 1.0
 pw = chain.random_lorenz_potential(mass, n_modes=20, seed=7)
-print(f"potential: {len(pw.modes)} on-shell Lorenz modes, m = {mass}")
+print(f"potential: {len(pw.omega)} on-shell Lorenz modes, m = {mass}")
 print(f"  max dispersion residual: {pw.max_dispersion_residual():.2e}")
 print(f"  max Lorenz residual:     {pw.max_lorenz_residual():.2e}")
 

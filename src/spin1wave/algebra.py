@@ -279,13 +279,13 @@ def check_sigma_commutators(ms: MatrixSet | None = None) -> IdentityReport:
 
 
 def hamiltonian_symbol(k, m: float, ms: MatrixSet | None = None) -> np.ndarray:
-    """H(k) = sum_j a_j k_j + m b for a real momentum 3-vector k.
+    """H(k) = sum_j a_j k_j + m b for real momenta k of shape (..., 3):
+    one 6x6 matrix per momentum, shape (..., 6, 6).
 
     Hermitian by construction; natural units (hbar = c = 1)."""
     ms = ms or matrix_set()
     k = np.asarray(k, dtype=float)
-    h = np.tensordot(k, ms.a_stack(), axes=(0, 0)) + m * ms.b_complex()
-    return h
+    return np.tensordot(k, ms.a_stack(), axes=(-1, 0)) + m * ms.b_complex()
 
 
 def analytic_eigenvalues(k, m: float) -> np.ndarray:

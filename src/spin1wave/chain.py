@@ -4,7 +4,10 @@ system from a four-potential, plus the Proca-form baseline checks.
 
 Everything here is per-mode algebra on finite superpositions of plane waves
 A_mu = (phi, A) e^{i(k.x - omega t)} with omega = branch * sqrt(|k|^2 + m^2)
-and the Lorenz condition omega*phi = k.A.  Derived amplitudes:
+and the Lorenz condition omega*phi = k.A.  A mode list is held as arrays with
+one row per mode (k and the 3-vector amplitudes (M, 3), omega and phi (M,)),
+and every construction and residual below is one array expression over the
+rows.  Derived amplitudes:
 
     E = -i k phi + i omega A,      H = i k x A.
 
@@ -25,6 +28,7 @@ records which one holds.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,51 +50,60 @@ def _mass_sign(mass_sign) -> int:
     raise ValueError(f"mass_sign must be '+' or '-', got {mass_sign!r}")
 
 
-@dataclass(frozen=True)
-class PotentialMode:
-    """One plane-wave mode of the four-potential (phi, avec)."""
-
-    k: tuple[float, float, float]
-    omega: float
-    phi: complex
-    avec: tuple[complex, complex, complex]
-
-    @property
-    def k_arr(self) -> np.ndarray:
-        return np.asarray(self.k, dtype=float)
-
-    @property
-    def a_arr(self) -> np.ndarray:
-        return np.asarray(self.avec, dtype=complex)
-
-    def amplitude_scale(self) -> float:
-        return max(float(np.max(np.abs(self.a_arr))), abs(self.phi), 1e-300)
-
-    def dispersion_residual(self, mass: float) -> float:
-        """|omega^2 - |k|^2 - m^2|, zero for on-shell modes."""
-        return abs(self.omega**2 - float(self.k_arr @ self.k_arr) - mass**2)
-
-    def lorenz_residual(self) -> float:
-        """|omega*phi - k.A|, zero when the Lorenz condition holds."""
-        return abs(self.omega * self.phi - complex(self.k_arr @ self.a_arr))
+def _rows(modes, **specs) -> None:
+    """Store the named fields of a frozen mode list as read-only arrays, each
+    given as (dtype, *row shape), one row per mode.  The mode count is
+    omega's length."""
+    count = np.size(modes.omega)
+    for name, (dtype, *row) in specs.items():
+        shape = (count, *row)
+        a = np.array(getattr(modes, name), dtype=dtype)
+        if a.shape != shape and not (a.size == 0 == count):
+            raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+        a = a.reshape(shape)
+        a.setflags(write=False)
+        object.__setattr__(modes, name, a)
 
 
-@dataclass(frozen=True)
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(a, axis=-1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("mi,mi->m", a, b)
+
+
+def _worst(residual: np.ndarray, norm=1.0) -> float:
+    """The largest per-mode residual relative to the mode's norm (arrays over
+    the modes); 0 for an empty mode list."""
+    return float(np.max(residual / norm, initial=0.0))
+
+
+@dataclass(frozen=True, eq=False)
 class PlaneWavePotential:
+    """Plane-wave modes of the four-potential (phi, avec): k (M, 3),
+    omega (M,), phi (M,), avec (M, 3)."""
+
     mass: float
-    modes: tuple[PotentialMode, ...]
+    k: np.ndarray
+    omega: np.ndarray
+    phi: np.ndarray
+    avec: np.ndarray
 
     def __post_init__(self):
+        _rows(self, k=(float, 3), omega=(float,), phi=(complex,), avec=(complex, 3))
         if self.mass < 0:
             raise ValueError("mass must be >= 0")
-        if len(self.modes) > MAX_MODES:
+        if len(self.omega) > MAX_MODES:
             raise ValueError(f"mode list capped at {MAX_MODES}")
 
     def max_dispersion_residual(self) -> float:
-        return max((m.dispersion_residual(self.mass) for m in self.modes), default=0.0)
+        """max |omega^2 - |k|^2 - m^2|, zero for on-shell modes."""
+        return _worst(np.abs(self.omega**2 - _dot(self.k, self.k) - self.mass**2))
 
     def max_lorenz_residual(self) -> float:
-        return max((m.lorenz_residual() for m in self.modes), default=0.0)
+        """max |omega*phi - k.A|, zero when the Lorenz condition holds."""
+        return _worst(np.abs(self.omega * self.phi - _dot(self.k, self.avec)))
 
 
 def random_lorenz_potential(
@@ -107,72 +120,39 @@ def random_lorenz_potential(
     lengths = (
         np.array([grid.lx, grid.ly, grid.lz]) if grid is not None else np.full(3, 2.0 * np.pi)
     )
-    lattice = [
-        (ix, iy, iz)
-        for ix in range(-nmax, nmax + 1)
-        for iy in range(-nmax, nmax + 1)
-        for iz in range(-nmax, nmax + 1)
-        if (ix, iy, iz) != (0, 0, 0)
-    ]
+    n = np.arange(-nmax, nmax + 1)
+    lattice = np.stack(np.meshgrid(n, n, n, indexing="ij"), axis=-1).reshape(-1, 3)
+    lattice = lattice[lattice.any(axis=1)]
     if n_modes > len(lattice):
         raise ValueError("not enough distinct lattice modes; raise nmax")
     picks = rng.choice(len(lattice), size=n_modes, replace=False)
-    modes = []
-    scale = 1.0 / np.sqrt(n_modes)
-    for p in picks:
-        n_ivec = np.asarray(lattice[p], dtype=float)
-        k = 2.0 * np.pi * n_ivec / lengths
+    k = 2.0 * np.pi * lattice[picks].astype(float) / lengths
+    omega, phi, avec = [], [], []
+    scale = 1.0 / np.sqrt(max(n_modes, 1))  # no modes: no draws, and no division by 0
+    for kk in k:
         branch = int(rng.choice([-1, 1]))
-        omega = branch * float(np.hypot(np.linalg.norm(k), mass))
-        avec = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        phi = complex(k @ avec) / omega
-        modes.append(PotentialMode(tuple(k), omega, phi, tuple(avec)))
-    return PlaneWavePotential(mass, tuple(modes))
+        omega.append(branch * float(np.hypot(np.linalg.norm(kk), mass)))
+        avec.append(scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+        phi.append(complex(kk @ avec[-1]) / omega[-1])
+    return PlaneWavePotential(mass, k, omega, phi, avec)
 
 
 def with_broken_lorenz(pw: PlaneWavePotential, eps: float) -> PlaneWavePotential:
     """Negative control: shift every phi by eps, violating the Lorenz
     condition by |omega*eps| per mode."""
-    modes = tuple(
-        PotentialMode(m.k, m.omega, m.phi + eps, m.avec) for m in pw.modes
-    )
-    return PlaneWavePotential(pw.mass, modes)
+    return dataclasses.replace(pw, phi=pw.phi + eps)
 
 
 def with_off_shell(pw: PlaneWavePotential, domega: float) -> PlaneWavePotential:
     """Negative control: shift every omega off the mass shell."""
-    modes = tuple(
-        PotentialMode(m.k, m.omega + domega, m.phi, m.avec) for m in pw.modes
-    )
-    return PlaneWavePotential(pw.mass, modes)
+    return dataclasses.replace(pw, omega=pw.omega + domega)
 
 
-@dataclass(frozen=True)
-class FieldMode:
-    """Per-mode complex 3-vector amplitudes of the derived field strengths."""
-
-    k: tuple[float, float, float]
-    omega: float
-    e_amp: tuple[complex, complex, complex]
-    h_amp: tuple[complex, complex, complex]
-
-
-@dataclass(frozen=True)
-class DerivedFields:
-    mass: float
-    modes: tuple[FieldMode, ...]
-
-
-def derive_EH(pw: PlaneWavePotential) -> DerivedFields:
-    """Field strengths per mode: E = -i k phi + i omega A, H = i k x A.
-    k.H vanishes identically (H is a curl)."""
-    out = []
-    for m in pw.modes:
-        k = m.k_arr
-        e_amp = -1j * k * m.phi + 1j * m.omega * m.a_arr
-        h_amp = 1j * np.cross(k, m.a_arr)
-        out.append(FieldMode(m.k, m.omega, tuple(e_amp), tuple(h_amp)))
-    return DerivedFields(pw.mass, tuple(out))
+def derive_EH(pw: PlaneWavePotential) -> tuple[np.ndarray, np.ndarray]:
+    """Field strengths (E, H), each (M, 3): E = -i k phi + i omega A,
+    H = i k x A.  k.H vanishes identically (H is a curl)."""
+    e = -1j * pw.k * pw.phi[:, None] + 1j * pw.omega[:, None] * pw.avec
+    return e, 1j * np.cross(pw.k, pw.avec)
 
 
 def proca_residual(pw: PlaneWavePotential) -> ResidualReport:
@@ -183,72 +163,59 @@ def proca_residual(pw: PlaneWavePotential) -> ResidualReport:
 
     Reports the raw max-abs residuals; for on-shell Lorenz modes both must
     sit at round-off relative to the recorded amplitude scale."""
-    df = derive_EH(pw)
+    e, h = derive_EH(pw)
     m2 = pw.mass**2
-    r_ampere = 0.0
-    r_gauss = 0.0
-    scale = 1e-300
-    for pm, fm in zip(pw.modes, df.modes):
-        k = pm.k_arr
-        e_amp = np.asarray(fm.e_amp)
-        h_amp = np.asarray(fm.h_amp)
-        lhs8 = -1j * fm.omega * e_amp
-        rhs8 = 1j * np.cross(k, h_amp) + m2 * pm.a_arr
-        r_ampere = max(r_ampere, float(np.max(np.abs(lhs8 - rhs8))))
-        res9 = 1j * (k @ e_amp) + m2 * pm.phi
-        r_gauss = max(r_gauss, abs(res9))
-        scale = max(
-            scale,
-            pm.amplitude_scale() * (1.0 + abs(fm.omega) + float(np.linalg.norm(k)) + m2),
-        )
+    omega = pw.omega[:, None]
+    ampere = -1j * omega * e - (1j * np.cross(pw.k, h) + m2 * pw.avec)
+    gauss = 1j * _dot(pw.k, e) + m2 * pw.phi
+    amplitude = np.maximum(np.maximum(np.abs(pw.avec).max(axis=1), np.abs(pw.phi)), 1e-300)
+    scale = max(_worst(amplitude * (1.0 + np.abs(pw.omega) + _norm(pw.k) + m2)), 1e-300)
     rep = ResidualReport()
-    rep.add_upper("ampere_residual", r_ampere, 1e-12 * scale)
-    rep.add_upper("gauss_residual", r_gauss, 1e-12 * scale)
+    rep.add_upper("ampere_residual", _worst(np.abs(ampere)), 1e-12 * scale)
+    rep.add_upper("gauss_residual", _worst(np.abs(gauss)), 1e-12 * scale)
     rep.notes["amplitude_scale"] = f"{scale:.6e}"
     return rep
 
 
-@dataclass(frozen=True)
-class UVMode:
-    k: tuple[float, float, float]
-    omega: float
-    u: tuple[complex, complex, complex]
-    v: tuple[complex, complex, complex]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UVModes:
-    """Mode amplitudes of the six-component state produced by a chain."""
+    """Mode amplitudes of the six-component state produced by a chain:
+    k, u and v (M, 3), omega (M,)."""
 
     mass: float
     variant: str
     mass_sign: int
-    modes: tuple[UVMode, ...]
+    k: np.ndarray
+    omega: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        _rows(self, k=(float, 3), omega=(float,), u=(complex, 3), v=(complex, 3))
 
     def sample(self, grid: fields.Grid) -> fields.WaveField:
         """Superpose the modes on a grid.  Wavevectors must be commensurate
         with the box."""
-        lengths = np.array([grid.lx, grid.ly, grid.lz])
-        stack = np.zeros((6, *grid.shape), dtype=np.complex128)
-        x = fields.coordinates(grid)
-        for m in self.modes:
-            k = np.asarray(m.k)
-            n_ivec = k * lengths / (2.0 * np.pi)
-            if np.max(np.abs(n_ivec - np.round(n_ivec))) > 1e-9:
-                raise ValueError(f"mode k={m.k} is not commensurate with the grid box")
-            phase = np.exp(1j * np.tensordot(k, x, axes=(0, 0)))
-            stack[:3] += np.asarray(m.u)[:, None, None, None] * phase
-            stack[3:] += np.asarray(m.v)[:, None, None, None] * phase
-        return fields.WaveField(grid, stack, self.mass)
+        n_ivec = self.k * np.array([grid.lx, grid.ly, grid.lz]) / (2.0 * np.pi)
+        off = np.flatnonzero(np.abs(n_ivec - np.round(n_ivec)).max(axis=1) > 1e-9)
+        if off.size:
+            raise ValueError(f"mode k={self.k[off[0]].tolist()} is not commensurate with "
+                             "the grid box")
+        data = np.zeros((6, *grid.shape), dtype=np.complex128)
+        for k, u, v in zip(self.k, self.u, self.v):
+            data += fields.plane_wave(grid, k, np.concatenate([u, v]))
+        return fields.WaveField(grid, data, self.mass)
 
 
-def _antiderivative_factor(sigma: int, m: float, omega: float) -> complex:
+def _antiderivative_factor(sigma: int, m: float, omega: np.ndarray) -> np.ndarray:
     """Per-mode value of e^{i sigma m t} d_t^{-1} e^{-i sigma m t} acting on
     e^{-i omega t}: the scalar i / (sigma*m + omega)."""
     den = sigma * m + omega
-    if abs(den) < 1e-12 * max(1.0, m, abs(omega)):
+    pole = np.flatnonzero(np.abs(den) < 1e-12 * np.maximum(max(1.0, m), np.abs(omega)))
+    if pole.size:
         raise PoleError(
-            f"antiderivative pole: omega = {omega:.6g} hits -sigma*m with sigma={sigma:+d}, m={m:.6g}"
+            f"antiderivative pole: omega = {omega[pole[0]]:.6g} hits -sigma*m with "
+            f"sigma={sigma:+d}, m={m:.6g}"
         )
     return 1j / den
 
@@ -266,36 +233,22 @@ def derive_uv(
     sign s = -1 that is omega = +m, reachable only by a k = 0 mode).
     """
     s = _mass_sign(mass_sign)
-    m = pw.mass
+    m, k, omega = pw.mass, pw.k, pw.omega[:, None]
     variant = variant.lower()
-    out = []
+    e, h = derive_EH(pw)
+    grad_phi = 1j * k * pw.phi[:, None]
     if variant == "h":
-        for pm, fm in zip(pw.modes, derive_EH(pw).modes):
-            h_amp = np.asarray(fm.h_amp)
-            u = 1j * (s * m - fm.omega) * h_amp
-            v = 1j * np.cross(pm.k_arr, h_amp)
-            out.append(UVMode(pm.k, pm.omega, tuple(u), tuple(v)))
+        u, v = 1j * (s * m - omega) * h, 1j * np.cross(k, h)
     elif variant == "e":
-        for pm, fm in zip(pw.modes, derive_EH(pw).modes):
-            k = pm.k_arr
-            e_amp = np.asarray(fm.e_amp)
-            f = _antiderivative_factor(s, m, pm.omega)
-            grad_phi = 1j * k * pm.phi
-            u = 1j * (s * m - pm.omega) * e_amp + m**2 * f * grad_phi
-            v = 1j * np.cross(k, e_amp)
-            out.append(UVMode(pm.k, pm.omega, tuple(u), tuple(v)))
+        f = _antiderivative_factor(s, m, pw.omega)[:, None]
+        u = 1j * (s * m - omega) * e + m**2 * f * grad_phi
+        v = 1j * np.cross(k, e)
     elif variant == "a":
-        for pm in pw.modes:
-            k = pm.k_arr
-            f = _antiderivative_factor(-s, m, pm.omega)
-            grad_phi = 1j * k * pm.phi
-            e_amp = -grad_phi + 1j * pm.omega * pm.a_arr
-            u = 1j * np.cross(k, pm.a_arr)
-            v = e_amp + 1j * s * m * (pm.a_arr + f * grad_phi)
-            out.append(UVMode(pm.k, pm.omega, tuple(u), tuple(v)))
+        f = _antiderivative_factor(-s, m, pw.omega)[:, None]
+        u, v = h, e + 1j * s * m * (pw.avec + f * grad_phi)
     else:
         raise ValueError(f"unknown chain variant {variant!r}; expected 'h', 'e' or 'a'")
-    return UVModes(m, variant, s, tuple(out))
+    return UVModes(m, variant, s, k, pw.omega, u, v)
 
 
 def system_residual(uv: UVModes) -> ResidualReport:
@@ -304,43 +257,32 @@ def system_residual(uv: UVModes) -> ResidualReport:
     Per mode, with Psi = (u, v) and H_(+-)(k) = a.k +- m*b, computes the
     relative residuals |omega Psi - H Psi| / |Psi| for both b signs, plus
     the divergence constraints |k.u| and |k.v| normalized by |k||Psi|.
-    Reports maxima over modes and records which matrix form (residual at
-    most 1e-12) is satisfied; the divergences are bounded by 1e-13.
+    Modes with Psi = 0 are left out.  Reports maxima over modes and records
+    which matrix form (residual at most 1e-12) is satisfied; the divergences
+    are bounded by 1e-13.
     """
-    m = uv.mass
     system_tol, div_tol = 1e-12, 1e-13
-    ms = algebra.matrix_set()
-    a_stack = ms.a_stack()
-    b = ms.b_complex()
-    r_plus = 0.0
-    r_minus = 0.0
-    div_u = 0.0
-    div_v = 0.0
-    for md in uv.modes:
-        k = np.asarray(md.k)
-        psi = np.concatenate([np.asarray(md.u), np.asarray(md.v)])
-        nrm = float(np.linalg.norm(psi))
-        if nrm == 0.0:
-            continue
-        ak = np.tensordot(k, a_stack, axes=(0, 0))
-        r_plus = max(
-            r_plus, float(np.linalg.norm(md.omega * psi - (ak + m * b) @ psi)) / nrm
-        )
-        r_minus = max(
-            r_minus, float(np.linalg.norm(md.omega * psi - (ak - m * b) @ psi)) / nrm
-        )
-        kn = float(np.linalg.norm(k))
-        if kn > 0:
-            div_u = max(div_u, abs(k @ np.asarray(md.u)) / (kn * nrm))
-            div_v = max(div_v, abs(k @ np.asarray(md.v)) / (kn * nrm))
+    psi = np.concatenate([uv.u, uv.v], axis=1)
+    nrm = _norm(psi)
+    live = nrm > 0
+    k, omega, psi, nrm = uv.k[live], uv.omega[live, None], psi[live], nrm[live]
+
+    def residual(m: float) -> float:
+        h_psi = np.einsum("mij,mj->mi", algebra.hamiltonian_symbol(k, m), psi)
+        return _worst(_norm(omega * psi - h_psi), nrm)
+
+    r_plus, r_minus = residual(uv.mass), residual(-uv.mass)
+    kn = _norm(k)
+    moving = kn > 0
+    k, psi, knrm = k[moving], psi[moving], (kn * nrm)[moving]
     rep = ResidualReport()
     plus_ok = r_plus <= system_tol
     minus_ok = r_minus <= system_tol
     rep.add_upper("system_residual_plus_b", r_plus, None)
     rep.add_upper("system_residual_minus_b", r_minus, None)
     rep.add_upper("matrix_form_satisfied", min(r_plus, r_minus), system_tol)
-    rep.add_upper("div_u", div_u, div_tol)
-    rep.add_upper("div_v", div_v, div_tol)
+    rep.add_upper("div_u", _worst(np.abs(_dot(k, psi[:, :3])), knrm), div_tol)
+    rep.add_upper("div_v", _worst(np.abs(_dot(k, psi[:, 3:])), knrm), div_tol)
     if plus_ok and minus_ok:
         rep.notes["satisfies_matrix_form"] = "both (massless: the two forms coincide)"
     elif plus_ok:
@@ -354,21 +296,20 @@ def system_residual(uv: UVModes) -> ResidualReport:
     return rep
 
 
+def _pair_residual(uv: UVModes, res_u: np.ndarray, res_v: np.ndarray) -> float:
+    """The larger of |res_u| and |res_v| relative to |u| + |v|, worst mode."""
+    nrm = np.maximum(_norm(uv.u) + _norm(uv.v), 1e-300)
+    return _worst(np.maximum(_norm(res_u), _norm(res_v)), nrm)
+
+
 def maxwell_residual(uv: UVModes) -> ResidualReport:
     """Massless cross-check: map (u, v) -> (H, E) and test the source-free
     Maxwell pair per mode, omega H = k x E and omega E = -k x H.  Only
     meaningful for mass = 0 mode lists."""
-    r = 0.0
-    for md in uv.modes:
-        k = np.asarray(md.k)
-        h_amp = np.asarray(md.u)
-        e_amp = np.asarray(md.v)
-        nrm = max(float(np.linalg.norm(h_amp) + np.linalg.norm(e_amp)), 1e-300)
-        r1 = np.linalg.norm(md.omega * h_amp - np.cross(k, e_amp))
-        r2 = np.linalg.norm(md.omega * e_amp + np.cross(k, h_amp))
-        r = max(r, float(max(r1, r2)) / nrm)
+    k, omega, h, e = uv.k, uv.omega[:, None], uv.u, uv.v
     rep = ResidualReport()
-    rep.add_upper("maxwell_residual", r, 1e-13)
+    rep.add_upper("maxwell_residual", _pair_residual(
+        uv, omega * h - np.cross(k, e), omega * e + np.cross(k, h)), 1e-13)
     return rep
 
 
@@ -380,24 +321,14 @@ def first_order_readings(uv: UVModes) -> ResidualReport:
     'decoupled': d_t u = i m u - rot u, d_t v = -i m v + rot v (the printed
     self-referential form).  The report states which reading the chain
     output satisfies."""
-    m = uv.mass
-    s = uv.mass_sign
-    r_coupled = 0.0
-    r_decoupled = 0.0
-    for md in uv.modes:
-        k = np.asarray(md.k)
-        u = np.asarray(md.u)
-        v = np.asarray(md.v)
-        nrm = max(float(np.linalg.norm(u) + np.linalg.norm(v)), 1e-300)
-        # per mode: d_t -> -i omega, rot -> i k x
-        lhs_u = -1j * md.omega * u
-        lhs_v = -1j * md.omega * v
-        rc_u = np.linalg.norm(lhs_u - (1j * s * m * u - 1j * np.cross(k, v)))
-        rc_v = np.linalg.norm(lhs_v - (-1j * s * m * v + 1j * np.cross(k, u)))
-        rd_u = np.linalg.norm(lhs_u - (1j * m * u - 1j * np.cross(k, u)))
-        rd_v = np.linalg.norm(lhs_v - (-1j * m * v + 1j * np.cross(k, v)))
-        r_coupled = max(r_coupled, float(max(rc_u, rc_v)) / nrm)
-        r_decoupled = max(r_decoupled, float(max(rd_u, rd_v)) / nrm)
+    m, s, k, u, v = uv.mass, uv.mass_sign, uv.k, uv.u, uv.v
+    # per mode: d_t -> -i omega, rot -> i k x
+    lhs_u = -1j * uv.omega[:, None] * u
+    lhs_v = -1j * uv.omega[:, None] * v
+    r_coupled = _pair_residual(uv, lhs_u - (1j * s * m * u - 1j * np.cross(k, v)),
+                               lhs_v - (-1j * s * m * v + 1j * np.cross(k, u)))
+    r_decoupled = _pair_residual(uv, lhs_u - (1j * m * u - 1j * np.cross(k, u)),
+                                 lhs_v - (-1j * m * v + 1j * np.cross(k, v)))
     rep = ResidualReport()
     rep.add_upper("coupled_reading_residual", r_coupled, None)
     rep.add_upper("decoupled_reading_residual", r_decoupled, None)

@@ -157,6 +157,13 @@ def _arg(node: _Number):
 
 
 _REAL = _Number()
+# Every mass input stays within 1e5 in magnitude: m**2 overflows from about
+# 1.3e154, and the e- and a-chains' antiderivative pole test fires once
+# k^2/2m < 1e-12 m, from about m = 7e5 at |k| = 1.  Each input keeps its
+# sign rule.
+_MASS_BOUND = 1e5
+_MASS = _Number(0, _MASS_BOUND)
+_SIGNED_MASS = _Number(-_MASS_BOUND, _MASS_BOUND)
 _NATURAL = _Number(0, integer=True)  # seeds and term counts
 _POSITIVE = _Number(1, integer=True)
 _INDEX = _List(_Number(integer=True), length=3)  # a mode index n
@@ -187,12 +194,12 @@ _INITIAL = _Choice(
 )
 _PATH = _Type("a path string or null", str, type(None))
 _EVOLVE = _Object(
-    grid=_GRID, mass=(_Number(0), 0.0), charge=(_REAL, 0.0), initial_condition=_INITIAL,
+    grid=_GRID, mass=(_MASS, 0.0), charge=(_REAL, 0.0), initial_condition=_INITIAL,
     evolution=_Object(t_final=_REAL, dt=_REAL, diag_stride=(_POSITIVE, 1)),
     external_field=(_EXTERNAL, None), output=(_Object(snapshot=(_PATH, None),
                                                       diagnostics=(_PATH, None)), {}),
 )
-_EM_CHECK = _Object(grid=_GRID, mass=(_Number(0), 1.0), charge=(_REAL, 0.0), seed=_NATURAL,
+_EM_CHECK = _Object(grid=_GRID, mass=(_MASS, 1.0), charge=(_REAL, 0.0), seed=_NATURAL,
                     trials=(_POSITIVE, 5), external_field=(_EXTERNAL, None))
 _finite_real = _arg(_REAL)
 
@@ -491,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_algebra)
 
     p = sub.add_parser("dispersion", help="eigenvalues of the momentum-space Hamiltonian")
-    p.add_argument("--m", type=_finite_real, required=True)
+    p.add_argument("--m", type=_arg(_SIGNED_MASS), required=True)
     p.add_argument("--k", type=lambda text: [_finite_real(s) for s in text.split(",")],
                    required=True, help="kx,ky,kz")
     p.add_argument("--json", action="store_true")
@@ -500,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain-check", help="plane-wave chain residual checks")
     p.add_argument("--seed", type=_arg(_NATURAL), default=0)
     p.add_argument("--modes", type=modes, default=20)
-    p.add_argument("--mass", type=_arg(_Number(0)), default=1.0)
+    p.add_argument("--mass", type=_arg(_MASS), default=1.0)
     p.add_argument("--variant", choices=["h", "e", "a"], default="h")
     p.add_argument("--mass-sign", choices=["+", "-"], default="-")
     p.add_argument("--controls", action="store_true", help="include negative controls")
@@ -522,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("landau", help="uniform-field lattice spectrum and clusters")
     p.add_argument("--grid", type=_arg(_Number(4, integer=True)), default=16)
     p.add_argument("--flux", type=_arg(_POSITIVE), default=1)
-    p.add_argument("--mass", type=_finite_real, default=1.0)
+    p.add_argument("--mass", type=_arg(_SIGNED_MASS), default=1.0)
     p.add_argument("--charge", type=_finite_real, default=1.0)
     p.add_argument("--csv", help="write sorted squared eigenvalues here")
     p.set_defaults(func=_cmd_landau)

@@ -827,11 +827,7 @@ def landau_spectrum(n: int, flux_quanta: int, m: float, e: float) -> LandauLevel
         raise ValueError("flux_quanta must be >= 1")
     box = 2.0 * np.pi
     h = box / n
-    if e != 0.0:
-        b_field = 2.0 * np.pi * flux_quanta / (e * box * box)
-    else:
-        b_field = 0.0
-    eB = e * b_field
+    eB = 2.0 * np.pi * flux_quanta / (box * box) if e != 0.0 else 0.0
 
     nn = n * n
     sites = np.arange(nn)

@@ -163,8 +163,9 @@ def real_vdot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def plane_wave(grid: Grid, k, eps) -> np.ndarray:
-    """eps * exp(i k.x) sampled on the grid, shape (3, nx, ny, nz); k need
-    not be commensurate."""
+    """eps * exp(i k.x) sampled on the grid for a 1-D amplitude eps of any
+    length n (3 for a vector field, 6 for a state), shape (n, nx, ny, nz); k
+    need not be commensurate."""
     k = np.asarray(k, dtype=float)
     x = coordinates(grid)
     phase = np.exp(1j * np.tensordot(k, x, axes=(0, 0)))

@@ -120,6 +120,15 @@ def test_hamiltonian_k0_is_mass_term():
     assert np.allclose(np.linalg.eigvalsh(h), [-1, -1, -1, 1, 1, 1])
 
 
+def test_hamiltonian_symbol_takes_wavevector_arrays():
+    # one matrix per row of a (..., 3) array, bit for bit the one-k result
+    k = np.random.default_rng(5).standard_normal((2, 4, 3))
+    h = algebra.hamiltonian_symbol(k, 1.3)
+    assert h.shape == (2, 4, 6, 6)
+    for idx in np.ndindex(2, 4):
+        assert np.array_equal(h[idx], algebra.hamiltonian_symbol(k[idx], 1.3))
+
+
 def test_massless_spectrum_has_zero_modes():
     ev = np.linalg.eigvalsh(algebra.hamiltonian_symbol((0, 0, 1), 0.0))
     assert np.allclose(np.sort(ev), [-1, -1, 0, 0, 1, 1], atol=1e-14)

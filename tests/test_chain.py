@@ -1,43 +1,80 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spin1wave import chain, fields
-from spin1wave.chain import PlaneWavePotential, PotentialMode
+from spin1wave.chain import PlaneWavePotential
 from spin1wave.errors import PoleError
 
 
 def single_mode_potential(mass=1.0):
     # k = z-hat, A = x-hat, phi = 0: Lorenz holds since k.A = 0
     omega = np.hypot(1.0, mass)
-    mode = PotentialMode(k=(0.0, 0.0, 1.0), omega=omega, phi=0j, avec=(1.0 + 0j, 0j, 0j))
-    return PlaneWavePotential(mass, (mode,))
+    return PlaneWavePotential(mass, k=[(0.0, 0.0, 1.0)], omega=[omega], phi=[0j],
+                              avec=[(1.0 + 0j, 0j, 0j)])
 
 
 def test_random_potential_is_on_shell_and_lorenz():
     pw = chain.random_lorenz_potential(1.0, 20, seed=7)
     assert pw.max_dispersion_residual() <= 1e-12
     assert pw.max_lorenz_residual() <= 1e-12
-    assert len(pw.modes) == 20
+    assert len(pw.omega) == 20
 
 
 def test_mode_cap():
-    m = PotentialMode((0, 0, 1.0), 1.0, 0j, (0j, 0j, 0j))
     with pytest.raises(ValueError):
-        PlaneWavePotential(0.0, tuple([m] * 65))
+        PlaneWavePotential(0.0, [(0, 0, 1.0)] * 65, [1.0] * 65, [0j] * 65, [(0j, 0j, 0j)] * 65)
+
+
+@pytest.mark.parametrize("field, value", [("k", [(0.0, 0.0)]), ("omega", 1.0), ("phi", [0j, 0j]),
+                                          ("avec", [(1.0, 0.0, 0.0)] * 2)])
+def test_mode_list_shapes_checked(field, value):
+    valid = {"k": [(0.0, 0.0, 1.0)], "omega": [1.0], "phi": [0j], "avec": [(1.0, 0j, 0j)]}
+    with pytest.raises(ValueError):
+        PlaneWavePotential(1.0, **{**valid, field: value})
+
+
+def test_mode_list_is_read_only():
+    pw = chain.random_lorenz_potential(1.0, 4, seed=3)
+    with pytest.raises(ValueError):
+        pw.phi[0] = 0.0
 
 
 def test_derive_eh_single_mode_example():
     # H = i k x A = i y-hat, E = i omega A = i sqrt(2) x-hat
-    df = chain.derive_EH(single_mode_potential(mass=1.0))
-    fm = df.modes[0]
-    assert np.allclose(fm.h_amp, (0, 1j, 0), atol=1e-15)
-    assert np.allclose(fm.e_amp, (1j * np.sqrt(2.0), 0, 0), atol=1e-15)
+    e, h = chain.derive_EH(single_mode_potential(mass=1.0))
+    assert np.allclose(h[0], (0, 1j, 0), atol=1e-15)
+    assert np.allclose(e[0], (1j * np.sqrt(2.0), 0, 0), atol=1e-15)
 
 
 def test_derived_h_is_divergence_free_per_mode():
     pw = chain.random_lorenz_potential(1.0, 20, seed=3)
-    for pm, fm in zip(pw.modes, chain.derive_EH(pw).modes):
-        assert abs(np.asarray(pm.k) @ np.asarray(fm.h_amp)) <= 1e-14
+    _, h = chain.derive_EH(pw)
+    for k, h_amp in zip(pw.k, h):
+        assert abs(k @ h_amp) <= 1e-14
+
+
+@pytest.mark.parametrize("variant", ["h", "e", "a"])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_chains_match_per_mode_reference(variant, sign):
+    # the chain formulas of the module docstring, one mode at a time
+    m = 1.7
+    pw = chain.random_lorenz_potential(m, 12, seed=41)
+    uv = chain.derive_uv(pw, variant=variant, mass_sign=sign)
+    for i, (k, omega, phi, a) in enumerate(zip(pw.k, pw.omega, pw.phi, pw.avec)):
+        e = -1j * k * phi + 1j * omega * a
+        h = 1j * np.cross(k, a)
+        grad_phi = 1j * k * phi
+        if variant == "h":
+            u, v = -1j * omega * h + 1j * sign * m * h, 1j * np.cross(k, h)
+        elif variant == "e":
+            u = -1j * omega * e + 1j * sign * m * e + m**2 * 1j / (sign * m + omega) * grad_phi
+            v = 1j * np.cross(k, e)
+        else:
+            u, v = h, e + 1j * sign * m * (a + 1j / (-sign * m + omega) * grad_phi)
+        want = np.concatenate([u, v])
+        got = np.concatenate([uv.u[i], uv.v[i]])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_proca_residual_on_shell():
@@ -47,7 +84,7 @@ def test_proca_residual_on_shell():
 
 
 def test_proca_zero_potential():
-    rep = chain.proca_residual(PlaneWavePotential(1.0, ()))
+    rep = chain.proca_residual(PlaneWavePotential(1.0, [], [], [], []))
     assert rep.value("ampere_residual") == 0.0
     assert rep.value("gauss_residual") == 0.0
 
@@ -57,7 +94,8 @@ def test_broken_lorenz_matches_per_mode_oracle():
     pw = chain.random_lorenz_potential(1.0, 8, seed=11)
     eps = 0.3
     broken = chain.with_broken_lorenz(pw, eps)
-    oracle = max(abs(m.omega * (m.omega * m.phi - np.asarray(m.k) @ m.a_arr)) for m in broken.modes)
+    oracle = max(abs(omega * (omega * phi - k @ a))
+                 for k, omega, phi, a in zip(broken.k, broken.omega, broken.phi, broken.avec))
     rep = chain.proca_residual(broken)
     assert abs(rep.value("gauss_residual") - oracle) <= 1e-10 * oracle
     assert rep.value("gauss_residual") > 1e-3
@@ -101,8 +139,8 @@ def test_e_and_h_chains_span_same_mode_space():
     uv_e = chain.derive_uv(pw, variant="e", mass_sign="-")
     assert chain.system_residual(uv_h).value("system_residual_plus_b") <= 1e-12
     assert chain.system_residual(uv_e).value("system_residual_plus_b") <= 1e-12
-    for mh, me in zip(uv_h.modes, uv_e.modes):
-        assert np.linalg.norm(np.concatenate([me.u, me.v])) > 1e-12
+    for u, v in zip(uv_e.u, uv_e.v):
+        assert np.linalg.norm(np.concatenate([u, v])) > 1e-12
 
 
 def test_off_shell_negative_control():
@@ -121,8 +159,8 @@ def test_broken_lorenz_breaks_e_chain():
 
 
 def test_pole_error_at_k0():
-    mode = PotentialMode(k=(0.0, 0.0, 0.0), omega=1.0, phi=0.5 + 0j, avec=(0j, 0j, 0j))
-    pw = PlaneWavePotential(1.0, (mode,))
+    pw = PlaneWavePotential(1.0, k=[(0.0, 0.0, 0.0)], omega=[1.0], phi=[0.5 + 0j],
+                            avec=[(0j, 0j, 0j)])
     with pytest.raises(PoleError):
         chain.derive_uv(pw, variant="e", mass_sign="-")
     with pytest.raises(PoleError):
@@ -155,9 +193,7 @@ def test_eigenmode_zero_system_residual():
     m = 1.3
     psi = algebra.eigenmode(k, m, +1, "t2")
     om = np.hypot(np.linalg.norm(k), m)
-    uv = chain.UVModes(
-        m, "manual", -1, (chain.UVMode(tuple(k), om, tuple(psi[:3]), tuple(psi[3:])),)
-    )
+    uv = chain.UVModes(m, "manual", -1, [k], [om], [psi[:3]], [psi[3:]])
     rep = chain.system_residual(uv)
     assert rep.value("system_residual_plus_b") <= 1e-14
     assert max(rep.value("div_u"), rep.value("div_v")) <= 1e-14
@@ -169,18 +205,38 @@ def test_sampling_matches_plane_wave_superposition():
     uv = chain.derive_uv(pw, variant="h", mass_sign="-")
     psi = uv.sample(grid)
     expected = np.zeros((6, *grid.shape), complex)
-    for md in uv.modes:
-        ph = fields.plane_wave(grid, md.k, (1, 0, 0))[0]
-        expected[:3] += np.asarray(md.u)[:, None, None, None] * ph
-        expected[3:] += np.asarray(md.v)[:, None, None, None] * ph
+    for k, u, v in zip(uv.k, uv.u, uv.v):
+        ph = fields.plane_wave(grid, k, (1, 0, 0))[0]
+        expected[:3] += u[:, None, None, None] * ph
+        expected[3:] += v[:, None, None, None] * ph
     assert np.max(np.abs(psi.data - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 def test_sampling_rejects_incommensurate_modes():
     grid = fields.Grid.cubic(8)
-    uv = chain.UVModes(
-        1.0, "manual", -1,
-        (chain.UVMode((0.5, 0.0, 0.0), 1.0, (1, 0, 0), (0, 0, 0)),),
-    )
+    uv = chain.UVModes(1.0, "manual", -1, [(0.5, 0.0, 0.0)], [1.0], [(1, 0, 0)], [(0, 0, 0)])
     with pytest.raises(ValueError):
         uv.sample(grid)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 64),
+       mass=st.just(0.0) | st.floats(0.0, 10.0))
+def test_chain_properties(seed, n_modes, mass):
+    # every chain and sign on a random on-shell Lorenz potential; below
+    # m = 1e-12 the two matrix forms agree to the 1e-12 tolerance
+    pw = chain.random_lorenz_potential(mass, n_modes, seed)
+    assert chain.proca_residual(pw).all_passed
+    for variant in "hea":
+        for sign, form in (("-", "+b"), ("+", "-b")):
+            uv = chain.derive_uv(pw, variant=variant, mass_sign=sign)
+            rep = chain.system_residual(uv)
+            assert rep.value("matrix_form_satisfied") <= 1e-12
+            if mass == 0.0:
+                assert rep.notes["satisfies_matrix_form"].startswith("both")
+            elif mass > 1e-12:
+                assert rep.notes["satisfies_matrix_form"] == form
+            assert max(rep.value("div_u"), rep.value("div_v")) <= 1e-13
+            assert chain.first_order_readings(uv).value("coupled_reading_residual") <= 1e-12
+            if mass == 0.0:
+                assert chain.maxwell_residual(uv).value("maxwell_residual") <= 1e-13

@@ -342,6 +342,19 @@ def test_closed_form_matches_eigh_oracle(mass, t):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@settings(deadline=None)
+@given(shape=st.tuples(*[st.integers(2, 6).map(lambda n: 2 * n)] * 3),
+       lengths=st.tuples(*[st.floats(1.0, 10.0)] * 3), mass=st.just(0.0) | st.floats(0.0, 5.0),
+       t=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_matches_eigh_oracle_on_random_grids(shape, lengths, mass, t, seed):
+    grid = fields.Grid(*shape, *lengths)
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((6, *shape)) + 1j * rng.standard_normal((6, *shape))
+    got = FreePropagator(grid, mass).evolve_stack(stack, t)
+    want = eigh_evolve_stack(grid, mass, stack, t)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_fft_counts(fft_transforms, prop, psi_t):
     prop.evolve(psi_t, 0.7)
     assert sum(fft_transforms) <= 12

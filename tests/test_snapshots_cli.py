@@ -638,6 +638,49 @@ def test_cli_landau(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "e_squared"
     assert len(lines) == 1 + 6 * 16 * 16
+    # eB = 2 pi N / box^2 for any nonzero charge: a subnormal charge must not
+    # overflow B = eB / e into NaN link phases
+    subnormal = tmp_path / "subnormal.csv"
+    assert cli.main(["landau", "--grid", "16", "--flux", "1", "--mass", "1.0",
+                     "--charge", "1e-320", "--csv", str(subnormal)]) == 0
+    assert subnormal.read_bytes() == csv.read_bytes()
+
+
+_MASS_BOUND = 1e5
+_MASS_COMMANDS = {
+    "evolve": lambda tmp, m: ["evolve", "--config", str(evolve_config(tmp, mass=m))],
+    "em-check": lambda tmp, m: ["em-check", "--config", str(em_check_config(
+        tmp, mass=m, grid={"nx": 8, "ny": 8, "nz": 8, "lx": 2 * np.pi, "ly": 2 * np.pi,
+                           "lz": 2 * np.pi}))],
+    "chain-check-h": lambda tmp, m: ["chain-check", "--modes", "64", "--mass", repr(m)],
+    "chain-check-e": lambda tmp, m: ["chain-check", "--modes", "64", "--variant", "e",
+                                     "--mass", repr(m)],
+    "chain-check-a": lambda tmp, m: ["chain-check", "--modes", "64", "--variant", "a",
+                                     "--mass-sign=+", "--mass", repr(m)],
+    "landau": lambda tmp, m: ["landau", "--grid", "4", f"--mass={m!r}"],
+    "landau-negative": lambda tmp, m: ["landau", "--grid", "4", f"--mass={-m!r}"],
+    "dispersion": lambda tmp, m: ["dispersion", "--k", "0,0,1", f"--m={m!r}"],
+    "dispersion-negative": lambda tmp, m: ["dispersion", "--k", "0,0,1", f"--m={-m!r}"],
+}
+
+
+@pytest.mark.parametrize("mass", [_MASS_BOUND, math.nextafter(_MASS_BOUND, math.inf), 1e200],
+                         ids=["at-bound", "above-bound", "1e200"])
+@pytest.mark.parametrize("command", _MASS_COMMANDS)
+def test_cli_mass_bound(tmp_path, capsys, command, mass):
+    # at the bound m^2 and the chains' pole test stay finite; beyond it every
+    # mass input is a usage error, not an OverflowError or PoleError traceback
+    try:
+        code = cli.main(_MASS_COMMANDS[command](tmp_path, mass))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    if mass == _MASS_BOUND:
+        assert code in (0, 1) and not err
+    else:
+        config_error = err.startswith("error:") and err.count("\n") == 1
+        usage_error = err.startswith("usage:") and "error: argument" in err
+        assert code == 2 and (config_error or usage_error)
 
 
 def em_check_config(tmp_path, **overrides):
