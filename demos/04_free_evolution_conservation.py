@@ -36,7 +36,7 @@ for t in (0.0, 1.0, 10.0, 50.0, 100.0):
 
 print("\ncontinuity residual, central difference in time:")
 for dt in (2e-3, 1e-3, 5e-4):
-    r = dynamics.continuity_residual(psi, dt, prop)
+    r = dynamics.continuity_residual(psi, dt)
     print(f"  dt = {dt:.0e}: residual {r:.4e}")
 print("  (each halving divides the residual by ~4: second-order convergence)")
 
@@ -46,5 +46,5 @@ j2 = dynamics.probability_current_matrix_form(psi)
 print(f"  max difference: {np.max(np.abs(j1 - j2)):.2e}")
 
 print("\nu<->v block swap together with t -> -t is a symmetry of the propagator:")
-dev = dynamics.time_reversal_swap_check(psi, 1.7, prop)
+dev = dynamics.time_reversal_swap_check(psi, 1.7)
 print(f"  relative deviation at t = 1.7: {dev:.2e}")

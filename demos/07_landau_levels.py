@@ -31,7 +31,7 @@ while shown < 5 and i < len(offsets):
     i = j
     shown += 1
 
-analysis = em.landau_cluster_analysis(levels, n_levels=3)
+analysis = em.landau_cluster_analysis(levels)
 print("\ncluster checks against E^2 = m^2 + (2n+1) eB - eB sigma:")
 for c in analysis["level_checks"]:
     print(

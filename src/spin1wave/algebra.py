@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import IdentityReport
+from .reports import IdentityReport, worst
 
 FLOAT_TOL = 1e-14
 
@@ -172,12 +172,12 @@ def matrix_set() -> MatrixSet:
     return build_matrix_set()
 
 
-def check_anticommutation(ms: MatrixSet | None = None) -> IdentityReport:
+def check_anticommutation() -> IdentityReport:
     """Verify b^2 = I and {a_k, b} = 0 exactly, the same relations for the
     Dirac comparison set, and the one Dirac relation the spin-1 set must
     violate: {a_j, a_k} = 2 delta_jk I fails because (a_3)^2 is the
     transverse projector diag(1,1,0,1,1,0), not the identity."""
-    ms = ms or matrix_set()
+    ms = matrix_set()
     rep = IdentityReport()
     i6 = ExactMat.identity(6)
     rep.add("b_squared_is_identity", (ms.b @ ms.b).max_abs_deviation(i6))
@@ -208,11 +208,11 @@ def check_anticommutation(ms: MatrixSet | None = None) -> IdentityReport:
     return rep
 
 
-def check_spin_operator(ms: MatrixSet | None = None) -> IdentityReport:
+def check_spin_operator() -> IdentityReport:
     """Verify the commutator construction of the spin operator, its square,
     and the angular-momentum algebra: Sigma_1 = -i(a_2 a_3 - a_3 a_2) and
     cyclic, Sigma^2 = 2 I (so S = 1), [Sigma_j, Sigma_k] = i eps_jkl Sigma_l."""
-    ms = ms or matrix_set()
+    ms = matrix_set()
     rep = IdentityReport()
     cyc = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     for c, j, k in cyc:
@@ -239,11 +239,11 @@ def check_spin_operator(ms: MatrixSet | None = None) -> IdentityReport:
     return rep
 
 
-def check_swap_symmetry(ms: MatrixSet | None = None) -> IdentityReport:
+def check_swap_symmetry() -> IdentityReport:
     """The block swap sigma_1 (x) I anticommutes with every a_k and with b,
     and squares to the identity.  This is the matrix-level fact behind the
     u <-> v, t -> -t invariance of the free propagator."""
-    ms = ms or matrix_set()
+    ms = matrix_set()
     rep = IdentityReport()
     rep.add("swap_squared_is_identity", (ms.swap @ ms.swap).max_abs_deviation(ExactMat.identity(6)))
     for k, ak in enumerate(ms.a, start=1):
@@ -254,12 +254,12 @@ def check_swap_symmetry(ms: MatrixSet | None = None) -> IdentityReport:
     return rep
 
 
-def check_sigma_commutators(ms: MatrixSet | None = None) -> IdentityReport:
+def check_sigma_commutators() -> IdentityReport:
     """[Sigma_c, a_j] = i eps_cjl a_l and [Sigma_c, b] = 0, exactly.
 
     These are the matrix ingredients that make the total angular momentum
     L + Sigma commute with the Hamiltonian."""
-    ms = ms or matrix_set()
+    ms = matrix_set()
     rep = IdentityReport()
     eps = np.zeros((3, 3, 3), dtype=np.int64)
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -278,12 +278,12 @@ def check_sigma_commutators(ms: MatrixSet | None = None) -> IdentityReport:
     return rep
 
 
-def hamiltonian_symbol(k, m: float, ms: MatrixSet | None = None) -> np.ndarray:
+def hamiltonian_symbol(k, m: float) -> np.ndarray:
     """H(k) = sum_j a_j k_j + m b for real momenta k of shape (..., 3):
     one 6x6 matrix per momentum, shape (..., 6, 6).
 
     Hermitian by construction; natural units (hbar = c = 1)."""
-    ms = ms or matrix_set()
+    ms = matrix_set()
     k = np.asarray(k, dtype=float)
     return np.tensordot(k, ms.a_stack(), axes=(-1, 0)) + m * ms.b_complex()
 
@@ -296,11 +296,11 @@ def analytic_eigenvalues(k, m: float) -> np.ndarray:
     return np.sort(np.array([-om, -om, -m, m, om, om]))
 
 
-def check_square_identity(n, ms: MatrixSet | None = None) -> IdentityReport:
+def check_square_identity(n) -> IdentityReport:
     """For a unit vector n, (a.n)^2 is not the identity: it acts as the
     identity on the transverse subspace {(u,v): n.u = n.v = 0} and as zero
     on the longitudinal one."""
-    ms = ms or matrix_set()
+    ms = matrix_set()
     n = np.asarray(n, dtype=float)
     if abs(np.linalg.norm(n) - 1.0) > FLOAT_TOL:
         raise ValueError("n must be a unit vector")
@@ -312,21 +312,12 @@ def check_square_identity(n, ms: MatrixSet | None = None) -> IdentityReport:
     dev_id = float(np.max(np.abs(np.linalg.eigvalsh(an_sq - np.eye(6)))))
     rep.add_outcome("an_squared_not_identity", passed=dev_id > 0.5, deviation=dev_id)
 
-    t1, t2 = _transverse_pair(n)
-    worst_t = 0.0
-    for eps in (t1, t2):
-        for block in (0, 1):
-            w = np.zeros(6, dtype=complex)
-            w[3 * block : 3 * block + 3] = eps
-            worst_t = max(worst_t, float(np.max(np.abs(an_sq @ w - w))))
-    rep.add("an_squared_identity_on_transverse", worst_t, FLOAT_TOL)
-
-    worst_l = 0.0
-    for block in (0, 1):
-        w = np.zeros(6, dtype=complex)
-        w[3 * block : 3 * block + 3] = n
-        worst_l = max(worst_l, float(np.max(np.abs(an_sq @ w))))
-    rep.add("an_squared_zero_on_longitudinal", worst_l, FLOAT_TOL)
+    # columns: each vector in the u block and in the v block
+    transverse = np.kron(np.eye(2), np.transpose(_transverse_pair(n)))
+    longitudinal = np.kron(np.eye(2), n[:, None])
+    rep.add("an_squared_identity_on_transverse",
+            worst(np.abs(an_sq @ transverse - transverse)), FLOAT_TOL)
+    rep.add("an_squared_zero_on_longitudinal", worst(np.abs(an_sq @ longitudinal)), FLOAT_TOL)
 
     alpha_n = np.tensordot(n, ms.alpha_stack(), axes=(0, 0))
     dev = float(np.max(np.abs(alpha_n @ alpha_n - np.eye(4))))

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import algebra, fields
 from .errors import PoleError
-from .reports import ResidualReport
+from .reports import ResidualReport, least, worst
 
 MAX_MODES = 64
 
@@ -73,12 +73,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("mi,mi->m", a, b)
 
 
-def _worst(residual: np.ndarray, norm=1.0) -> float:
-    """The largest per-mode residual relative to the mode's norm (arrays over
-    the modes); 0 for an empty mode list."""
-    return float(np.max(residual / norm, initial=0.0))
-
-
 @dataclass(frozen=True, eq=False)
 class PlaneWavePotential:
     """Plane-wave modes of the four-potential (phi, avec): k (M, 3),
@@ -99,11 +93,11 @@ class PlaneWavePotential:
 
     def max_dispersion_residual(self) -> float:
         """max |omega^2 - |k|^2 - m^2|, zero for on-shell modes."""
-        return _worst(np.abs(self.omega**2 - _dot(self.k, self.k) - self.mass**2))
+        return worst(np.abs(self.omega**2 - _dot(self.k, self.k) - self.mass**2))
 
     def max_lorenz_residual(self) -> float:
         """max |omega*phi - k.A|, zero when the Lorenz condition holds."""
-        return _worst(np.abs(self.omega * self.phi - _dot(self.k, self.avec)))
+        return worst(np.abs(self.omega * self.phi - _dot(self.k, self.avec)))
 
 
 def random_lorenz_potential(
@@ -169,10 +163,10 @@ def proca_residual(pw: PlaneWavePotential) -> ResidualReport:
     ampere = -1j * omega * e - (1j * np.cross(pw.k, h) + m2 * pw.avec)
     gauss = 1j * _dot(pw.k, e) + m2 * pw.phi
     amplitude = np.maximum(np.maximum(np.abs(pw.avec).max(axis=1), np.abs(pw.phi)), 1e-300)
-    scale = max(_worst(amplitude * (1.0 + np.abs(pw.omega) + _norm(pw.k) + m2)), 1e-300)
+    scale = max(worst(amplitude * (1.0 + np.abs(pw.omega) + _norm(pw.k) + m2)), 1e-300)
     rep = ResidualReport()
-    rep.add_upper("ampere_residual", _worst(np.abs(ampere)), 1e-12 * scale)
-    rep.add_upper("gauss_residual", _worst(np.abs(gauss)), 1e-12 * scale)
+    rep.add_upper("ampere_residual", worst(np.abs(ampere)), 1e-12 * scale)
+    rep.add_upper("gauss_residual", worst(np.abs(gauss)), 1e-12 * scale)
     rep.notes["amplitude_scale"] = f"{scale:.6e}"
     return rep
 
@@ -269,7 +263,7 @@ def system_residual(uv: UVModes) -> ResidualReport:
 
     def residual(m: float) -> float:
         h_psi = np.einsum("mij,mj->mi", algebra.hamiltonian_symbol(k, m), psi)
-        return _worst(_norm(omega * psi - h_psi), nrm)
+        return worst(_norm(omega * psi - h_psi) / nrm)
 
     r_plus, r_minus = residual(uv.mass), residual(-uv.mass)
     kn = _norm(k)
@@ -280,9 +274,9 @@ def system_residual(uv: UVModes) -> ResidualReport:
     minus_ok = r_minus <= system_tol
     rep.add_upper("system_residual_plus_b", r_plus, None)
     rep.add_upper("system_residual_minus_b", r_minus, None)
-    rep.add_upper("matrix_form_satisfied", min(r_plus, r_minus), system_tol)
-    rep.add_upper("div_u", _worst(np.abs(_dot(k, psi[:, :3])), knrm), div_tol)
-    rep.add_upper("div_v", _worst(np.abs(_dot(k, psi[:, 3:])), knrm), div_tol)
+    rep.add_upper("matrix_form_satisfied", least([r_plus, r_minus]), system_tol)
+    rep.add_upper("div_u", worst(np.abs(_dot(k, psi[:, :3])) / knrm), div_tol)
+    rep.add_upper("div_v", worst(np.abs(_dot(k, psi[:, 3:])) / knrm), div_tol)
     if plus_ok and minus_ok:
         rep.notes["satisfies_matrix_form"] = "both (massless: the two forms coincide)"
     elif plus_ok:
@@ -299,7 +293,7 @@ def system_residual(uv: UVModes) -> ResidualReport:
 def _pair_residual(uv: UVModes, res_u: np.ndarray, res_v: np.ndarray) -> float:
     """The larger of |res_u| and |res_v| relative to |u| + |v|, worst mode."""
     nrm = np.maximum(_norm(uv.u) + _norm(uv.v), 1e-300)
-    return _worst(np.maximum(_norm(res_u), _norm(res_v)), nrm)
+    return worst(np.maximum(_norm(res_u), _norm(res_v)) / nrm)
 
 
 def maxwell_residual(uv: UVModes) -> ResidualReport:

@@ -26,6 +26,9 @@ operation order of the plain array expression it replaces.  The free
 symbol and the free step write into a stack the caller passes as out=,
 and run lends its one spare stack to the integrator, so a free step
 allocates no whole stack.
+
+The checks measure by em_coupling's rule: fields.relative, and
+reports.worst over components, so a NaN anywhere reads NaN.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ import numpy as np
 from . import algebra, fields
 from .errors import CurrentMismatch, NonFiniteState, ScheduleError, StepTooLarge
 from .fields import WaveField
+from .reports import worst
 
 
 def omega_max(grid: fields.Grid, mass: float) -> float:
@@ -128,12 +132,9 @@ class FreePropagator:
     def evolve_stack(self, stack: np.ndarray, t: float) -> np.ndarray:
         return fields.ifftn(self.evolve_spectrum(fields.fftn(stack), t))
 
-    def check_state(self, psi: WaveField) -> None:
+    def evolve(self, psi: WaveField, t: float) -> WaveField:
         if psi.grid != self.grid or psi.mass != self.mass:
             raise ValueError("propagator was built for a different grid or mass")
-
-    def evolve(self, psi: WaveField, t: float) -> WaveField:
-        self.check_state(psi)
         return WaveField(self.grid, self.evolve_stack(psi.data, t), self.mass, psi.time + t)
 
 
@@ -296,11 +297,12 @@ class Evolution:
 def run(psi: WaveField, t_final: float, dt: float, diag_stride: int, n_steps: int,
         advance, record_state) -> Evolution:
     """The run loop of free and coupled evolution.  It holds two stacks: the
-    spectrum sh and one spare.  advance(sh, steps, span, spare) moves sh
-    steps steps of dt (span in time) in place and may use spare as scratch.
-    At each schedule entry the state returns to real space in spare,
-    checked finite, and with diag_stride > 0 record_state(state, sh) gives
-    its record.  record_state must not keep the state's array (or sh): the
+    spectrum sh and one spare.  advance(sh, steps, span, out) writes sh
+    moved steps steps of dt (span in time) into out, the spare, leaves sh
+    as it is and returns out; the two stacks then swap roles.  At each
+    schedule entry the state returns to real space in the spare, checked
+    finite, and with diag_stride > 0 record_state(state, sh) gives its
+    record.  record_state must not keep the state's array (or sh): the
     next advance overwrites it.  The final state is the spare itself."""
     grid = psi.grid
     sh = fields.fftn(psi.data)
@@ -309,7 +311,7 @@ def run(psi: WaveField, t_final: float, dt: float, diag_stride: int, n_steps: in
     step, t = 0, 0.0
     for next_step, next_t in record_schedule(t_final, dt, diag_stride, n_steps):
         if next_step > step:
-            advance(sh, next_step - step, next_t - t, spare)
+            sh, spare = advance(sh, next_step - step, next_t - t, spare), sh
         step, t = next_step, next_t
         fields.ifftn(sh, out=spare)
         if not np.all(np.isfinite(spare.view(float))):
@@ -324,25 +326,20 @@ def evolve_free(psi: WaveField, t_final: float, dt: float, diag_stride: int = 0)
     """Exact free evolution to t_final in the run loop; the propagator is
     exact over any span, so t_final need not be a multiple of dt."""
     prop = FreePropagator(psi.grid, psi.mass)
-
-    def advance(sh: np.ndarray, steps: int, span: float, spare: np.ndarray) -> None:
-        np.copyto(sh, prop.evolve_spectrum(sh, span, out=spare))
-
-    return run(psi, t_final, dt, diag_stride, step_count(t_final, dt), advance, diagnostics)
+    return run(psi, t_final, dt, diag_stride, step_count(t_final, dt),
+               lambda sh, steps, span, out: prop.evolve_spectrum(sh, span, out=out),
+               diagnostics)
 
 
-def continuity_residual(
-    psi: WaveField, dt: float, propagator: FreePropagator | None = None
-) -> float:
+def continuity_residual(psi: WaveField, dt: float) -> float:
     """The record's continuity column with d_t rho from the exact evolutions
     to +-dt by central difference: an O(dt^2) cross-check."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     bound = 0.1 / omega_max(psi.grid, psi.mass)
     if dt > bound:
         raise StepTooLarge(f"dt={dt:.3e} exceeds the resolution bound {bound:.3e}")
-    prop = propagator or FreePropagator(psi.grid, psi.mass)
-    prop.check_state(psi)
+    prop = FreePropagator(psi.grid, psi.mass)
     sh = fields.fftn(psi.data)
 
     def rho_at(t: float) -> np.ndarray:
@@ -372,38 +369,29 @@ def kgf_residual(psi: WaveField) -> KgfResidual:
     k = fields.wavevectors(grid)
     k2 = np.sum(k * k, axis=0)
 
-    def rel_residual(stack: np.ndarray) -> tuple[float, float]:
-        # on the spectrum: the FFT scales both norms alike
+    def residual(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The spectra of (H^2 - (-Laplacian + m^2)) stack and of stack: the
+        FFT scales both norms alike."""
         sh = fields.fftn(stack)
-        h2 = _hamiltonian_symbol(k, m, _hamiltonian_symbol(k, m, sh))
-        num = float(np.sqrt(np.sum(np.abs(h2 - (k2 + m * m)[None] * sh) ** 2)))
-        den = float(np.sqrt(np.sum(np.abs(sh) ** 2)))
-        return num, den
+        return _hamiltonian_symbol(k, m, _hamiltonian_symbol(k, m, sh)) - (k2 + m * m) * sh, sh
 
-    psi_t = fields.project_constraints(psi)
-    num, den = rel_residual(psi_t.data)
-    ref = float(np.sqrt(np.max(k2)) + m) ** 2
-    transverse = num / max(den * ref, 1e-300)
+    diff, sh = residual(fields.project_constraints(psi).data)
+    ref = float(np.sqrt(np.max(k2)) + m) ** 2  # the spectral radius of H^2
+    transverse = fields.norm(diff) / max(fields.norm(sh) * ref, 1e-300)
 
     k_long = fields.mode_wavevector(grid, (0, 0, 1))
     u_l = fields.plane_wave(grid, k_long, (0.0, 0.0, 1.0))
-    stack_l = np.concatenate([u_l, np.zeros_like(u_l)])
-    num_l, den_l = rel_residual(stack_l)
-    return KgfResidual(transverse_res=transverse, longitudinal_demo=num_l / max(den_l, 1e-300))
+    longitudinal = fields.relative(*residual(np.concatenate([u_l, np.zeros_like(u_l)])))
+    return KgfResidual(transverse_res=transverse, longitudinal_demo=longitudinal)
 
 
-def time_reversal_swap_check(
-    psi: WaveField, t: float, propagator: FreePropagator | None = None
-) -> float:
+def time_reversal_swap_check(psi: WaveField, t: float) -> float:
     """Relative difference between swap(evolve(psi, t)) and
     evolve(swap(psi), -t).  Zero because sigma_1 (x) I anticommutes with
     H(k), so conjugating the propagator by the swap reverses time."""
-    prop = propagator or FreePropagator(psi.grid, psi.mass)
-    a = fields.swap_blocks(prop.evolve(psi, t))
-    b = prop.evolve(fields.swap_blocks(psi), -t)
-    diff = a.data - b.data
-    na = float(np.sqrt(np.sum(np.abs(a.data) ** 2)))
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2))) / max(na, 1e-300)
+    prop = FreePropagator(psi.grid, psi.mass)
+    a = fields.swap_blocks(prop.evolve(psi, t)).data
+    return fields.relative(a - prop.evolve(fields.swap_blocks(psi), -t).data, a)
 
 
 def _momentum_apply(grid: fields.Grid, stack: np.ndarray) -> np.ndarray:
@@ -437,15 +425,9 @@ def angular_momentum_commutator(psi: WaveField) -> float:
         spin = np.einsum("ij,j...->i...", sigma_stack[c], base)
         return orbital + spin
 
-    worst = 0.0
-    for c in range(3):
+    def residual(c: int) -> float:
         lhs = j_apply(c, h_psi, p_hpsi)
         rhs = apply_hamiltonian_stack(grid, m, j_apply(c, stack, p_psi))
-        num = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)))
-        den = max(
-            float(np.sqrt(np.sum(np.abs(lhs) ** 2))),
-            float(np.sqrt(np.sum(np.abs(rhs) ** 2))),
-            1e-300,
-        )
-        worst = max(worst, num / den)
-    return worst
+        return fields.relative(lhs - rhs, lhs, rhs)
+
+    return worst([residual(c) for c in range(3)])

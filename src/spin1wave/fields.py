@@ -162,6 +162,18 @@ def real_vdot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", xf, yf))
 
 
+def norm(x: np.ndarray) -> float:
+    """The 2-norm of a complex array, sqrt(real_vdot(x, x)): no temporary."""
+    return float(np.sqrt(real_vdot(x, x)))
+
+
+def relative(diff: np.ndarray, *refs: np.ndarray) -> float:
+    """The relative residual of every check: norm(diff) over the largest
+    norm of refs, floored at 1e-300 so that zero states give 0.  A NaN in
+    diff or in a reference gives NaN."""
+    return float(norm(diff) / np.max([*map(norm, refs), 1e-300]))
+
+
 def plane_wave(grid: Grid, k, eps) -> np.ndarray:
     """eps * exp(i k.x) sampled on the grid for a 1-D amplitude eps of any
     length n (3 for a vector field, 6 for a state), shape (n, nx, ny, nz); k

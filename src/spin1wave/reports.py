@@ -1,7 +1,22 @@
-"""Machine-readable pass/fail containers used by the verification operations."""
+"""Machine-readable pass/fail containers used by the verification operations,
+and the one rule by which a check aggregates its trials: an upper bound
+takes the worst value, a negative control the least.  Both keep a NaN, and
+a NaN fails every bound, so no numerical fault passes silently."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
+
+
+def worst(values) -> float:
+    """The largest of values (reals), 0 for none; NaN if any is NaN."""
+    return float(np.max(np.asarray(values, dtype=float), initial=0.0))
+
+
+def least(values) -> float:
+    """The smallest of values, inf for none; NaN if any is NaN."""
+    return float(np.min(np.asarray(values, dtype=float), initial=np.inf))
 
 
 @dataclass

@@ -102,8 +102,8 @@ def test_criterion_04_conservation_suite():
         ok = ok and max(fields.divergence_residuals(out)) <= 10.0 * max(r0, floor)
         ok = ok and dynamics.probability_density(out).min() >= 0.0
 
-    r1 = dynamics.continuity_residual(psi, 2e-3, prop)
-    r2 = dynamics.continuity_residual(psi, 1e-3, prop)
+    r1 = dynamics.continuity_residual(psi, 2e-3)
+    r2 = dynamics.continuity_residual(psi, 1e-3)
     ratio = r1 / r2
     ok = ok and 3.5 <= ratio <= 4.5
     report(4, "free-evolution conservation suite (32^3)", ok, t0, f"continuity ratio {ratio:.3f}")
@@ -214,7 +214,7 @@ def test_criterion_09_second_order_equation():
 def test_criterion_10_landau_magnetic_moment():
     t0 = time.time()
     levels = em.landau_spectrum(16, 1, 1.0, 1.0)
-    analysis = em.landau_cluster_analysis(levels, n_levels=3, rel_tol=0.05)
+    analysis = em.landau_cluster_analysis(levels)
     ok = analysis["all_passed"]
     ok = ok and abs(analysis["sigma_splitting_over_eB"] - 1.0) <= 0.05
     report(10, "Landau clusters and Bohr-magneton splitting (n=16, N=1)", ok, t0,

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from spin1wave import algebra, dynamics, em_coupling as em, fields
+from spin1wave import algebra, dynamics, em_coupling as em, fields, reports
 from spin1wave.errors import GridMismatch, NoConvergence, NonFiniteState, StepTooLarge
 
 GRID = fields.Grid.cubic(16)
@@ -168,6 +170,23 @@ def test_constraint_drift_monitored_not_enforced(psi, ext):
 def test_step_bound_enforced(psi, ext):
     with pytest.raises(StepTooLarge):
         em.evolve_em(psi, ext, 1.0, 1.0)
+
+
+def test_step_bound_refuses_a_nan_bound(psi, ext):
+    # a NaN charge makes the bound NaN, and dt > NaN is False: only
+    # dt <= bound refuses the step
+    ext_nan = em.ExternalField(GRID, math.nan, ext.phi, ext.avec)
+    assert math.isnan(em.stability_bound(GRID, MASS, ext_nan))
+    with pytest.raises(StepTooLarge):
+        em.evolve_em(psi, ext_nan, 0.02, 0.01)
+    with pytest.raises(StepTooLarge):
+        em.second_order_residual(psi, ext_nan, 0.01)
+
+
+def test_overflowing_potentials_are_refused():
+    # finite potentials whose spectra overflow
+    with pytest.raises(ValueError, match="not finite"):
+        em.random_smooth_external(fields.Grid.cubic(8), 0.5, seed=1, amplitude=1e308, nmax=1)
 
 
 def test_non_finite_state_detected(ext):
@@ -478,7 +497,7 @@ def test_fused_operators_match_unfused_oracle(mass, field):
     dt = 0.5 * em.stability_bound(ANISO, mass, ext)
     prop = dynamics.FreePropagator(ANISO, mass)
     sh = fields.fftn(stack)
-    em._advance(sh, ext, prop, dt, 1, np.empty_like(sh))
+    sh = em._advance(sh, ext, prop, dt, 1, np.empty_like(sh))
     band = em.dealias_mask(ANISO)
     rk4 = fields.fftn(_oracle_rk4_step(stack, ext, mass, dt))
     exact = prop.evolve_spectrum(fields.fftn(stack), dt)
@@ -592,7 +611,7 @@ def test_evolve_em_matches_allocating_steps_bit_for_bit():
     want, step = [], 0
     for next_step in (0, 3, 6, 7):
         if next_step > step:
-            em._advance(sh, ext_a, prop, dt, next_step - step, np.empty_like(sh))
+            sh = em._advance(sh, ext_a, prop, dt, next_step - step, np.empty_like(sh))
         step = next_step
         state = fields.WaveField(grid, fields.ifftn(sh), MASS, step * dt)
         want.append(em._em_diagnostics(state, sh, ext_a))
@@ -645,59 +664,77 @@ def test_evolve_em_splits_band_and_complement(monkeypatch, ext_aniso):
 EXACT_GRID = fields.Grid.cubic(12)
 
 
-@pytest.fixture(scope="module")
-def exact_case():
-    return _uniform(EXACT_GRID, UNIFORM_A), fields.random_wave_field(EXACT_GRID, MASS, 2.0, seed=5)
+@pytest.fixture(scope="module", params=[0.0, 1.0])
+def exact_case(request):
+    """The uniform potentials and a state of mass 0 or 1."""
+    return (_uniform(EXACT_GRID, UNIFORM_A),
+            fields.random_wave_field(EXACT_GRID, request.param, 2.0, seed=5))
 
 
-def _shifted_hamiltonians(a0, charge=0.5):
+def _shifted_hamiltonians(a0, mass, charge=0.5):
     """H(k - e a0) + e Phi per band mode of EXACT_GRID, shape (modes, 6, 6),
     from the algebra's matrices."""
     k = fields.wavevectors(EXACT_GRID)[:, em.dealias_mask(EXACT_GRID)] - charge * a0[:, None]
     ms = algebra.matrix_set()
-    return (np.einsum("jm,jab->mab", k, ms.a_stack()) + MASS * ms.b_complex()
+    return (np.einsum("jm,jab->mab", k, ms.a_stack()) + mass * ms.b_complex()
             + charge * UNIFORM_PHI * np.eye(6))
 
 
-def _exact_uniform(sh, a0, t):
+def _exact_uniform(sh, a0, t, mass):
     """exp(-i (H_A + e Phi) t) on the spectrum sh for the uniform potentials
     with A = a0: per-mode eigh of H(k - eA) + e Phi on the band, the free
     closed form on the rest."""
-    out = dynamics.FreePropagator(EXACT_GRID, MASS).evolve_spectrum(sh, t)
+    out = dynamics.FreePropagator(EXACT_GRID, mass).evolve_spectrum(sh, t)
     band = em.dealias_mask(EXACT_GRID)
-    w, v = np.linalg.eigh(_shifted_hamiltonians(a0))
+    w, v = np.linalg.eigh(_shifted_hamiltonians(a0, mass))
     u = np.einsum("mab,mb,mcb->mac", v, np.exp(-1j * w * t), v.conj())
     out[:, band] = np.einsum("mab,bm->am", u, sh[:, band])
     return out
 
 
 def test_uniform_generator_is_the_shifted_symbol(exact_case):
-    # measured 1.1e-16 relative; off the band the generator is H(k) exactly
+    # measured 1.2e-16 (m = 0) and 1.1e-16 (m = 1) relative; off the band the
+    # generator is H(k) exactly
     ext_u, psi_u = exact_case
     sh = fields.fftn(psi_u.data)
     band = em.dealias_mask(EXACT_GRID)
-    got = em._generator_spectrum(sh, ext_u, MASS)
-    want = dynamics._hamiltonian_symbol(fields.wavevectors(EXACT_GRID), MASS, sh)
+    got = em._generator_spectrum(sh, ext_u, psi_u.mass)
+    want = dynamics._hamiltonian_symbol(fields.wavevectors(EXACT_GRID), psi_u.mass, sh)
     assert np.array_equal(got[:, ~band], want[:, ~band])
-    want[:, band] = np.einsum("mab,bm->am", _shifted_hamiltonians(UNIFORM_A), sh[:, band])
+    want[:, band] = np.einsum("mab,bm->am", _shifted_hamiltonians(UNIFORM_A, psi_u.mass),
+                              sh[:, band])
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def _rk4_error(exact_case, dt, a0):
     ext_u, psi_u = exact_case
     got = em.evolve_em(psi_u, ext_u, 1.0, dt).final.data
-    want = fields.ifftn(_exact_uniform(fields.fftn(psi_u.data), a0, 1.0))
+    want = fields.ifftn(_exact_uniform(fields.fftn(psi_u.data), a0, 1.0, psi_u.mass))
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 def test_rk4_global_error_against_exact_uniform_reference(exact_case):
-    # measured at t = 1: 2.6e-7, 1.6e-8, 1.0e-9 (the stability bound is
-    # 0.043); each halving of dt divides the error by 16
+    # measured at t = 1: 2.6e-7, 1.6e-8, 1.0e-9 at m = 1 (the stability bound
+    # is 0.043) and 1.0e-7, 6.3e-9, 3.9e-10 at m = 0; each halving of dt
+    # divides the error by 16
     errors = [_rk4_error(exact_case, dt, UNIFORM_A) for dt in (0.04, 0.02, 0.01)]
     for error, bound in zip(errors, (4e-7, 2.5e-8, 1.5e-9)):
         assert error <= bound
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.9 <= np.log2(coarse / fine) <= 4.1
+
+
+def test_uniform_case_is_hermitian_and_projects(exact_case):
+    # measured: hermiticity 4.7e-16 (m = 0) and 1.3e-15 (m = 1); the
+    # projection, which the mass does not enter, takes 14 + 14 CG
+    # iterations and leaves max|pi.w| at 7.7e-11 of max|w|
+    ext_u, psi_u = exact_case
+    assert em.hermiticity_check(ext_u, psi_u.mass, trials=2, seed=1).all_passed
+    proj = em.covariant_project(psi_u, ext_u).field
+    assert proj.mass == psi_u.mass
+    for block in (slice(0, 3), slice(3, 6)):
+        pi_w = em.pi_dot(ext_u, proj.data[block])
+        assert np.max(np.abs(pi_w)) <= 1e-9 * np.max(np.abs(psi_u.data[block]))
 
 
 def test_exact_uniform_reference_without_a_misses(exact_case):
@@ -773,6 +810,46 @@ def test_external_field_build(fft_transforms, ext):
     fft_transforms.clear()
     em.ExternalField(GRID, ext.charge, ext.phi, ext.avec)
     assert sum(fft_transforms) == 14
+
+
+# At charge 1e200 the coupling overflows: every check that meets it must
+# fail or raise, never report a residual it could not measure.
+def _overflowing():
+    return em.random_smooth_external(fields.Grid.cubic(8), 1e200, seed=1)
+
+
+def test_worst_and_least_keep_nan():
+    assert math.isnan(reports.worst([0.0, math.nan]))
+    assert math.isnan(reports.least([math.inf, math.nan]))
+    assert reports.worst([]) == 0.0 and reports.least([]) == math.inf
+    rep = reports.ResidualReport()
+    rep.add_upper("upper", math.nan, 1.0)
+    rep.add_lower("control", math.nan, 1.0)
+    assert [c.passed for c in rep.checks] == [False, False]
+
+
+def test_squared_check_fails_on_overflow():
+    # the parent's Python max dropped the NaN trials and reported 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = em.squared_hamiltonian_check(_overflowing(), 0.0, trials=2, seed=1)
+    assert math.isnan(rep.value("squared_hamiltonian_identity"))
+    assert not rep.all_passed
+
+
+def test_projection_stops_at_a_non_finite_residual(fft_transforms):
+    # a NaN residual fails every stopping test, so the CG ran to its cap and
+    # raised NoConvergence; it must stop within its first iteration
+    grid = fields.Grid.cubic(8)
+    psi8 = fields.random_wave_field(grid, MASS, 2.0, seed=3)
+    ext_ok, ext_big = em.random_smooth_external(grid, 0.5, seed=1), _overflowing()
+    fft_transforms.clear()
+    with pytest.raises(NoConvergence):
+        em.covariant_project(psi8, ext_ok, tol=1e-300, maxiter=1)
+    one_iteration = sum(fft_transforms)
+    fft_transforms.clear()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+        em.covariant_project(psi8, ext_big)
+    assert sum(fft_transforms) <= one_iteration
 
 
 def test_constrained_check_reports_cg_telemetry(ext):

@@ -470,6 +470,8 @@ _TABLE_REFUSED = {
         _random_ic(seed=1.5),
         _coupled(random={"seed": 11, "amplitude": float("nan"), "nmax": 1}),
         _coupled(random={"seed": 11, "amplitude": float("inf"), "nmax": 1}),
+        # finite, but the potentials' spectra overflow: refused before a step
+        _coupled(random={"seed": 1, "amplitude": 1e308, "nmax": 1}),
         _coupled(random={"seed": 1.5, "amplitude": 0.2, "nmax": 1}),
         _coupled(phi_terms=[{"n": [1, 0, 0], "cos": float("nan")}]),
         _coupled(phi_terms=[{"n": [0.5, 0, 0], "cos": 0.1}]),
@@ -493,6 +495,7 @@ _TABLE_REFUSED = {
          "t-final-negative", "dt-zero", "stride-zero", "coupled-dt-over-stability-bound",
          "k-cutoff-nan", "k-cutoff-0", "k-cutoff-negative", "k-cutoff-square-underflows",
          "seed-not-whole", "random-field-amplitude-nan", "random-field-amplitude-infinite",
+         "random-field-amplitude-overflows",
          "random-field-seed-not-whole", "fourier-cos-nan", "fourier-mode-not-whole",
          "mode-amplitude-short", "mode-amplitude-nan", "mode-index-not-whole",
          "nx-not-whole", "diagnostics-path-an-integer", "snapshot-path-a-list",
@@ -721,11 +724,13 @@ def test_cli_em_check_external_not_an_object_exits_2(tmp_path, capsys):
         {"mass": -1.0},
         {"charge": float("inf")},
         {"external_field": {"random": {"seed": 11, "amplitude": float("nan"), "nmax": 1}}},
+        # finite, but the potentials' spectra overflow: refused before a CG solve
+        {"external_field": {"random": {"seed": 1, "amplitude": 1e308, "nmax": 1}}},
         {"trails": 2},
     ],
     ids=["trials-0", "trials-not-whole", "seed-negative", "seed-not-a-number",
          "seed-not-whole", "mass-nan", "mass-negative", "charge-infinite",
-         "random-field-amplitude-nan", "trials-misspelled"],
+         "random-field-amplitude-nan", "random-field-amplitude-overflows", "trials-misspelled"],
 )
 def test_cli_em_check_bad_config_exits_2(tmp_path, capsys, overrides):
     path = em_check_config(tmp_path, **overrides)
