@@ -13,10 +13,14 @@ three components of Psi are u and the lower three are v.  The comparison set
 alpha_k = sigma_2 (x) sigma_k, beta = sigma_3 (x) I_2 is a representation of
 the Dirac matrices.
 
-Every entry of every constructed matrix lies in {0, +-1, +-i}; all identity
-checks among the constructed matrices therefore run in exact Gaussian-integer
-arithmetic (int64 real/imaginary parts, no floating point).  Checks that
-involve real momenta run in complex128 with a 1e-14 tolerance.
+Every entry of every constructed matrix lies in {0, +-1, +-i}, and each is
+held as a read-only complex128 array.  The identity checks among them are
+nevertheless exact: every sum and product they form is a Gaussian integer
+far below 2^53 in magnitude, which complex128 represents exactly, so no
+operation rounds, whatever the BLAS summation order or use of FMA.  Each
+such identity is compared at tolerance 0, so a rounding would fail it
+rather than pass silently.  Checks that involve real momenta run in
+complex128 with a 1e-14 tolerance.
 """
 from __future__ import annotations
 
@@ -30,139 +34,56 @@ from .reports import IdentityReport, worst
 FLOAT_TOL = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
-class ExactMat:
-    """Square matrix over the Gaussian integers; arithmetic never rounds."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", np.asarray(self.re, dtype=np.int64))
-        object.__setattr__(self, "im", np.asarray(self.im, dtype=np.int64))
-        if self.re.shape != self.im.shape or self.re.ndim != 2:
-            raise ValueError("real and imaginary parts must be square and congruent")
-
-    @property
-    def dim(self) -> int:
-        return self.re.shape[0]
-
-    @staticmethod
-    def identity(d: int) -> "ExactMat":
-        return ExactMat(np.eye(d, dtype=np.int64), np.zeros((d, d), np.int64))
-
-    @staticmethod
-    def zeros(d: int) -> "ExactMat":
-        z = np.zeros((d, d), np.int64)
-        return ExactMat(z, z.copy())
-
-    def __matmul__(self, other: "ExactMat") -> "ExactMat":
-        return ExactMat(
-            self.re @ other.re - self.im @ other.im,
-            self.re @ other.im + self.im @ other.re,
-        )
-
-    def __add__(self, other: "ExactMat") -> "ExactMat":
-        return ExactMat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ExactMat") -> "ExactMat":
-        return ExactMat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ExactMat":
-        return ExactMat(-self.re, -self.im)
-
-    def scaled(self, re: int, im: int = 0) -> "ExactMat":
-        """Multiply by the Gaussian integer re + i*im."""
-        return ExactMat(re * self.re - im * self.im, re * self.im + im * self.re)
-
-    def times_i(self) -> "ExactMat":
-        return ExactMat(-self.im, self.re)
-
-    def conj_t(self) -> "ExactMat":
-        return ExactMat(self.re.T.copy(), -self.im.T)
-
-    def kron(self, other: "ExactMat") -> "ExactMat":
-        return ExactMat(
-            np.kron(self.re, other.re) - np.kron(self.im, other.im),
-            np.kron(self.re, other.im) + np.kron(self.im, other.re),
-        )
-
-    def equals(self, other: "ExactMat") -> bool:
-        return bool(
-            np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im)
-        )
-
-    def max_abs_deviation(self, other: "ExactMat") -> float:
-        dre = self.re - other.re
-        dim = self.im - other.im
-        return float(np.sqrt(np.max(dre * dre + dim * dim)))
-
-    def is_hermitian(self) -> bool:
-        return self.equals(self.conj_t())
-
-    def to_complex(self) -> np.ndarray:
-        return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
-
-
-def _exact(entries) -> ExactMat:
-    arr = np.asarray(entries, dtype=np.complex128)
-    re = arr.real.astype(np.int64)
-    im = arr.imag.astype(np.int64)
-    if not (np.all(arr.real == re) and np.all(arr.imag == im)):
+def _exact(entries) -> np.ndarray:
+    """A read-only complex128 array of Gaussian-integer entries.  Parts that
+    are -0.0 become +0.0 (Python's -1j is -0-1j)."""
+    m = np.asarray(entries, dtype=np.complex128) + 0.0
+    parts = m.view(np.float64)
+    if not np.all(np.isfinite(parts) & (parts == np.rint(parts))):
         raise ValueError("entries are not Gaussian integers")
-    return ExactMat(re, im)
+    m.setflags(write=False)
+    return m
 
 
-# Pauli matrices (2x2) and the spin-1 matrices (3x3), entries in {0, +-1, +-i}.
-SIGMA1 = _exact([[0, 1], [1, 0]])
-SIGMA2 = _exact([[0, -1j], [1j, 0]])
-SIGMA3 = _exact([[1, 0], [0, -1]])
+def _deviation(x, y) -> float:
+    """max |x - y| over the entries; exactly 0 when x equals y."""
+    return float(np.max(np.abs(x - y)))
 
-SPIN1 = _exact([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]])
-SPIN2 = _exact([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]])
-SPIN3 = _exact([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
+
+# The Pauli matrices (2x2) and the spin-1 matrices (3x3), stacked on axis 0.
+PAULI = _exact([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+SPIN = _exact([
+    [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+    [[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]],
+    [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+])
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixSet:
     """The full matrix family: spin-1 blocks, the 6x6 dynamical set, the spin
-    operator, the block-swap, and the 4x4 Dirac comparison set."""
+    operator, the block-swap, and the 4x4 Dirac comparison set.  Each field
+    is a read-only complex128 array; triples are stacked on axis 0."""
 
-    spin_matrices: tuple[ExactMat, ExactMat, ExactMat]
-    a: tuple[ExactMat, ExactMat, ExactMat]
-    b: ExactMat
-    sigma_big: tuple[ExactMat, ExactMat, ExactMat]
-    dirac_alpha: tuple[ExactMat, ExactMat, ExactMat]
-    dirac_beta: ExactMat
-    swap: ExactMat
-
-    def a_stack(self) -> np.ndarray:
-        """Complex view of (a_1, a_2, a_3), shape (3, 6, 6)."""
-        return np.stack([m.to_complex() for m in self.a])
-
-    def b_complex(self) -> np.ndarray:
-        return self.b.to_complex()
-
-    def sigma_stack(self) -> np.ndarray:
-        return np.stack([m.to_complex() for m in self.sigma_big])
-
-    def alpha_stack(self) -> np.ndarray:
-        return np.stack([m.to_complex() for m in self.dirac_alpha])
+    spin_matrices: np.ndarray  # (3, 3, 3)
+    a: np.ndarray  # (3, 6, 6)
+    b: np.ndarray
+    sigma_big: np.ndarray  # (3, 6, 6)
+    dirac_alpha: np.ndarray  # (3, 4, 4)
+    dirac_beta: np.ndarray
+    swap: np.ndarray
 
 
 def build_matrix_set() -> MatrixSet:
-    spin = (SPIN1, SPIN2, SPIN3)
-    i3 = ExactMat.identity(3)
-    i2 = ExactMat.identity(2)
-    paulis = (SIGMA1, SIGMA2, SIGMA3)
+    sigma1, sigma2, sigma3 = PAULI
     return MatrixSet(
-        spin_matrices=spin,
-        a=tuple(SIGMA2.kron(s) for s in spin),
-        b=SIGMA3.kron(i3),
-        sigma_big=tuple(i2.kron(s) for s in spin),
-        dirac_alpha=tuple(SIGMA2.kron(p) for p in paulis),
-        dirac_beta=SIGMA3.kron(i2),
-        swap=SIGMA1.kron(i3),
+        spin_matrices=SPIN,
+        a=_exact([np.kron(sigma2, s) for s in SPIN]),
+        b=_exact(np.kron(sigma3, np.eye(3))),
+        sigma_big=_exact([np.kron(np.eye(2), s) for s in SPIN]),
+        dirac_alpha=_exact([np.kron(sigma2, p) for p in PAULI]),
+        dirac_beta=_exact(np.kron(sigma3, np.eye(2))),
+        swap=_exact(np.kron(sigma1, np.eye(3))),
     )
 
 
@@ -179,30 +100,26 @@ def check_anticommutation() -> IdentityReport:
     transverse projector diag(1,1,0,1,1,0), not the identity."""
     ms = matrix_set()
     rep = IdentityReport()
-    i6 = ExactMat.identity(6)
-    rep.add("b_squared_is_identity", (ms.b @ ms.b).max_abs_deviation(i6))
+    i6, i4 = np.eye(6), np.eye(4)
+    rep.add("b_squared_is_identity", _deviation(ms.b @ ms.b, i6))
     for k, ak in enumerate(ms.a, start=1):
-        anti = ak @ ms.b + ms.b @ ak
-        rep.add(f"a{k}_b_anticommute", anti.max_abs_deviation(ExactMat.zeros(6)))
+        rep.add(f"a{k}_b_anticommute", _deviation(ak @ ms.b + ms.b @ ak, 0))
 
-    i4 = ExactMat.identity(4)
-    rep.add("beta_squared_is_identity", (ms.dirac_beta @ ms.dirac_beta).max_abs_deviation(i4))
+    beta = ms.dirac_beta
+    rep.add("beta_squared_is_identity", _deviation(beta @ beta, i4))
     for k, al in enumerate(ms.dirac_alpha, start=1):
-        anti = al @ ms.dirac_beta + ms.dirac_beta @ al
-        rep.add(f"alpha{k}_beta_anticommute", anti.max_abs_deviation(ExactMat.zeros(4)))
-    for j in range(3):
-        for k in range(3):
-            anti = ms.dirac_alpha[j] @ ms.dirac_alpha[k] + ms.dirac_alpha[k] @ ms.dirac_alpha[j]
-            target = i4.scaled(2) if j == k else ExactMat.zeros(4)
-            rep.add(f"alpha{j+1}_alpha{k+1}_clifford", anti.max_abs_deviation(target))
+        rep.add(f"alpha{k}_beta_anticommute", _deviation(al @ beta + beta @ al, 0))
+    for j, aj in enumerate(ms.dirac_alpha):
+        for k, ak in enumerate(ms.dirac_alpha):
+            target = 2 * i4 if j == k else 0
+            rep.add(f"alpha{j+1}_alpha{k+1}_clifford", _deviation(aj @ ak + ak @ aj, target))
 
     # The spin-1 set must NOT satisfy the Clifford square condition.
     a3_sq = ms.a[2] @ ms.a[2]
-    projector = _exact(np.diag([1, 1, 0, 1, 1, 0]))
-    dev_from_identity = a3_sq.max_abs_deviation(i6)
+    dev_from_identity = _deviation(a3_sq, i6)
     rep.add_outcome(
         "a3_squared_violates_clifford",
-        passed=(dev_from_identity > 0) and a3_sq.equals(projector),
+        passed=(dev_from_identity > 0) and _deviation(a3_sq, np.diag([1, 1, 0, 1, 1, 0])) == 0,
         deviation=dev_from_identity,
     )
     return rep
@@ -216,26 +133,20 @@ def check_spin_operator() -> IdentityReport:
     rep = IdentityReport()
     cyc = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     for c, j, k in cyc:
-        comm = ms.a[j] @ ms.a[k] - ms.a[k] @ ms.a[j]
-        built = comm.scaled(0, -1)  # -i * commutator
-        rep.add(f"sigma{c+1}_from_a_commutator", built.max_abs_deviation(ms.sigma_big[c]))
+        built = -1j * (ms.a[j] @ ms.a[k] - ms.a[k] @ ms.a[j])
+        rep.add(f"sigma{c+1}_from_a_commutator", _deviation(built, ms.sigma_big[c]))
 
-    sig_sq = ExactMat.zeros(6)
-    for s in ms.sigma_big:
-        sig_sq = sig_sq + s @ s
-    two_i = ExactMat.identity(6).scaled(2)
-    rep.add("sigma_squared_is_2I", sig_sq.max_abs_deviation(two_i))
+    sig_sq = sum(s @ s for s in ms.sigma_big)
+    rep.add("sigma_squared_is_2I", _deviation(sig_sq, 2 * np.eye(6)))
 
     # S(S+1) = 2  =>  S = 1
-    s_value = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * sig_sq.re[0, 0]))
+    s_value = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * sig_sq[0, 0].real))
     rep.add("inferred_spin_is_one", abs(s_value - 1.0))
 
+    sig = ms.sigma_big
     for c, j, k in cyc:
-        comm = ms.sigma_big[j] @ ms.sigma_big[k] - ms.sigma_big[k] @ ms.sigma_big[j]
-        rep.add(
-            f"sigma{j+1}_sigma{k+1}_commutator",
-            comm.max_abs_deviation(ms.sigma_big[c].times_i()),
-        )
+        comm = sig[j] @ sig[k] - sig[k] @ sig[j]
+        rep.add(f"sigma{j+1}_sigma{k+1}_commutator", _deviation(comm, 1j * sig[c]))
     return rep
 
 
@@ -245,12 +156,10 @@ def check_swap_symmetry() -> IdentityReport:
     u <-> v, t -> -t invariance of the free propagator."""
     ms = matrix_set()
     rep = IdentityReport()
-    rep.add("swap_squared_is_identity", (ms.swap @ ms.swap).max_abs_deviation(ExactMat.identity(6)))
+    rep.add("swap_squared_is_identity", _deviation(ms.swap @ ms.swap, np.eye(6)))
     for k, ak in enumerate(ms.a, start=1):
-        conj = ms.swap @ ak @ ms.swap
-        rep.add(f"swap_a{k}_swap_is_minus_a{k}", conj.max_abs_deviation(-ak))
-    conj = ms.swap @ ms.b @ ms.swap
-    rep.add("swap_b_swap_is_minus_b", conj.max_abs_deviation(-ms.b))
+        rep.add(f"swap_a{k}_swap_is_minus_a{k}", _deviation(ms.swap @ ak @ ms.swap, -ak))
+    rep.add("swap_b_swap_is_minus_b", _deviation(ms.swap @ ms.b @ ms.swap, -ms.b))
     return rep
 
 
@@ -265,16 +174,11 @@ def check_sigma_commutators() -> IdentityReport:
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[i, j, k] = 1
         eps[i, k, j] = -1
-    for c in range(3):
-        for j in range(3):
-            comm = ms.sigma_big[c] @ ms.a[j] - ms.a[j] @ ms.sigma_big[c]
-            target = ExactMat.zeros(6)
-            for l in range(3):
-                if eps[c, j, l]:
-                    target = target + ms.a[l].scaled(0, int(eps[c, j, l]))
-            rep.add(f"sigma{c+1}_a{j+1}_commutator", comm.max_abs_deviation(target))
-        comm = ms.sigma_big[c] @ ms.b - ms.b @ ms.sigma_big[c]
-        rep.add(f"sigma{c+1}_b_commute", comm.max_abs_deviation(ExactMat.zeros(6)))
+    for c, sc in enumerate(ms.sigma_big):
+        for j, aj in enumerate(ms.a):
+            target = 1j * np.tensordot(eps[c, j], ms.a, axes=1)
+            rep.add(f"sigma{c+1}_a{j+1}_commutator", _deviation(sc @ aj - aj @ sc, target))
+        rep.add(f"sigma{c+1}_b_commute", _deviation(sc @ ms.b - ms.b @ sc, 0))
     return rep
 
 
@@ -285,7 +189,7 @@ def hamiltonian_symbol(k, m: float) -> np.ndarray:
     Hermitian by construction; natural units (hbar = c = 1)."""
     ms = matrix_set()
     k = np.asarray(k, dtype=float)
-    return np.tensordot(k, ms.a_stack(), axes=(-1, 0)) + m * ms.b_complex()
+    return np.tensordot(k, ms.a, axes=(-1, 0)) + m * ms.b
 
 
 def analytic_eigenvalues(k, m: float) -> np.ndarray:
@@ -305,7 +209,7 @@ def check_square_identity(n) -> IdentityReport:
     if abs(np.linalg.norm(n) - 1.0) > FLOAT_TOL:
         raise ValueError("n must be a unit vector")
     rep = IdentityReport()
-    an = np.tensordot(n, ms.a_stack(), axes=(0, 0))
+    an = np.tensordot(n, ms.a, axes=(0, 0))
     an_sq = an @ an
     # spectral norm of (a.n)^2 - I is exactly 1: the longitudinal directions
     # are annihilated instead of preserved
@@ -319,7 +223,7 @@ def check_square_identity(n) -> IdentityReport:
             worst(np.abs(an_sq @ transverse - transverse)), FLOAT_TOL)
     rep.add("an_squared_zero_on_longitudinal", worst(np.abs(an_sq @ longitudinal)), FLOAT_TOL)
 
-    alpha_n = np.tensordot(n, ms.alpha_stack(), axes=(0, 0))
+    alpha_n = np.tensordot(n, ms.dirac_alpha, axes=(0, 0))
     dev = float(np.max(np.abs(alpha_n @ alpha_n - np.eye(4))))
     rep.add("dirac_alpha_n_squared_is_identity", dev, FLOAT_TOL)
     return rep

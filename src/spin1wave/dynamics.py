@@ -162,10 +162,10 @@ def probability_current_matrix_form(psi: WaveField) -> np.ndarray:
     """j_k = Psi^dag a_k Psi evaluated with the actual 6x6 matrices (the
     independent route; must agree with the cross-product form).  Sums
     a[k, i, j] conj(psi_i) psi_j over the 12 nonzero matrix entries only."""
-    a_stack = algebra.matrix_set().a_stack()
+    a = algebra.matrix_set().a
     j = np.zeros((3, *psi.grid.shape))
-    for k, row, col in zip(*np.nonzero(a_stack)):
-        j[k] += (a_stack[k, row, col] * psi.data[row].conj() * psi.data[col]).real
+    for k, row, col in zip(*np.nonzero(a)):
+        j[k] += (a[k, row, col] * psi.data[row].conj() * psi.data[col]).real
     return 0.5 * j
 
 
@@ -412,7 +412,7 @@ def angular_momentum_commutator(psi: WaveField) -> float:
     """
     grid, m = psi.grid, psi.mass
     x = fields.coordinates(grid)
-    sigma_stack = algebra.matrix_set().sigma_stack()
+    sigma = algebra.matrix_set().sigma_big
     stack = psi.data
 
     h_psi = apply_hamiltonian_stack(grid, m, stack)
@@ -422,7 +422,7 @@ def angular_momentum_commutator(psi: WaveField) -> float:
     def j_apply(c: int, base: np.ndarray, p_base: np.ndarray) -> np.ndarray:
         a, b = (c + 1) % 3, (c + 2) % 3
         orbital = x[a] * p_base[b] - x[b] * p_base[a]
-        spin = np.einsum("ij,j...->i...", sigma_stack[c], base)
+        spin = np.einsum("ij,j...->i...", sigma[c], base)
         return orbital + spin
 
     def residual(c: int) -> float:

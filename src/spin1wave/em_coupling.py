@@ -491,6 +491,14 @@ def covariant_project(
 _K_CUTOFF = 2.0  # on every grid; ROADMAP item 6 asks whether it should follow it
 
 
+def _trial_rng(trials: int, seed) -> np.random.Generator:
+    """The random stream of an identity check.  A check of no trials would
+    pass vacuously (worst([]) is 0, least([]) is inf), so it is refused."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return np.random.default_rng(seed)
+
+
 def _draw(ext: ExternalField, mass: float, rng) -> WaveField:
     """One random state of the identity checks, of envelope width _K_CUTOFF."""
     return fields.random_wave_field(ext.grid, mass, _K_CUTOFF, rng)
@@ -504,8 +512,8 @@ def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
     pi operator on both sides.  The negative control replaces b by the
     non-anticommuting Sigma_3 and must break the identity at O(m) on every
     trial."""
-    rng = np.random.default_rng(seed)
-    sigma3 = algebra.matrix_set().sigma_stack()[2]
+    rng = _trial_rng(trials, seed)
+    sigma3 = algebra.matrix_set().sigma_big[2]
 
     def trial() -> tuple[float, float]:
         """The identity's relative residual and, at m > 0, the control's."""
@@ -556,7 +564,7 @@ def constrained_square_check(ext: ExternalField, mass: float, trials: int = 4,
     constraints, not just the matrix algebra, carry the magnetic-moment
     term.  The notes carry the largest CG iteration count of any block
     solve and the largest final CG residual max|pi.w|."""
-    rng = np.random.default_rng(seed)
+    rng = _trial_rng(trials, seed)
 
     def residual(psi: WaveField) -> float:
         sh = fields.fftn(psi.data)
@@ -584,7 +592,7 @@ def constrained_square_check(ext: ExternalField, mass: float, trials: int = 4,
 def hermiticity_check(ext: ExternalField, mass: float, trials: int = 5, seed=0) -> ResidualReport:
     """<phi | (H_A + e Phi) psi> = <(H_A + e Phi) phi | psi> on random fields,
     to |lhs - rhs| / max(|lhs|, |rhs|)."""
-    rng = np.random.default_rng(seed)
+    rng = _trial_rng(trials, seed)
 
     def trial() -> float:
         f, g = (fields.fftn(_draw(ext, mass, rng).data) for _ in range(2))

@@ -56,8 +56,9 @@ class Grid:
                 raise ValueError("box lengths must be positive and finite")
 
     @staticmethod
-    def cubic(n: int, length: float = 2.0 * np.pi) -> "Grid":
-        return Grid(n, n, n, length, length, length)
+    def cubic(n: int) -> "Grid":
+        """n points per axis on a cubic box of side 2 pi."""
+        return Grid(n, n, n, 2.0 * np.pi, 2.0 * np.pi, 2.0 * np.pi)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -342,23 +343,17 @@ def random_wave_field(
     return psi
 
 
-def gaussian_wave_packet(
-    grid: Grid,
-    mass: float,
-    sigma: float,
-    k0=(0.0, 0.0, 0.0),
-    u_polarization=(1.0, 0.0, 0.0),
-    v_polarization=(0.0, 1.0, 0.0),
-) -> WaveField:
+def gaussian_wave_packet(grid: Grid, mass: float, sigma: float, k0=(0.0, 0.0, 0.0)) -> WaveField:
     """Gaussian envelope exp(-|x|^2/(2 sigma^2)) e^{i k0.x} centered at the
-    box midpoint, with constant polarization vectors on the two blocks.
-    Unit norm.  Keep sigma well below L so the wrap seam is negligible."""
+    box midpoint, polarized along x on the u block and along y on the v
+    block.  Unit norm.  Keep sigma well below L so the wrap seam is
+    negligible."""
     x = coordinates(grid)
     r2 = np.sum(x * x, axis=0)
     envelope = np.exp(-r2 / (2.0 * sigma**2)) * np.exp(
         1j * np.tensordot(np.asarray(k0, float), x, axes=(0, 0))
     )
-    pol = np.concatenate([np.asarray(u_polarization, complex), np.asarray(v_polarization, complex)])
+    pol = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], complex)
     psi = WaveField(grid, pol[:, None, None, None] * envelope, mass)
     psi.data /= psi.norm()
     return psi

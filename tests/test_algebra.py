@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from spin1wave import algebra
-from spin1wave.algebra import ExactMat, matrix_set
+from spin1wave.algebra import matrix_set
+
+
+def _all_matrices(ms):
+    return [*ms.spin_matrices, *ms.a, ms.b, *ms.sigma_big, *ms.dirac_alpha, ms.dirac_beta,
+            ms.swap]
 
 
 def test_all_entries_are_gaussian_units():
-    ms = matrix_set()
-    mats = [*ms.spin_matrices, *ms.a, ms.b, *ms.sigma_big, *ms.dirac_alpha, ms.dirac_beta, ms.swap]
-    for m in mats:
-        assert np.all(np.abs(m.re) <= 1) and np.all(np.abs(m.im) <= 1)
+    for m in _all_matrices(matrix_set()):
+        assert set(m.real.ravel()) | set(m.imag.ravel()) <= {-1.0, 0.0, 1.0}
         # entries are 0, +-1 or +-i: never both parts nonzero
-        assert not np.any((m.re != 0) & (m.im != 0))
+        assert not np.any((m.real != 0) & (m.imag != 0))
 
 
 def test_spin3_entries():
-    s3 = matrix_set().spin_matrices[2].to_complex()
+    s3 = matrix_set().spin_matrices[2]
     expected = np.zeros((3, 3), complex)
     expected[0, 1] = -1j
     expected[1, 0] = 1j
@@ -23,25 +26,25 @@ def test_spin3_entries():
 
 
 def test_b_is_block_sign_diagonal():
-    b = matrix_set().b.to_complex()
+    b = matrix_set().b
     assert np.array_equal(b, np.diag([1, 1, 1, -1, -1, -1.0]))
 
 
 def test_sigma3_is_block_diagonal_spin3():
     ms = matrix_set()
-    s3 = ms.spin_matrices[2].to_complex()
+    s3 = ms.spin_matrices[2]
     expected = np.block(
         [[s3, np.zeros((3, 3))], [np.zeros((3, 3)), s3]]
     )
-    assert np.array_equal(ms.sigma_big[2].to_complex(), expected)
+    assert np.array_equal(ms.sigma_big[2], expected)
 
 
 def test_kron_convention_coarse_blocks_left():
     # (P x Q)[i*n+k, j*n+l] = P[i,j] Q[k,l]: upper-right 3x3 block of
     # a_3 = sigma2 x S_3 must be -i * S_3
     ms = matrix_set()
-    a3 = ms.a[2].to_complex()
-    s3 = ms.spin_matrices[2].to_complex()
+    a3 = ms.a[2]
+    s3 = ms.spin_matrices[2]
     assert np.array_equal(a3[:3, 3:], -1j * s3)
     assert np.array_equal(a3[3:, :3], 1j * s3)
 
@@ -49,7 +52,7 @@ def test_kron_convention_coarse_blocks_left():
 def test_constructed_matrices_hermitian():
     ms = matrix_set()
     for m in [*ms.a, ms.b, *ms.sigma_big, *ms.dirac_alpha, ms.dirac_beta]:
-        assert m.is_hermitian()
+        assert np.array_equal(m, m.conj().T)
 
 
 def test_anticommutation_report_exact():
@@ -62,7 +65,7 @@ def test_anticommutation_report_exact():
 
 def test_spin1_set_violates_clifford_square():
     ms = matrix_set()
-    a3_sq = (ms.a[2] @ ms.a[2]).to_complex()
+    a3_sq = ms.a[2] @ ms.a[2]
     assert np.array_equal(a3_sq, np.diag([1, 1, 0, 1, 1, 0.0]))
 
 
@@ -74,7 +77,7 @@ def test_spin_operator_report_exact():
 
 def test_sigma_squared_is_2i_and_spin_one():
     ms = matrix_set()
-    total = sum((s @ s).to_complex() for s in ms.sigma_big)
+    total = sum(s @ s for s in ms.sigma_big)
     assert np.array_equal(total, 2.0 * np.eye(6))
     # S(S+1) = 2 => S = 1
     s = 0.5 * (-1 + np.sqrt(1 + 4 * 2))
@@ -171,8 +174,26 @@ def test_eigenmode_rejects_zero_k():
         algebra.eigenmode((0, 0, 0), 1.0, +1, "t1")
 
 
-def test_exactmat_arithmetic():
-    i2 = ExactMat.identity(2)
-    assert (i2 @ i2).equals(i2)
-    assert i2.times_i().times_i().equals(-i2)
-    assert i2.scaled(3).max_abs_deviation(i2) == 2.0
+def test_matrix_set_arithmetic_stays_exact():
+    # The identity checks compare complex128 products at tolerance 0.  That
+    # is exact because every entry is 0, +-1 or +-i (the test above), so
+    # every product and anticommutator of two matrices is a small Gaussian
+    # integer.
+    ms = matrix_set()
+    for field in vars(ms).values():
+        assert field.dtype == np.complex128 and not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[(0,) * field.ndim] = 2.0
+    mats = _all_matrices(ms)
+    for x in mats:
+        for y in mats:
+            if x.shape == y.shape:
+                for z in (x @ y, x @ y + y @ x):
+                    assert np.array_equal(z.real, np.rint(z.real))
+                    assert np.array_equal(z.imag, np.rint(z.imag))
+    for bad in (0.5, 1j / 3):
+        with pytest.raises(ValueError):
+            algebra._exact([[1, bad], [0, 1]])
+    rep = algebra.check_anticommutation()
+    clifford = [c for c in rep.identities if c.identity_name == "a3_squared_violates_clifford"]
+    assert clifford[0].passed and clifford[0].max_abs_deviation == 1.0

@@ -61,19 +61,38 @@ def key_paths(node, prefix=""):
     return set()
 
 
-def objects(node, value, path=()):
-    """(object node, path) of every JSON object in value, walking the table
-    beside it."""
+def reached(node, value, path=()):
+    """(node, path) of every table node that value reaches, walking the table
+    beside it, with each choice resolved to the case it picks."""
     if isinstance(node, cli._Choice):
-        yield from objects(node.cases[node.pick(value)], value, path)
-    elif isinstance(node, cli._Object):
-        yield node, path
+        yield from reached(node.cases[node.pick(value)], value, path)
+        return
+    yield node, path
+    if isinstance(node, cli._Object):
         for name, (child, _) in node.keys.items():
             if name in value:
-                yield from objects(child, value[name], (*path, name))
+                yield from reached(child, value[name], (*path, name))
     elif isinstance(node, cli._List):
         for i, item in enumerate(value):
-            yield from objects(node.item, item, (*path, i))
+            yield from reached(node.item, item, (*path, i))
+
+
+def objects(node, value):
+    """(object node, path) of every JSON object in value."""
+    return [(n, path) for n, path in reached(node, value) if isinstance(n, cli._Object)]
+
+
+def out_of_range(node, value) -> list:
+    """Numbers a _Number node refuses, given its valid value: one step past
+    each finite bound, a non-whole value for an integer node, both
+    infinities and an integer beyond the doubles."""
+    bad = [math.inf, -math.inf, 10**400]
+    for bound, side in ((node.low, -1), (node.high, 1)):
+        if math.isfinite(bound):
+            bad.append(bound + side if node.integer else math.nextafter(bound, side * math.inf))
+    if node.integer:
+        bad.append(value + 0.5)
+    return bad
 
 
 def json_types(node) -> set:
@@ -90,12 +109,25 @@ def _at(config, path):
     return config
 
 
+def _where(path) -> str:
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
 def mutants(table, config, kind):
     """(label, mutated config, expected exit code) of each mutation of one
     kind: drop a key, misspell it, give it a value of a JSON type its node
-    does not take, or add an unknown key to an object."""
-    for node, path in list(objects(table, config)):
-        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    does not take, add an unknown key to an object, or give a number its
+    node refuses."""
+    if kind == "out-of-range":
+        for node, path in reached(table, config):
+            if isinstance(node, cli._Number):
+                for value in out_of_range(node, _at(config, path)):
+                    mutant = copy.deepcopy(config)
+                    _at(mutant, path[:-1])[path[-1]] = value
+                    yield f"{_where(path)}={value!r:.20}", mutant, 2
+        return
+    for node, path in objects(table, config):
+        where = _where(path)
         if kind == "unknown-key":
             mutant = copy.deepcopy(config)
             _at(mutant, path)["comment"] = "x"
@@ -121,7 +153,8 @@ def mutants(table, config, kind):
 
 
 @pytest.mark.parametrize("base", CONFIGS)
-@pytest.mark.parametrize("kind", ["drop", "misspell", "wrong-type", "unknown-key"])
+@pytest.mark.parametrize("kind", ["drop", "misspell", "wrong-type", "unknown-key",
+                                  "out-of-range"])
 def test_config_mutations(tmp_path, capsys, monkeypatch, base, kind):
     monkeypatch.chdir(tmp_path)  # the outputs a config names land here
     command, config = CONFIGS[base]

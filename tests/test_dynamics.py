@@ -116,8 +116,8 @@ def test_current_matrix_form_matches_dense_einsum():
     rng = np.random.default_rng(13)
     stack = rng.standard_normal((6, 6, 8, 10)) + 1j * rng.standard_normal((6, 6, 8, 10))
     psi = fields.WaveField(fields.Grid(6, 8, 10, 3.0, 4.5, 7.0), stack, MASS)
-    a_stack = algebra.matrix_set().a_stack()
-    dense = 0.5 * np.einsum("kij,i...,j...->k...", a_stack, stack.conj(), stack).real
+    a = algebra.matrix_set().a
+    dense = 0.5 * np.einsum("kij,i...,j...->k...", a, stack.conj(), stack).real
     got = dynamics.probability_current_matrix_form(psi)
     assert np.max(np.abs(got - dense)) <= 1e-15 * np.max(np.abs(dense))
 
@@ -326,10 +326,8 @@ def test_record_schedule_is_lazy():
 def eigh_evolve_stack(grid, mass, stack, t):
     """Oracle for the closed form: exp(-i H(k) t) per mode from a batched 6x6
     Hermitian eigendecomposition of H(k) built from the actual matrices."""
-    ms = algebra.matrix_set()
     k = fields.wavevectors(grid).reshape(3, -1)
-    hmat = np.einsum("jm,jab->mab", k, ms.a_stack()) + mass * ms.b_complex()
-    evals, evecs = np.linalg.eigh(hmat)
+    evals, evecs = np.linalg.eigh(algebra.hamiltonian_symbol(k.T, mass))
     sh = fields.fftn(stack).reshape(6, -1).T  # (M, 6)
     coef = np.einsum("mji,mj->mi", evecs.conj(), sh) * np.exp(-1j * evals * t)
     sh = np.einsum("mij,mj->mi", evecs, coef)

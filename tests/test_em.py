@@ -266,7 +266,7 @@ def _dense_landau_e_squared(n, flux_quanta, m, e, box=2.0 * np.pi):
     h = box / n
     b_field = 2.0 * np.pi * flux_quanta / (e * box * box) if e != 0.0 else 0.0
     ms = algebra.matrix_set()
-    a1, a2 = ms.a_stack()[0], ms.a_stack()[1]
+    a1, a2 = ms.a[:2]
     nn = n * n
     tx = np.zeros((nn, nn), dtype=complex)
     ty = np.zeros((nn, nn), dtype=complex)
@@ -278,7 +278,7 @@ def _dense_landau_e_squared(n, flux_quanta, m, e, box=2.0 * np.pi):
             ty[s, i * n + (j + 1) % n] += np.exp(1j * e * b_field * (i * h) * h)
     px = -1j * (tx - tx.conj().T) / (2.0 * h)
     py = -1j * (ty - ty.conj().T) / (2.0 * h)
-    ham = np.kron(px, a1) + np.kron(py, a2) + m * np.kron(np.eye(nn), ms.b_complex())
+    ham = np.kron(px, a1) + np.kron(py, a2) + m * np.kron(np.eye(nn), ms.b)
     ev = np.linalg.eigvalsh(ham)
     return np.sort(ev * ev)
 
@@ -675,9 +675,7 @@ def _shifted_hamiltonians(a0, mass, charge=0.5):
     """H(k - e a0) + e Phi per band mode of EXACT_GRID, shape (modes, 6, 6),
     from the algebra's matrices."""
     k = fields.wavevectors(EXACT_GRID)[:, em.dealias_mask(EXACT_GRID)] - charge * a0[:, None]
-    ms = algebra.matrix_set()
-    return (np.einsum("jm,jab->mab", k, ms.a_stack()) + mass * ms.b_complex()
-            + charge * UNIFORM_PHI * np.eye(6))
+    return algebra.hamiltonian_symbol(k.T, mass) + charge * UNIFORM_PHI * np.eye(6)
 
 
 def _exact_uniform(sh, a0, t, mass):
@@ -856,3 +854,14 @@ def test_constrained_check_reports_cg_telemetry(ext):
     rep = em.constrained_square_check(ext, MASS, trials=2, seed=4)
     assert int(rep.notes["cg_max_iterations"]) >= 1
     assert 0.0 < float(rep.notes["cg_max_residual"]) <= 1e-10
+
+
+@pytest.mark.parametrize("check", [em.hermiticity_check, em.squared_hamiltonian_check,
+                                   em.constrained_square_check])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_identity_checks_refuse_no_trials(ext, fft_transforms, check, trials):
+    # with no trial worst([]) is 0 and least([]) is inf: every bound and
+    # every control would pass without a state drawn
+    with pytest.raises(ValueError, match="trials"):
+        check(ext, MASS, trials=trials, seed=1)
+    assert not fft_transforms
