@@ -428,6 +428,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_em_check(args) -> int:
+    import numpy as np
+
     from . import em_coupling, fields
 
     cfg = _EM_CHECK.parse(_load_json(args.config), "")
@@ -437,13 +439,18 @@ def _cmd_em_check(args) -> int:
         ext = _build_external(cfg["external_field"], grid, cfg["charge"])
     if ext is None:
         ext = em_coupling.ExternalField.zero(grid, cfg["charge"])
-    sections = {
-        "hermiticity": em_coupling.hermiticity_check(ext, mass, trials=trials, seed=seed),
-        "squared_identity": em_coupling.squared_hamiltonian_check(ext, mass, trials=trials, seed=seed),
-        "constrained_identity": em_coupling.constrained_square_check(
-            ext, mass, trials=max(2, trials // 2), seed=seed
-        ),
-    }
+    # an overflow reaches the report as a non-finite value, which fails its
+    # check or stops the projection (NonFiniteState): numpy's warnings
+    # would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        sections = {
+            "hermiticity": em_coupling.hermiticity_check(ext, mass, trials=trials, seed=seed),
+            "squared_identity": em_coupling.squared_hamiltonian_check(ext, mass, trials=trials,
+                                                                      seed=seed),
+            "constrained_identity": em_coupling.constrained_square_check(
+                ext, mass, trials=max(2, trials // 2), seed=seed
+            ),
+        }
     return _emit(sections, args.json)
 
 

@@ -29,12 +29,14 @@ ExternalField is built.
 Each operator has one spectral core, and every composite (RK4 stages, the
 record, the identity checks, the projection CG) chains cores on spectra;
 norm ratios and inner products are taken there too, since the FFT scales
-both sides alike.  Real space is used at the public boundary
-(ifftn o core o fftn), for max-norm residuals and for a record's state.
-The generator is the free symbol H(k) of dynamics plus one sandwich of the
-pointwise coupling e(Phi_d - a.A_d), 12 scalar FFTs per apply on a
-6-stack.  The record is dynamics.record with this generator and the
-covariant divergence pi.w: 32 scalar FFTs.  evolve_em advances in
+both sides alike.  A core works in either of two layouts: spectra on the
+grid, or band stacks (below), which differ only in the wavevectors passed
+to it and in how _sandwich adds the product back.  Real space is used at
+the public boundary (ifftn o core o fftn), for max-norm residuals and for
+a record's state.  The generator is the free symbol H(k) of dynamics plus
+one sandwich of the pointwise coupling e(Phi_d - a.A_d), 12 scalar FFTs
+per apply on a 6-stack.  The record is dynamics.record with this generator
+and the covariant divergence pi.w: 32 scalar FFTs.  evolve_em advances in
 dynamics.run, the run loop free evolution uses too.
 
 D M D maps the band into itself and annihilates the rest, and H(k) acts
@@ -52,12 +54,24 @@ the band over that: the band is the full-grid RK4's bit for bit, the rest
 (roundoff, 3.6e-16 of the norm at 24^3) moves exactly.  The step's five
 product-grid stacks are lent by its caller, so a step allocates no stack.
 
-Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by a
-preconditioned conjugate-gradient solve of pi.pi phi = pi.w followed by
-w -> w - pi phi, with the free inverse Laplacian as the preconditioner; a CG
-iteration costs 9 scalar FFTs.  Per trial at e != 0, hermiticity_check costs
-48, squared_hamiltonian_check 72 and constrained_square_check 186 plus two
-block solves (15 + 9 per iteration each).
+The identity checks run on band stacks too: off the band every operator
+is its free symbol, where each identity is the free one.  A trial's state
+is drawn in real space on the grid (6 scalar inverse FFTs there), goes
+to the grid's spectrum (6 forward) and is restricted to its band once;
+every operator after that works on the product grid.  Per trial at
+e != 0: hermiticity_check 24 scalar FFTs on the grid and 24 on the
+product grid (48 in all), squared_hamiltonian_check 12 and 60 (72),
+constrained_square_check 18 and 168 (186; the projected state goes to
+the grid's spectrum once more) plus two block solves.
+
+Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by
+solving pi.pi phi = pi.w and setting w -> w - pi phi.  pi.pi maps the band
+into itself and is |k|^2 off it, so covariant_project divides there and
+runs a preconditioned conjugate-gradient solve on band stacks, with the
+free inverse Laplacian as the preconditioner.  A block solve costs 7
+scalar FFTs on the grid and 8 on the product grid, plus per CG iteration
+8 on the product grid and 1 on the grid (the stopping test, max|pi.w| on
+the grid's points).
 
 Every check measures a trial by fields.relative (hermiticity_check, on
 complex scalars, by their moduli); an upper bound takes reports.worst over
@@ -323,17 +337,44 @@ def _product(s: np.ndarray, pointwise, scale: float, buf: np.ndarray) -> np.ndar
     return product
 
 
-def _sandwich(ext: ExternalField, sh: np.ndarray, pointwise, out: np.ndarray,
-              scale: float) -> np.ndarray:
-    """The one dealiased multiplication on full-grid spectra: adds
-    scale * D[M(x) D psi] into out, a spectrum on ext.grid, for the spectrum
-    sh of psi, and returns out.  The band of sh goes into a new
+def _band_stack(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
+    """The band of sh, a spectrum on ext.grid, as a band stack: a new
+    product-grid array, zero off the band."""
+    return _restrict(sh, _band(ext.grid),
+                     np.empty((*sh.shape[:-3], *ext.product_shape), dtype=np.complex128))
+
+
+def _embed(ext: ExternalField, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the band stack s over the band modes of out, a spectrum on
+    ext.grid; returns out."""
+    for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, _band(ext.grid)):
+        out[dst] = s[src]
+    return out
+
+
+def _wavevectors(ext: ExternalField, band: bool) -> np.ndarray:
+    """The wavevectors of a layout: ext.grid's, or with band those of its
+    band in the product-grid layout."""
+    return _band_wavevectors(ext.grid, ext.product_shape) if band else fields.wavevectors(ext.grid)
+
+
+def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, scale: float,
+              band: bool = False, buf: np.ndarray | None = None) -> np.ndarray:
+    """The one dealiased multiplication: adds scale * D[M(x) D psi] into out
+    and returns out, in either layout of every coupled operator.  On the
+    grid, s and out are spectra on ext.grid: the band of s goes into a new
     product-grid array, _product forms the product there, and its band is
-    added into out."""
-    kept = _band(ext.grid)
-    d = _restrict(sh, kept, np.empty((*sh.shape[:-3], *ext.product_shape), dtype=np.complex128))
+    added into out.  With band, s and out are band stacks: _product takes
+    s itself, its inverse transform goes into buf (a new array of s's shape
+    if None), and the product is added whole with its off-band planes
+    zeroed.  Either way the band modes of out get the same bits."""
+    if band:
+        product = _product(s, pointwise, scale, np.empty_like(s) if buf is None else buf)
+        out += _clear_off_band(ext, product)
+        return out
+    d = _band_stack(ext, s)
     product = _product(d, pointwise, scale, d)
-    for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, kept):
+    for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, _band(ext.grid)):
         out[dst] += product[src]
     return out
 
@@ -351,20 +392,26 @@ def _coupling(ext: ExternalField, phi_p, product: np.ndarray | None = None):
     return pointwise
 
 
-def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_p=0.0) -> np.ndarray:
-    """H_A + e phi_p on the spectrum of a 6-stack, H_A = a.(p - eA) + m b:
-    the free symbol H(k) plus one sandwich of the pointwise coupling
+def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_p=0.0, *,
+                  band: bool = False, out: np.ndarray | None = None,
+                  work=(None, None)) -> np.ndarray:
+    """H_A + e phi_p on a 6-stack spectrum, H_A = a.(p - eA) + m b: the free
+    symbol H(k) plus one sandwich of the pointwise coupling
     e(phi_p - a.A_p), phi_p on the product grid.  phi_p = 0 gives H_A
-    alone."""
-    out = dynamics._hamiltonian_symbol(fields.wavevectors(ext.grid), mass, sh)
+    alone.  The result goes into out (a new stack if None), which must not
+    overlap sh or work: with band, the two product-grid stacks of
+    _product's inverse transform and the a.A_p product (each allocated if
+    None).  12 scalar FFTs at e != 0, on the product grid."""
+    out = dynamics._hamiltonian_symbol(_wavevectors(ext, band), mass, sh, out=out)
     if ext.charge != 0.0:
-        _sandwich(ext, sh, _coupling(ext, phi_p), out, ext.charge)
+        _sandwich(ext, sh, _coupling(ext, phi_p, work[1]), out, ext.charge, band, work[0])
     return out
 
 
-def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
-    """(H_A + e Phi) on the spectrum of a 6-stack; 12 scalar FFTs at e != 0."""
-    return _h_a_spectrum(sh, ext, mass, ext.phi_p)
+def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, **layout) -> np.ndarray:
+    """(H_A + e Phi) on the spectrum of a 6-stack: _h_a_spectrum with Phi_p,
+    taking its band, out and work keywords."""
+    return _h_a_spectrum(sh, ext, mass, ext.phi_p, **layout)
 
 
 def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
@@ -372,13 +419,13 @@ def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float
     return fields.ifftn(_generator_spectrum(fields.fftn(psi_stack), ext, mass))
 
 
-def _pi_vector_spectrum(ext: ExternalField, fh: np.ndarray) -> np.ndarray:
+def _pi_vector_spectrum(ext: ExternalField, fh: np.ndarray, band: bool = False) -> np.ndarray:
     """(p - eA) f on the spectrum fh of a (..., nx, ny, nz) scalar field;
     returns the spectrum of the vector field, vector axis at -4."""
     fh = fh[..., None, :, :, :]
-    out = fields.wavevectors(ext.grid) * fh
+    out = _wavevectors(ext, band) * fh
     if ext.charge != 0.0:
-        _sandwich(ext, fh, lambda d: ext.avec_p * d, out, -ext.charge)
+        _sandwich(ext, fh, lambda d: ext.avec_p * d, out, -ext.charge, band)
     return out
 
 
@@ -387,14 +434,14 @@ def pi_vector(ext: ExternalField, f: np.ndarray) -> np.ndarray:
     return fields.ifftn(_pi_vector_spectrum(ext, fields.fftn(np.asarray(f, dtype=complex))))
 
 
-def _pi_dot_spectrum(ext: ExternalField, wh: np.ndarray) -> np.ndarray:
+def _pi_dot_spectrum(ext: ExternalField, wh: np.ndarray, band: bool = False) -> np.ndarray:
     """(p - eA) . w on the spectrum wh of a (..., 3, nx, ny, nz) vector field;
     returns the spectrum of the scalar field.  The three products A_p w_d
     are summed before the outer transform, which the linearity of the
     truncation makes exact."""
-    out = fields.vector_dot(fields.wavevectors(ext.grid), wh)
+    out = fields.vector_dot(_wavevectors(ext, band), wh)
     if ext.charge != 0.0:
-        _sandwich(ext, wh, lambda d: fields.vector_dot(ext.avec_p, d), out, -ext.charge)
+        _sandwich(ext, wh, lambda d: fields.vector_dot(ext.avec_p, d), out, -ext.charge, band)
     return out
 
 
@@ -403,23 +450,32 @@ def pi_dot(ext: ExternalField, w: np.ndarray) -> np.ndarray:
     return fields.ifftn(_pi_dot_spectrum(ext, fields.fftn(np.asarray(w, dtype=complex))))
 
 
-def _pi_squared_spectrum(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
+def _pi_squared_spectrum(ext: ExternalField, sh: np.ndarray, band: bool = False) -> np.ndarray:
     """(p - eA)^2 on the spectrum of a 6-stack, one 3-component block at a
     time (a whole-stack batch would hold (6, 3, nx, ny, nz) temporaries)."""
-    return np.concatenate(
-        [_pi_dot_spectrum(ext, _pi_vector_spectrum(ext, block)) for block in (sh[:3], sh[3:])]
-    )
+    return np.concatenate([_pi_dot_spectrum(ext, _pi_vector_spectrum(ext, block, band), band)
+                           for block in (sh[:3], sh[3:])])
 
 
 @functools.lru_cache(maxsize=32)
-def _preconditioner_k2(grid: Grid) -> np.ndarray:
-    """Free -Laplacian symbol with the zero mode given the smallest
-    positive |k|^2 so the preconditioner stays positive definite."""
-    k2 = fields.k_squared(grid).copy()
+def _laplacians(grid: Grid, product_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The free -Laplacian symbols of covariant_project, read-only: |k|^2 of
+    the Nyquist-zeroed wavevectors on grid, which pi.pi is off the band, and
+    its band in the product-grid layout of shape product_shape, the CG's
+    preconditioner.  Their zeros are given the smallest positive |k|^2, so
+    that dividing by them stays finite: on the grid, the modes whose every
+    axis sits at 0 or at Nyquist, where k = 0 and pi.w = k.w is 0 too (k = 0
+    itself is in the band); in the band stack, the k = 0 mode, where the
+    preconditioner must stay positive definite, and the off-band planes,
+    where the CG's vectors are 0."""
+    k = fields.wavevectors(grid)
+    k2 = fields.vector_dot(k, k)
+    band = _restrict(k2, _band(grid), np.empty(product_shape))
     kmin = np.min(k2[k2 > 0])
-    k2.flat[0] = kmin
-    k2.setflags(write=False)
-    return k2
+    out = tuple(np.where(a > 0, a, kmin) for a in (k2, band))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @dataclass
@@ -434,52 +490,70 @@ def covariant_project(
 ) -> ProjectionResult:
     """Enforce (p - eA).u = 0 and (p - eA).v = 0.
 
-    For each block w, solves pi.pi phi = pi.w by preconditioned conjugate
-    gradients and subtracts pi phi.  The iterates are held as spectra, so
-    the free inverse Laplacian preconditioner costs no transform; an
-    iteration costs 9 scalar FFTs, one of them the inverse transform of the
-    residual for the stopping test.  Terminates when the actual constraint
-    residual max|pi.w| drops below tol * max|w|; raises NoConvergence if the
-    cap is hit first (a nearly singular pi.pi, e.g. flux-tuned potentials),
-    NonFiniteState at the first scale or residual that is not finite."""
+    For each block w, solves pi.pi phi = pi.w and subtracts pi phi.  The
+    solve splits at the 2/3 band, which pi.pi maps into itself.  Off the
+    band pi.pi is |k|^2 of the Nyquist-zeroed wavevectors, so phi is pi.w
+    divided by it, exactly.  On the band a preconditioned conjugate-gradient
+    solve runs on band stacks, the free inverse Laplacian its
+    preconditioner, which costs no transform.  Per block, the set-up and the
+    final subtraction cost 7 scalar FFTs on the grid and 8 on the product
+    grid; an iteration costs 8 on the product grid (pi phi, pi.(pi phi)) and
+    1 on the grid, the inverse transform of the residual for the stopping
+    test.  The CG stops when the constraint residual max|pi.w| over the
+    grid's points drops below tol * max|w|, after 0 iterations if it starts
+    there; raises NoConvergence if the cap is hit first (a nearly singular
+    pi.pi, e.g. flux-tuned potentials), NonFiniteState at the first scale or
+    residual that is not finite."""
     _check_grids(psi, ext)
-    k2 = _preconditioner_k2(psi.grid)
+    k2, k2_band = _laplacians(psi.grid, ext.product_shape)
+    # the stopping test's residual on the grid: its band modes are written
+    # before each test, the rest stays 0, as the exact solve leaves it
+    rh_grid = np.zeros(psi.grid.shape, dtype=np.complex128)
+    r_grid = np.empty_like(rh_grid)
 
     def converged(rh: np.ndarray, scale: float) -> tuple[bool, float]:
-        res = float(np.max(np.abs(fields.ifftn(rh))))
+        res = float(np.max(np.abs(fields.ifftn(_embed(ext, rh, rh_grid), out=r_grid))))
         if not (math.isfinite(res) and math.isfinite(scale)):
             raise NonFiniteState(f"covariant projection residual {res} at scale {scale}")
         return res <= tol * scale, res
 
-    def solve(w: np.ndarray, out: np.ndarray) -> tuple[int, float]:
-        """Project the block w into out."""
-        scale = max(float(np.max(np.abs(w))), 1e-300)
-        rh = _pi_dot_spectrum(ext, fields.fftn(w))
+    def band_cg(rh: np.ndarray, scale: float) -> tuple[np.ndarray, int, float]:
+        """phi of pi.pi phi = rh on the band, rh a band stack that the solve
+        overwrites with its residual; returns phi, the iterations and the
+        residual max|pi.w| on the grid."""
+        phib = np.zeros_like(rh)
         done, res = converged(rh, scale)
         if done:
-            out[...] = w
-            return 0, res
-        phih = np.zeros(psi.grid.shape, dtype=complex)
-        zh = rh / k2
+            return phib, 0, res
+        zh = rh / k2_band
         ph = zh.copy()
         rz = fields.real_vdot(rh, zh)
         for it in range(1, maxiter + 1):
-            lph = _pi_dot_spectrum(ext, _pi_vector_spectrum(ext, ph))
+            lph = _pi_dot_spectrum(ext, _pi_vector_spectrum(ext, ph, band=True), band=True)
             alpha = rz / fields.real_vdot(ph, lph)
-            phih += alpha * ph
+            phib += alpha * ph
             rh -= alpha * lph
             done, res = converged(rh, scale)
             if done:
-                np.subtract(w, fields.ifftn(_pi_vector_spectrum(ext, phih)), out=out)
-                return it, res
-            zh = rh / k2
+                return phib, it, res
+            np.divide(rh, k2_band, out=zh)
             rz_new = fields.real_vdot(rh, zh)
-            ph = zh + (rz_new / rz) * ph
+            ph *= rz_new / rz
+            ph += zh
             rz = rz_new
         raise NoConvergence(
             f"covariant projection residual {res:.3e} above "
             f"{tol:.1e} * scale after {maxiter} iterations"
         )
+
+    def solve(w: np.ndarray, out: np.ndarray) -> tuple[int, float]:
+        """Project the block w into out."""
+        scale = max(float(np.max(np.abs(w))), 1e-300)
+        rh = _pi_dot_spectrum(ext, fields.fftn(w))
+        phih = rh / k2  # exact off the band; the band's phi is written over it
+        phib, it, res = band_cg(_band_stack(ext, rh), scale)
+        np.subtract(w, fields.ifftn(_pi_vector_spectrum(ext, _embed(ext, phib, phih))), out=out)
+        return it, res
 
     data = np.empty_like(psi.data)
     it_u, res_u = solve(psi.data[:3], data[:3])
@@ -500,8 +574,19 @@ def _trial_rng(trials: int, seed) -> np.random.Generator:
 
 
 def _draw(ext: ExternalField, mass: float, rng) -> WaveField:
-    """One random state of the identity checks, of envelope width _K_CUTOFF."""
+    """One random state of the identity checks, of envelope width _K_CUTOFF.
+    Its modes lie in the 2/3 band: random_wave_field cuts them at a quarter
+    of the smallest axis Nyquist wavenumber, min_i pi N_i / (4 L_i), and
+    that never exceeds the band edge min_i 2 pi K_i / L_i, since
+    K_i = (N_i - 1) // 3 >= N_i / 8 on every even N_i >= 4.  So the band
+    stack of its spectrum drops only the roundoff of its transforms."""
     return fields.random_wave_field(ext.grid, mass, _K_CUTOFF, rng)
+
+
+def _band_of(ext: ExternalField, psi: WaveField) -> np.ndarray:
+    """The spectrum of psi's stack as a band stack: one forward transform on
+    the grid, restricted to the band."""
+    return _band_stack(ext, fields.fftn(psi.data))
 
 
 def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
@@ -515,16 +600,19 @@ def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
     rng = _trial_rng(trials, seed)
     sigma3 = algebra.matrix_set().sigma_big[2]
 
+    def h_a(s, m):
+        return _h_a_spectrum(s, ext, m, band=True)
+
     def trial() -> tuple[float, float]:
         """The identity's relative residual and, at m > 0, the control's."""
-        sh = fields.fftn(_draw(ext, mass, rng).data)
-        a_pi = _h_a_spectrum(sh, ext, 0.0)
-        lhs = _h_a_spectrum(_h_a_spectrum(sh, ext, mass), ext, mass)
-        rhs = _h_a_spectrum(a_pi, ext, 0.0) + mass**2 * sh
+        s = _band_of(ext, _draw(ext, mass, rng))
+        a_pi = h_a(s, 0.0)
+        lhs = h_a(h_a(s, mass), mass)
+        rhs = h_a(a_pi, 0.0) + mass**2 * s
         control = math.nan
         if mass > 0:
-            hp = a_pi + mass * np.einsum("ij,j...->i...", sigma3, sh)
-            lhs_c = _h_a_spectrum(hp, ext, 0.0) + mass * np.einsum("ij,j...->i...", sigma3, hp)
+            hp = a_pi + mass * np.einsum("ij,j...->i...", sigma3, s)
+            lhs_c = h_a(hp, 0.0) + mass * np.einsum("ij,j...->i...", sigma3, hp)
             control = fields.relative(lhs_c - rhs, lhs, rhs)
         return fields.relative(lhs - rhs, lhs, rhs), control
 
@@ -537,14 +625,14 @@ def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
     return rep
 
 
-def _sigma_dot_h(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
+def _sigma_dot_h(ext: ExternalField, sh: np.ndarray, band: bool = False) -> np.ndarray:
     """(Sigma.H) Psi = (i H x u, i H x v), sandwiched, on a 6-stack spectrum."""
 
     def pointwise(d):
         blocks = d.reshape(2, 3, *d.shape[1:])
         return 1j * np.cross(ext.hvec_p, blocks, axisa=0, axisb=1, axisc=1).reshape(d.shape)
 
-    return _sandwich(ext, sh, pointwise, np.zeros_like(sh), 1.0)
+    return _sandwich(ext, sh, pointwise, np.zeros_like(sh), 1.0, band)
 
 
 def _a_dot_e(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
@@ -562,14 +650,16 @@ def constrained_square_check(ext: ExternalField, mass: float, trials: int = 4,
     tolerance); the same expression on unprojected fields must miss by at
     least 1e-2 relative on every trial, which demonstrates that the
     constraints, not just the matrix algebra, carry the magnetic-moment
-    term.  The notes carry the largest CG iteration count of any block
-    solve and the largest final CG residual max|pi.w|."""
+    term.  Both sides are taken on the band: off it every operator is its
+    free symbol, where the identity is the free one.  The notes carry the
+    largest CG iteration count of any block solve and the largest final CG
+    residual max|pi.w|."""
     rng = _trial_rng(trials, seed)
 
     def residual(psi: WaveField) -> float:
-        sh = fields.fftn(psi.data)
-        lhs = _h_a_spectrum(_h_a_spectrum(sh, ext, 0.0), ext, 0.0)
-        rhs = _pi_squared_spectrum(ext, sh) - ext.charge * _sigma_dot_h(ext, sh)
+        s = _band_of(ext, psi)
+        lhs = _h_a_spectrum(_h_a_spectrum(s, ext, 0.0, band=True), ext, 0.0, band=True)
+        rhs = _pi_squared_spectrum(ext, s, band=True) - ext.charge * _sigma_dot_h(ext, s, band=True)
         return fields.relative(lhs - rhs, lhs, rhs)
 
     def trial() -> tuple[float, float, tuple, tuple]:
@@ -591,13 +681,14 @@ def constrained_square_check(ext: ExternalField, mass: float, trials: int = 4,
 
 def hermiticity_check(ext: ExternalField, mass: float, trials: int = 5, seed=0) -> ResidualReport:
     """<phi | (H_A + e Phi) psi> = <(H_A + e Phi) phi | psi> on random fields,
-    to |lhs - rhs| / max(|lhs|, |rhs|)."""
+    to |lhs - rhs| / max(|lhs|, |rhs|), on the band: off it the generator
+    is the free symbol H(k), Hermitian per mode."""
     rng = _trial_rng(trials, seed)
 
     def trial() -> float:
-        f, g = (fields.fftn(_draw(ext, mass, rng).data) for _ in range(2))
-        lhs = fields.vdot(f, _generator_spectrum(g, ext, mass))
-        rhs = fields.vdot(_generator_spectrum(f, ext, mass), g)
+        f, g = (_band_of(ext, _draw(ext, mass, rng)) for _ in range(2))
+        lhs = fields.vdot(f, _generator_spectrum(g, ext, mass, band=True))
+        rhs = fields.vdot(_generator_spectrum(f, ext, mass, band=True), g)
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
     rep = ResidualReport()
@@ -634,21 +725,6 @@ def _clear_off_band(ext: ExternalField, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _band_generator(s: np.ndarray, ext: ExternalField, mass: float, out: np.ndarray,
-                    work) -> np.ndarray:
-    """(H_A + e Phi) on a band stack s, into out: H(k) with the band's
-    wavevectors plus the coupling's product, off-band planes zeroed, added
-    whole.  out must not overlap s or work, the two product-grid stacks of
-    _product's inverse transform and the a.A_p product.  12 scalar FFTs at
-    e != 0; the band of out is the band of _generator_spectrum bit for bit."""
-    dynamics._hamiltonian_symbol(_band_wavevectors(ext.grid, ext.product_shape), mass, s,
-                                 out=out)
-    if ext.charge != 0.0:
-        out += _clear_off_band(ext, _product(s, _coupling(ext, ext.phi_p, work[1]), ext.charge,
-                                             work[0]))
-    return out
-
-
 def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
               work=None) -> np.ndarray:
     """One classical RK4 step on a band stack sh, in place; returns sh.
@@ -663,7 +739,7 @@ def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
     arg, acc, k = work[:3]
 
     def rhs(s, out):
-        g = _band_generator(s, ext, mass, out, work[3:])
+        g = _generator_spectrum(s, ext, mass, band=True, out=out, work=work[3:])
         g *= -1j
         return g
 
@@ -695,15 +771,11 @@ def _advance(sh: np.ndarray, ext: ExternalField, prop: dynamics.FreePropagator, 
     form, advances all of sh over steps * dt into out, and the band is
     written over it.  The six product-grid stacks (the band stack and the
     steps' workspace) live only while advancing."""
-    kept = _band(ext.grid)
-    band = _restrict(sh, kept, _product_stack(ext))
+    band = _band_stack(ext, sh)
     work = [_product_stack(ext) for _ in range(5)]
     for _ in range(steps):
         _rk4_step(band, ext, prop.mass, dt, work=work)
-    prop.evolve_spectrum(sh, steps * dt, out=out)
-    for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, kept):
-        out[dst] = band[src]
-    return out
+    return _embed(ext, band, prop.evolve_spectrum(sh, steps * dt, out=out))
 
 
 def _em_diagnostics(psi: WaveField, sh: np.ndarray, ext: ExternalField) -> dynamics.DiagnosticsRecord:

@@ -506,6 +506,30 @@ def test_fused_operators_match_unfused_oracle(mass, field):
     for new, old in pairs:  # relative error <= 1e-13, or both zero (the zero field)
         assert np.linalg.norm(new - old) <= 1e-13 * np.linalg.norm(old)
 
+    # the band cores on band stacks: their band modes are the full-grid
+    # operators' bit for bit, and match the oracle's band
+    sh, fh, wh = fields.fftn(stack), fields.fftn(f), fields.fftn(w)
+
+    def band(x):
+        return em._band_stack(ext, x)
+
+    cores = [
+        (em._generator_spectrum(band(sh), ext, mass, band=True),
+         em._generator_spectrum(sh, ext, mass), _oracle_generator(stack, ext, mass)),
+        (em._h_a_spectrum(band(sh), ext, 0.0, band=True), em._h_a_spectrum(sh, ext, 0.0),
+         _oracle_a_pi(stack, ext)),
+        (em._pi_vector_spectrum(ext, band(fh), band=True), em._pi_vector_spectrum(ext, fh),
+         _oracle_pi_vector(ext, f)),
+        (em._pi_dot_spectrum(ext, band(wh), band=True), em._pi_dot_spectrum(ext, wh),
+         _oracle_pi_dot(ext, w)),
+        (em._sigma_dot_h(ext, band(sh), band=True), em._sigma_dot_h(ext, sh),
+         _oracle_sigma_dot_h(ext, stack)),
+    ]
+    for core, full, oracle in cores:
+        assert np.array_equal(core, band(full))
+        want = band(fields.fftn(oracle))
+        assert np.linalg.norm(core - want) <= 1e-13 * np.linalg.norm(want)
+
 
 @pytest.mark.parametrize("grid, field, bandwidth, shape", [
     (fields.Grid.cubic(24), "nmax1", (1, 1, 1), (16, 16, 16)),
@@ -563,11 +587,6 @@ def test_fourier_series_rejects_bad_terms(terms):
         em.ExternalField.from_fourier_series(GRID, 0.5, **terms)
 
 
-def _band_stack(ext, sh):
-    """The band of the full-grid spectrum sh, in the product-grid layout."""
-    return em._restrict(sh, em._band(ext.grid), em._product_stack(ext))
-
-
 @pytest.mark.parametrize("grid, field", [
     (fields.Grid(16, 12, 10, 7.0, 5.5, 4.5), "nmax1"),
     (ANISO, "nmax1"), (ANISO, "nmax2"), (ANISO, "one-axis"), (ANISO, "zero"),
@@ -590,9 +609,9 @@ def test_rk4_step_in_place_matches_formula_bit_for_bit(grid, field):
     k3 = rhs(sh + 0.5 * dt * k2)
     k4 = rhs(sh + dt * k3)
     want = sh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    got = _band_stack(ext_a, sh)
+    got = em._band_stack(ext_a, sh)
     assert em._rk4_step(got, ext_a, MASS, dt) is got
-    assert np.array_equal(got, _band_stack(ext_a, want))
+    assert np.array_equal(got, em._band_stack(ext_a, want))
 
 
 def test_evolve_em_matches_allocating_steps_bit_for_bit():
@@ -647,11 +666,11 @@ def test_evolve_em_splits_band_and_complement(monkeypatch, ext_aniso):
     assert steps == [True] * n_steps
 
     sh0 = fields.fftn(psi_n.data)
-    band = _band_stack(ext_aniso, sh0)
+    band = em._band_stack(ext_aniso, sh0)
     for _ in range(n_steps):
         em._rk4_step(band, ext_aniso, MASS, dt)
     mask = em.dealias_mask(ANISO)
-    assert np.array_equal(_band_stack(ext_aniso, spectra[-1]), band)
+    assert np.array_equal(em._band_stack(ext_aniso, spectra[-1]), band)
     exact = dynamics.FreePropagator(ANISO, MASS).evolve_spectrum(sh0, n_steps * dt)
     assert np.array_equal(spectra[-1][:, ~mask], exact[:, ~mask])
     assert np.linalg.norm(exact[:, ~mask]) > 0.5 * np.linalg.norm(exact)
@@ -771,7 +790,7 @@ def test_coupled_fft_counts(fft_transforms, psi, ext):
     em.apply_total_generator(stack, ext, MASS)
     assert sum(fft_transforms) <= 24
     fft_transforms.clear()
-    band = _band_stack(ext, sh)
+    band = em._band_stack(ext, sh)
     fft_transforms.clear()
     em._rk4_step(band, ext, MASS, 0.01)
     assert sum(fft_transforms) <= 48
@@ -848,6 +867,40 @@ def test_projection_stops_at_a_non_finite_residual(fft_transforms):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
         em.covariant_project(psi8, ext_big)
     assert sum(fft_transforms) <= one_iteration
+
+
+@pytest.mark.parametrize("grid", [GRID, ANISO], ids=["16", "aniso"])
+def test_projection_off_the_band_is_exact(grid):
+    # off the band pi.pi is |k|^2 of the Nyquist-zeroed wavevectors, so a
+    # state with no band modes (Nyquist planes included) is solved by
+    # division: no CG iteration, and the free transverse projection
+    ext_g = em.random_smooth_external(grid, 0.5, seed=11, amplitude=0.2, nmax=1)
+    off = ~em.dealias_mask(grid)
+    psi_off = fields.WaveField(grid, fields.ifftn(fields.fftn(_white_noise((6, *grid.shape), 12))
+                                                  * off), MASS)
+    res = em.covariant_project(psi_off, ext_g)
+    assert res.iterations == (0, 0)
+    ref = fields.project_constraints(psi_off)
+    assert np.max(np.abs(res.field.data - ref.data)) <= 1e-14 * np.max(np.abs(psi_off.data))
+
+
+def test_draws_lie_in_the_band():
+    # the checks keep only a draw's band.  random_wave_field cuts its modes
+    # at a quarter of the smallest Nyquist wavenumber, inside the band edge
+    # min_i 2 pi K_i / L_i on every box, so the band drops only roundoff,
+    # also where an axis of 6 points brings the two closest (3/4); the
+    # draws keep random_wave_field's bits
+    cubic = fields.Grid.cubic(16)
+    drawn = em._draw(em.ExternalField.zero(cubic, 0.5), MASS, np.random.default_rng(3))
+    assert np.array_equal(drawn.data, fields.random_wave_field(cubic, MASS, 2.0, 3).data)
+    for grid in (ANISO, fields.Grid(6, 32, 8, 1.0, 1.0, 1.0),
+                 fields.Grid(4, 24, 64, 0.5, 3.0, 30.0)):
+        edge = min(2 * np.pi * ((n - 1) // 3) / length
+                   for n, length in zip(grid.shape, (grid.lx, grid.ly, grid.lz)))
+        assert 0.25 * fields.nyquist_wavenumber(grid) <= edge
+        sh = fields.fftn(em._draw(em.ExternalField.zero(grid, 0.5), MASS,
+                                  np.random.default_rng(5)).data)
+        assert np.linalg.norm(sh[:, ~em.dealias_mask(grid)]) <= 1e-15 * np.linalg.norm(sh)
 
 
 def test_constrained_check_reports_cg_telemetry(ext):

@@ -751,3 +751,21 @@ def test_cli_em_check_reports_cg_telemetry(tmp_path, capsys):
     text = capsys.readouterr().out
     assert f"note  cg_max_iterations: {notes['cg_max_iterations']}" in text
     assert f"note  cg_max_residual: {notes['cg_max_residual']}" in text
+
+
+def test_cli_em_check_overflow_prints_one_error_line(tmp_path):
+    # at charge 1e200 the coupling overflows and the projection stops; stderr
+    # holds that one line, no numpy RuntimeWarning.  A subprocess, because
+    # the suite turns warnings into errors in-process.
+    path = em_check_config(
+        tmp_path, grid={"nx": 8, "ny": 8, "nz": 8, "lx": 2 * np.pi, "ly": 2 * np.pi,
+                        "lz": 2 * np.pi},
+        charge=1e200, external_field={"random": {"seed": 7, "amplitude": 0.2, "nmax": 1}})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spin1wave.cli", "em-check", "--config", str(path)],
+        env={**env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: NonFiniteState:") and proc.stderr.count("\n") == 1
