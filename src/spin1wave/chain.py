@@ -43,10 +43,8 @@ MAX_MODES = 64
 def _mass_sign(mass_sign) -> int:
     if mass_sign in (+1, -1):
         return int(mass_sign)
-    if mass_sign in ("+", "plus"):
-        return +1
-    if mass_sign in ("-", "minus"):
-        return -1
+    if mass_sign in ("+", "-"):
+        return +1 if mass_sign == "+" else -1
     raise ValueError(f"mass_sign must be '+' or '-', got {mass_sign!r}")
 
 

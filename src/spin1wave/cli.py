@@ -11,11 +11,11 @@ or an unknown key is one ConfigError line naming the dotted key.  The numeric
 flags' argparse types check with the same number node.
 
 Exit codes: 0 all checks passed, 1 a verification failed (the report is
-still emitted, or a typed numerical error is printed as one line), 2 usage
-or configuration error, which includes the evolve runs' ScheduleError and
-StepTooLarge.  SPIN1_THREADS caps the worker-thread pools of the
-numerics libraries (0 or unset = automatic); heavy imports happen after the
-cap is applied, so keep them inside main().
+still emitted) or a typed numerical error stopped the run (printed as one
+line, after the sections em-check finished), 2 usage or configuration
+error, which includes the evolve runs' ScheduleError and StepTooLarge.
+The numerics thread pools are set by the standard variables
+(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...) before the process starts.
 """
 from __future__ import annotations
 
@@ -26,8 +26,12 @@ import math
 import os
 import sys
 
+import numpy as np
+
+from . import algebra, chain, dynamics, em_coupling, fields, snapshots
 from .errors import (CurrentMismatch, FormatError, NoConvergence, NonFiniteState, ScheduleError,
                      StepTooLarge)
+from .reports import ResidualReport
 
 
 class ConfigError(Exception):
@@ -204,14 +208,6 @@ _EM_CHECK = _Object(grid=_GRID, mass=(_MASS, 1.0), charge=(_REAL, 0.0), seed=_NA
 _finite_real = _arg(_REAL)
 
 
-def _apply_thread_cap() -> None:
-    val = os.environ.get("SPIN1_THREADS", "").strip()
-    if val and val != "0":
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, val)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -242,8 +238,9 @@ def _print_report(name: str, rep) -> None:
         print(f"  note  {k}: {v}")
 
 
-def _emit(sections: dict, as_json: bool) -> int:
-    ok = all(rep.to_dict()["all_passed"] for rep in sections.values())
+def _emit(sections: dict, as_json: bool, finished: bool = True) -> int:
+    """Print the sections' reports; a run that did not finish fails."""
+    ok = finished and all(rep.to_dict()["all_passed"] for rep in sections.values())
     if as_json:
         payload = {
             "sections": {k: rep.to_dict() for k, rep in sections.items()},
@@ -261,8 +258,6 @@ def _emit(sections: dict, as_json: bool) -> int:
 
 
 def _cmd_verify_algebra(args) -> int:
-    from . import algebra
-
     sections = {
         "anticommutation": algebra.check_anticommutation(),
         "spin_operator": algebra.check_spin_operator(),
@@ -274,10 +269,6 @@ def _cmd_verify_algebra(args) -> int:
 
 
 def _cmd_dispersion(args) -> int:
-    import numpy as np
-
-    from . import algebra
-
     k = args.k
     if len(k) != 3:
         raise ConfigError(f"--k expects three comma-separated reals, got {len(k)}")
@@ -300,8 +291,6 @@ def _cmd_dispersion(args) -> int:
 
 
 def _cmd_chain_check(args) -> int:
-    from . import chain
-
     pw = chain.random_lorenz_potential(args.mass, args.modes, args.seed)
     uv = chain.derive_uv(pw, variant=args.variant, mass_sign=args.mass_sign)
     sections = {
@@ -312,8 +301,6 @@ def _cmd_chain_check(args) -> int:
     if args.mass == 0.0:
         sections["maxwell_limit"] = chain.maxwell_residual(uv)
     if args.controls:
-        from .reports import ResidualReport
-
         broken = chain.with_broken_lorenz(pw, 0.3)
         rep_broken = chain.proca_residual(broken)
         off = chain.with_off_shell(pw, 0.25)
@@ -331,8 +318,6 @@ def _cmd_chain_check(args) -> int:
 
 
 def _build_external(spec, grid, charge: float):
-    from . import em_coupling
-
     if spec is None:
         return None
     if "random" in spec:
@@ -342,8 +327,6 @@ def _build_external(spec, grid, charge: float):
 
 
 def _build_initial(ic: dict, grid, mass: float):
-    from . import fields
-
     if ic["type"] == "random_band_limited":
         return fields.random_wave_field(grid, mass, k_cutoff=ic["k_cutoff"], seed=ic["seed"],
                                         transverse=ic["transverse"])
@@ -362,8 +345,6 @@ def _build_initial(ic: dict, grid, mass: float):
 
 
 def _write_csv(path, records) -> None:
-    from . import dynamics
-
     with open(path, "w") as fh:
         fh.write(",".join(dynamics.CSV_COLUMNS) + "\n")
         for rec in records:
@@ -394,8 +375,6 @@ def _outputs(*paths):
 
 
 def _cmd_evolve(args) -> int:
-    from . import dynamics, em_coupling, fields, snapshots
-
     cfg = _EVOLVE.parse(_load_json(args.config), "")
     with _config_errors("evolve"):
         grid = fields.Grid(**cfg["grid"])
@@ -428,10 +407,6 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_em_check(args) -> int:
-    import numpy as np
-
-    from . import em_coupling, fields
-
     cfg = _EM_CHECK.parse(_load_json(args.config), "")
     mass, seed, trials = cfg["mass"], cfg["seed"], cfg["trials"]
     with _config_errors("em-check"):
@@ -441,22 +416,25 @@ def _cmd_em_check(args) -> int:
         ext = em_coupling.ExternalField.zero(grid, cfg["charge"])
     # an overflow reaches the report as a non-finite value, which fails its
     # check or stops the projection (NonFiniteState): numpy's warnings
-    # would only repeat it
+    # would only repeat it.  If the projection stops, the sections finished
+    # before it are still emitted, the report fails and the error goes on
+    # to main.
     with np.errstate(over="ignore", invalid="ignore"):
         sections = {
             "hermiticity": em_coupling.hermiticity_check(ext, mass, trials=trials, seed=seed),
             "squared_identity": em_coupling.squared_hamiltonian_check(ext, mass, trials=trials,
                                                                       seed=seed),
-            "constrained_identity": em_coupling.constrained_square_check(
-                ext, mass, trials=max(2, trials // 2), seed=seed
-            ),
         }
+        try:
+            sections["constrained_identity"] = em_coupling.constrained_square_check(
+                ext, mass, trials=max(2, trials // 2), seed=seed)
+        except (NonFiniteState, NoConvergence):
+            _emit(sections, args.json, finished=False)
+            raise
     return _emit(sections, args.json)
 
 
 def _cmd_landau(args) -> int:
-    from . import em_coupling
-
     levels = em_coupling.landau_spectrum(args.grid, args.flux, args.mass, args.charge)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -472,8 +450,6 @@ def _cmd_landau(args) -> int:
 
 
 def _cmd_snapshot_info(args) -> int:
-    from . import snapshots
-
     psi = snapshots.read_snapshot(args.path)
     info = {
         "grid": {
@@ -495,11 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def modes(text: str) -> int:  # chain, and numpy with it, is imported only if given
-        from .chain import MAX_MODES
-
-        return _arg(_Number(1, MAX_MODES, integer=True))(text)
-
     p = sub.add_parser("verify-algebra", help="exact matrix identity suite")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_algebra)
@@ -513,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain-check", help="plane-wave chain residual checks")
     p.add_argument("--seed", type=_arg(_NATURAL), default=0)
-    p.add_argument("--modes", type=modes, default=20)
+    p.add_argument("--modes", type=_arg(_Number(1, chain.MAX_MODES, integer=True)), default=20)
     p.add_argument("--mass", type=_arg(_MASS), default=1.0)
     p.add_argument("--variant", choices=["h", "e", "a"], default="h")
     p.add_argument("--mass-sign", choices=["+", "-"], default="-")
@@ -549,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,7 +9,7 @@ multiplication operator exactly Hermitian on the grid and keeps the operator
 identities exact as long as the products of fields and potentials stay
 inside the dealiased band.
 
-One core, _product, computes every such product on spectra: one inverse
+One function, _sandwich, computes every such product on spectra: one inverse
 FFT, a pointwise product, one forward FFT.  It forms the product on a
 product grid, per axis
 N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1), with K = (N - 1) // 3
@@ -44,7 +44,7 @@ per mode, so band modes evolve under H(k) + D M D and the others under
 H(k) alone, which the free closed form solves exactly.  RK4 runs on the
 band alone, held as a band stack: a (6, *product_shape) spectrum in the
 product grid's own layout whose non-band planes (K_i + 1 .. N'_i - K_i - 1
-per axis, none where N'_i = 2K_i + 1) stay exactly zero.  _product
+per axis, none where N'_i = 2K_i + 1) stay exactly zero.  _sandwich
 transforms a stage straight into its buffer, the product is added whole
 with its non-band planes zeroed, and H(k) and the stage updates work on
 N'^3 modes, not N^3; a step still takes 48 scalar FFTs.  Per record span
@@ -314,29 +314,6 @@ def _check_grids(psi: WaveField, ext: ExternalField):
         raise GridMismatch("state and external field live on different grids")
 
 
-def _product(s: np.ndarray, pointwise, scale: float, buf: np.ndarray) -> np.ndarray:
-    """The sandwich core: returns scale * F[M(x) F^-1 s], whose band is
-    scale * D[M D psi], for s the band of the spectrum of psi in the
-    product-grid layout (the modes |n_i| <= K_i of the 2/3 rule, zero
-    elsewhere).  The inverse FFT goes into buf, which may be s; pointwise
-    applies M(x), made of the product-grid potentials ext.*_p, to it, may
-    overwrite it and returns a complex128 array that is its own, which
-    the forward FFT and the scale then overwrite.  M is linear in D psi,
-    so the two transforms' differing normalizations (N'/N into the
-    product grid, N/N' out of it) cancel and neither is applied.
-
-    Exact: D psi has modes |n_i| <= K_i and M, restricted to the potential's
-    bandwidth K_A, has |n_i| <= min(K_A, K_i), so on N' >= 2K + min(K_A, K) + 1
-    points no mode of their product aliases into the band.  The kept band
-    is the one the full grid gives; only the modes of the potential beyond
-    K_A, below 1e-12 of its largest, are left out.  The gain needs K_A < K; the
-    transform counts are those of the full grid."""
-    product = pointwise(fields.ifftn(s, out=buf))
-    fields.fftn(product, out=product)
-    product *= scale
-    return product
-
-
 def _band_stack(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
     """The band of sh, a spectrum on ext.grid, as a band stack: a new
     product-grid array, zero off the band."""
@@ -362,25 +339,41 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
               band: bool = False, buf: np.ndarray | None = None) -> np.ndarray:
     """The one dealiased multiplication: adds scale * D[M(x) D psi] into out
     and returns out, in either layout of every coupled operator.  On the
-    grid, s and out are spectra on ext.grid: the band of s goes into a new
-    product-grid array, _product forms the product there, and its band is
-    added into out.  With band, s and out are band stacks: _product takes
-    s itself, its inverse transform goes into buf (a new array of s's shape
-    if None), and the product is added whole with its off-band planes
-    zeroed.  Either way the band modes of out get the same bits."""
+    grid, s and out are spectra on ext.grid, and the band of s goes into a
+    new product-grid array.  With band, s and out are band stacks, and the
+    inverse transform of s goes into buf (a new array of s's shape if
+    None).  pointwise applies M(x), made of the product-grid potentials
+    ext.*_p, to that transform, may overwrite it and returns a complex128
+    array that is its own, which the forward FFT and the scale then
+    overwrite.  M is linear in D psi, so the two transforms' differing
+    normalizations (N'/N into the product grid, N/N' out of it) cancel and
+    neither is applied.  On the grid the product's band is added into out;
+    with band the product is added whole with its off-band planes zeroed.
+    Either way the band modes of out get the same bits.
+
+    Exact: D psi has modes |n_i| <= K_i and M, restricted to the potential's
+    bandwidth K_A, has |n_i| <= min(K_A, K_i), so on N' >= 2K + min(K_A, K) + 1
+    points no mode of their product aliases into the band.  The kept band
+    is the one the full grid gives; only the modes of the potential beyond
+    K_A, below 1e-12 of its largest, are left out.  The gain needs K_A < K; the
+    transform counts are those of the full grid."""
+    if not band:
+        s = buf = _band_stack(ext, s)
+    elif buf is None:
+        buf = np.empty_like(s)
+    product = pointwise(fields.ifftn(s, out=buf))
+    fields.fftn(product, out=product)
+    product *= scale
     if band:
-        product = _product(s, pointwise, scale, np.empty_like(s) if buf is None else buf)
         out += _clear_off_band(ext, product)
         return out
-    d = _band_stack(ext, s)
-    product = _product(d, pointwise, scale, d)
     for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, _band(ext.grid)):
         out[dst] += product[src]
     return out
 
 
 def _coupling(ext: ExternalField, phi_p, product: np.ndarray | None = None):
-    """The pointwise coupling phi_p - a.A_p of H_A + e phi_p, for _product:
+    """The pointwise coupling phi_p - a.A_p of H_A + e phi_p, for _sandwich:
     it overwrites D psi with the result; a.A_p D psi goes into product (a
     new stack if None)."""
     def pointwise(d):
@@ -400,7 +393,7 @@ def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_p=0.0, *,
     e(phi_p - a.A_p), phi_p on the product grid.  phi_p = 0 gives H_A
     alone.  The result goes into out (a new stack if None), which must not
     overlap sh or work: with band, the two product-grid stacks of
-    _product's inverse transform and the a.A_p product (each allocated if
+    _sandwich's inverse transform and the a.A_p product (each allocated if
     None).  12 scalar FFTs at e != 0, on the product grid."""
     out = dynamics._hamiltonian_symbol(_wavevectors(ext, band), mass, sh, out=out)
     if ext.charge != 0.0:

@@ -158,6 +158,13 @@ def test_broken_lorenz_breaks_e_chain():
     assert rep.value("matrix_form_satisfied") > 1e-3
 
 
+@pytest.mark.parametrize("sign", ["plus", "minus", 0, "x"])
+def test_derive_uv_refuses_other_mass_signs(sign):
+    pw = chain.random_lorenz_potential(1.0, 4, seed=7)
+    with pytest.raises(ValueError):
+        chain.derive_uv(pw, variant="h", mass_sign=sign)
+
+
 def test_pole_error_at_k0():
     pw = PlaneWavePotential(1.0, k=[(0.0, 0.0, 0.0)], omega=[1.0], phi=[0.5 + 0j],
                             avec=[(0j, 0j, 0j)])

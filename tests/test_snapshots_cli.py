@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spin1wave
-from spin1wave import cli, dynamics, fields, snapshots
+from spin1wave import cli, dynamics, em_coupling, fields, snapshots
 from spin1wave.errors import FormatError, NoConvergence, NonFiniteState
 
 
@@ -755,17 +755,64 @@ def test_cli_em_check_reports_cg_telemetry(tmp_path, capsys):
 
 def test_cli_em_check_overflow_prints_one_error_line(tmp_path):
     # at charge 1e200 the coupling overflows and the projection stops; stderr
-    # holds that one line, no numpy RuntimeWarning.  A subprocess, because
-    # the suite turns warnings into errors in-process.
+    # holds that one line, no numpy RuntimeWarning, and stdout the sections
+    # finished before it: the squared identity reads NaN and fails, and the
+    # run fails.  A subprocess, because the suite turns warnings into errors
+    # in-process.
     path = em_check_config(
         tmp_path, grid={"nx": 8, "ny": 8, "nz": 8, "lx": 2 * np.pi, "ly": 2 * np.pi,
                         "lz": 2 * np.pi},
         charge=1e200, external_field={"random": {"seed": 7, "amplitude": 0.2, "nmax": 1}})
     src = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "spin1wave.cli", "em-check", "--config", str(path)],
-        env={**env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: NonFiniteState:") and proc.stderr.count("\n") == 1
+    for mode in ([], ["--json"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spin1wave.cli", "em-check", "--config", str(path), *mode],
+            env={**env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: NonFiniteState:") and proc.stderr.count("\n") == 1
+        if mode:
+            report = json.loads(proc.stdout)
+            assert report["all_passed"] is False
+            assert list(report["sections"]) == ["hermiticity", "squared_identity"]
+            squared = report["sections"]["squared_identity"]
+            assert squared["all_passed"] is False
+            assert all(math.isnan(c["value"]) and not c["passed"] for c in squared["checks"])
+        else:
+            lines = proc.stdout.splitlines()
+            assert [ln for ln in lines if ln.startswith("[")] == ["[hermiticity]",
+                                                                  "[squared_identity]"]
+            assert "  FAIL  squared_hamiltonian_identity: nan (bound 1.000e-12)" in lines
+            assert lines[-1] == "overall: FAIL"
+
+
+def test_cli_em_check_stopped_projection_fails_the_report(tmp_path, capsys, monkeypatch):
+    # the sections finished before the projection stopped pass, yet the run
+    # did not finish: the report fails, as the exit code does
+    def stopped(*args, **kwargs):
+        raise NoConvergence("injected")
+
+    monkeypatch.setattr(em_coupling, "constrained_square_check", stopped)
+    path = em_check_config(tmp_path, grid={"nx": 8, "ny": 8, "nz": 8, "lx": 2 * np.pi,
+                                           "ly": 2 * np.pi, "lz": 2 * np.pi})
+    assert cli.main(["em-check", "--config", str(path), "--json"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert list(report["sections"]) == ["hermiticity", "squared_identity"]
+    assert all(sec["all_passed"] for sec in report["sections"].values())
+    assert report["all_passed"] is False
+    assert err == "error: NoConvergence: injected\n"
+
+
+def test_cli_leaves_thread_variables_alone(monkeypatch, capsys):
+    # thread pools are set by the standard variables before the process
+    # starts; the CLI sets none of them
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    monkeypatch.setenv("SPIN1_THREADS", "1")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    assert cli.main(["verify-algebra"]) == 0
+    capsys.readouterr()
+    assert [name for name in names if name in os.environ] == []
