@@ -29,11 +29,14 @@ ExternalField is built.
 Each operator has one spectral core, and every composite (RK4 stages, the
 record, the identity checks, the projection CG) chains cores on spectra;
 norm ratios and inner products are taken there too, since the FFT scales
-both sides alike.  A core works in either of two layouts: spectra on the
-grid, or band stacks (below), which differ only in the wavevectors passed
-to it and in how _sandwich adds the product back.  Real space is used at
-the public boundary (ifftn o core o fftn), for max-norm residuals and for
-a record's state.  The generator is the free symbol H(k) of dynamics plus
+both sides alike.  A core reads its layout from its input's trailing
+shape (_on_grid): ext.grid.shape is a spectrum on the grid, any other a
+band stack (below).  The layout picks the wavevectors of H(k) and pi, and
+whether _sandwich restricts its input to the band first.  Where the
+product grid is the grid, a band stack is read as a grid spectrum; once
+restricted to the band the two are one array.  Real space is used at the
+public boundary (ifftn o core o fftn), for max-norm residuals and for a
+record's state.  The generator is the free symbol H(k) of dynamics plus
 one sandwich of the pointwise coupling e(Phi_d - a.A_d), 12 scalar FFTs
 per apply on a 6-stack.  The record is dynamics.record with this generator
 and the covariant divergence pi.w: 32 scalar FFTs.  evolve_em advances in
@@ -45,8 +48,8 @@ H(k) alone, which the free closed form solves exactly.  RK4 runs on the
 band alone, held as a band stack: a (6, *product_shape) spectrum in the
 product grid's own layout whose non-band planes (K_i + 1 .. N'_i - K_i - 1
 per axis, none where N'_i = 2K_i + 1) stay exactly zero.  _sandwich
-transforms a stage straight into its buffer, the product is added whole
-with its non-band planes zeroed, and H(k) and the stage updates work on
+transforms a stage straight into its buffer and adds the product's band
+into the stage's band modes, and H(k) and the stage updates work on
 N'^3 modes, not N^3; a step still takes 48 scalar FFTs.  Per record span
 _advance restricts the spectrum to its band, steps it, moves the whole
 spectrum by the closed form into the stack the run lends it and writes
@@ -329,27 +332,31 @@ def _embed(ext: ExternalField, s: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wavevectors(ext: ExternalField, band: bool) -> np.ndarray:
-    """The wavevectors of a layout: ext.grid's, or with band those of its
-    band in the product-grid layout."""
-    return _band_wavevectors(ext.grid, ext.product_shape) if band else fields.wavevectors(ext.grid)
+def _on_grid(ext: ExternalField, x: np.ndarray) -> bool:
+    """The layout rule of the coupled operators: x is a spectrum on ext.grid
+    if its trailing shape is the grid's, and a band stack otherwise."""
+    return x.shape[-3:] == ext.grid.shape
+
+
+def _wavevectors(ext: ExternalField, x: np.ndarray) -> np.ndarray:
+    """The wavevectors of x's layout: ext.grid's, or those of its band in
+    the product-grid layout."""
+    return (fields.wavevectors(ext.grid) if _on_grid(ext, x)
+            else _band_wavevectors(ext.grid, ext.product_shape))
 
 
 def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, scale: float,
-              band: bool = False, buf: np.ndarray | None = None) -> np.ndarray:
-    """The one dealiased multiplication: adds scale * D[M(x) D psi] into out
-    and returns out, in either layout of every coupled operator.  On the
-    grid, s and out are spectra on ext.grid, and the band of s goes into a
-    new product-grid array.  With band, s and out are band stacks, and the
-    inverse transform of s goes into buf (a new array of s's shape if
-    None).  pointwise applies M(x), made of the product-grid potentials
-    ext.*_p, to that transform, may overwrite it and returns a complex128
-    array that is its own, which the forward FFT and the scale then
-    overwrite.  M is linear in D psi, so the two transforms' differing
-    normalizations (N'/N into the product grid, N/N' out of it) cancel and
-    neither is applied.  On the grid the product's band is added into out;
-    with band the product is added whole with its off-band planes zeroed.
-    Either way the band modes of out get the same bits.
+              buf: np.ndarray | None = None) -> np.ndarray:
+    """The one dealiased multiplication: adds scale * D[M(x) D psi] into the
+    band modes of out and returns out, s and out in s's layout (_on_grid).
+    D psi goes into buf, a product-grid array of s's leading shape (a new
+    one if None): a grid spectrum is restricted to its band there first,
+    then transformed in place; a band stack is transformed into it.
+    pointwise applies M(x), made of the product-grid potentials ext.*_p,
+    to that transform, may overwrite it and returns a complex128 array that
+    is its own, which the forward FFT and the scale then overwrite.  M is
+    linear in D psi, so the two transforms' differing normalizations (N'/N
+    into the product grid, N/N' out of it) cancel and neither is applied.
 
     Exact: D psi has modes |n_i| <= K_i and M, restricted to the potential's
     bandwidth K_A, has |n_i| <= min(K_A, K_i), so on N' >= 2K + min(K_A, K) + 1
@@ -357,17 +364,14 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
     is the one the full grid gives; only the modes of the potential beyond
     K_A, below 1e-12 of its largest, are left out.  The gain needs K_A < K; the
     transform counts are those of the full grid."""
-    if not band:
-        s = buf = _band_stack(ext, s)
-    elif buf is None:
-        buf = np.empty_like(s)
+    if buf is None:
+        buf = np.empty((*s.shape[:-3], *ext.product_shape), dtype=np.complex128)
+    if _on_grid(ext, s):
+        s = _restrict(s, _band(ext.grid), buf)
     product = pointwise(fields.ifftn(s, out=buf))
     fields.fftn(product, out=product)
     product *= scale
-    if band:
-        out += _clear_off_band(ext, product)
-        return out
-    for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, _band(ext.grid)):
+    for dst, src in _band_blocks(out.shape[-3:], ext.product_shape, _band(ext.grid)):
         out[dst] += product[src]
     return out
 
@@ -375,10 +379,12 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
 def _coupling(ext: ExternalField, phi_p, product: np.ndarray | None = None):
     """The pointwise coupling phi_p - a.A_p of H_A + e phi_p, for _sandwich:
     it overwrites D psi with the result; a.A_p D psi goes into product (a
-    new stack if None)."""
+    new stack if None).  phi_p multiplies one component at a time: numpy
+    buffers a broadcast in-place product (up to 8192 elements)."""
     def pointwise(d):
         a_d = dynamics._hamiltonian_symbol(ext.avec_p, 0.0, d, out=product)
-        d *= phi_p
+        for component in d:
+            component *= phi_p
         d -= a_d
         return d
 
@@ -386,25 +392,25 @@ def _coupling(ext: ExternalField, phi_p, product: np.ndarray | None = None):
 
 
 def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_p=0.0, *,
-                  band: bool = False, out: np.ndarray | None = None,
-                  work=(None, None)) -> np.ndarray:
-    """H_A + e phi_p on a 6-stack spectrum, H_A = a.(p - eA) + m b: the free
-    symbol H(k) plus one sandwich of the pointwise coupling
-    e(phi_p - a.A_p), phi_p on the product grid.  phi_p = 0 gives H_A
-    alone.  The result goes into out (a new stack if None), which must not
-    overlap sh or work: with band, the two product-grid stacks of
-    _sandwich's inverse transform and the a.A_p product (each allocated if
-    None).  12 scalar FFTs at e != 0, on the product grid."""
-    out = dynamics._hamiltonian_symbol(_wavevectors(ext, band), mass, sh, out=out)
+                  out: np.ndarray | None = None, work=(None, None)) -> np.ndarray:
+    """H_A + e phi_p on a 6-stack spectrum in either layout, H_A =
+    a.(p - eA) + m b: the free symbol H(k) plus one sandwich of the
+    pointwise coupling e(phi_p - a.A_p), phi_p on the product grid.
+    phi_p = 0 gives H_A alone.  The result goes into out (a new stack if
+    None), which must not overlap sh or work: the two product-grid stacks
+    of _sandwich's inverse transform and the a.A_p product (each allocated
+    if None).  12 scalar FFTs at e != 0, on the product grid."""
+    out = dynamics._hamiltonian_symbol(_wavevectors(ext, sh), mass, sh, out=out)
     if ext.charge != 0.0:
-        _sandwich(ext, sh, _coupling(ext, phi_p, work[1]), out, ext.charge, band, work[0])
+        _sandwich(ext, sh, _coupling(ext, phi_p, work[1]), out, ext.charge, work[0])
     return out
 
 
-def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, **layout) -> np.ndarray:
+def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, *,
+                        out: np.ndarray | None = None, work=(None, None)) -> np.ndarray:
     """(H_A + e Phi) on the spectrum of a 6-stack: _h_a_spectrum with Phi_p,
-    taking its band, out and work keywords."""
-    return _h_a_spectrum(sh, ext, mass, ext.phi_p, **layout)
+    and its out and work."""
+    return _h_a_spectrum(sh, ext, mass, ext.phi_p, out=out, work=work)
 
 
 def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float) -> np.ndarray:
@@ -412,13 +418,13 @@ def apply_total_generator(psi_stack: np.ndarray, ext: ExternalField, mass: float
     return fields.ifftn(_generator_spectrum(fields.fftn(psi_stack), ext, mass))
 
 
-def _pi_vector_spectrum(ext: ExternalField, fh: np.ndarray, band: bool = False) -> np.ndarray:
+def _pi_vector_spectrum(ext: ExternalField, fh: np.ndarray) -> np.ndarray:
     """(p - eA) f on the spectrum fh of a (..., nx, ny, nz) scalar field;
     returns the spectrum of the vector field, vector axis at -4."""
     fh = fh[..., None, :, :, :]
-    out = _wavevectors(ext, band) * fh
+    out = _wavevectors(ext, fh) * fh
     if ext.charge != 0.0:
-        _sandwich(ext, fh, lambda d: ext.avec_p * d, out, -ext.charge, band)
+        _sandwich(ext, fh, lambda d: ext.avec_p * d, out, -ext.charge)
     return out
 
 
@@ -427,14 +433,14 @@ def pi_vector(ext: ExternalField, f: np.ndarray) -> np.ndarray:
     return fields.ifftn(_pi_vector_spectrum(ext, fields.fftn(np.asarray(f, dtype=complex))))
 
 
-def _pi_dot_spectrum(ext: ExternalField, wh: np.ndarray, band: bool = False) -> np.ndarray:
+def _pi_dot_spectrum(ext: ExternalField, wh: np.ndarray) -> np.ndarray:
     """(p - eA) . w on the spectrum wh of a (..., 3, nx, ny, nz) vector field;
     returns the spectrum of the scalar field.  The three products A_p w_d
     are summed before the outer transform, which the linearity of the
     truncation makes exact."""
-    out = fields.vector_dot(_wavevectors(ext, band), wh)
+    out = fields.vector_dot(_wavevectors(ext, wh), wh)
     if ext.charge != 0.0:
-        _sandwich(ext, wh, lambda d: fields.vector_dot(ext.avec_p, d), out, -ext.charge, band)
+        _sandwich(ext, wh, lambda d: fields.vector_dot(ext.avec_p, d), out, -ext.charge)
     return out
 
 
@@ -443,10 +449,10 @@ def pi_dot(ext: ExternalField, w: np.ndarray) -> np.ndarray:
     return fields.ifftn(_pi_dot_spectrum(ext, fields.fftn(np.asarray(w, dtype=complex))))
 
 
-def _pi_squared_spectrum(ext: ExternalField, sh: np.ndarray, band: bool = False) -> np.ndarray:
+def _pi_squared_spectrum(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
     """(p - eA)^2 on the spectrum of a 6-stack, one 3-component block at a
     time (a whole-stack batch would hold (6, 3, nx, ny, nz) temporaries)."""
-    return np.concatenate([_pi_dot_spectrum(ext, _pi_vector_spectrum(ext, block, band), band)
+    return np.concatenate([_pi_dot_spectrum(ext, _pi_vector_spectrum(ext, block))
                            for block in (sh[:3], sh[3:])])
 
 
@@ -478,9 +484,10 @@ class ProjectionResult:
     residuals: tuple[float, float]
 
 
-def covariant_project(
-    psi: WaveField, ext: ExternalField, tol: float = 1e-10, maxiter: int = 500
-) -> ProjectionResult:
+_PROJECTION_TOL, _PROJECTION_MAXITER = 1e-10, 500  # covariant_project's stop and cap
+
+
+def covariant_project(psi: WaveField, ext: ExternalField) -> ProjectionResult:
     """Enforce (p - eA).u = 0 and (p - eA).v = 0.
 
     For each block w, solves pi.pi phi = pi.w and subtracts pi phi.  The
@@ -493,10 +500,10 @@ def covariant_project(
     grid; an iteration costs 8 on the product grid (pi phi, pi.(pi phi)) and
     1 on the grid, the inverse transform of the residual for the stopping
     test.  The CG stops when the constraint residual max|pi.w| over the
-    grid's points drops below tol * max|w|, after 0 iterations if it starts
-    there; raises NoConvergence if the cap is hit first (a nearly singular
-    pi.pi, e.g. flux-tuned potentials), NonFiniteState at the first scale or
-    residual that is not finite."""
+    grid's points drops below _PROJECTION_TOL * max|w|, after 0 iterations
+    if it starts there; raises NoConvergence after _PROJECTION_MAXITER (a
+    nearly singular pi.pi, e.g. flux-tuned potentials), NonFiniteState at
+    the first scale or residual that is not finite."""
     _check_grids(psi, ext)
     k2, k2_band = _laplacians(psi.grid, ext.product_shape)
     # the stopping test's residual on the grid: its band modes are written
@@ -508,7 +515,7 @@ def covariant_project(
         res = float(np.max(np.abs(fields.ifftn(_embed(ext, rh, rh_grid), out=r_grid))))
         if not (math.isfinite(res) and math.isfinite(scale)):
             raise NonFiniteState(f"covariant projection residual {res} at scale {scale}")
-        return res <= tol * scale, res
+        return res <= _PROJECTION_TOL * scale, res
 
     def band_cg(rh: np.ndarray, scale: float) -> tuple[np.ndarray, int, float]:
         """phi of pi.pi phi = rh on the band, rh a band stack that the solve
@@ -521,8 +528,8 @@ def covariant_project(
         zh = rh / k2_band
         ph = zh.copy()
         rz = fields.real_vdot(rh, zh)
-        for it in range(1, maxiter + 1):
-            lph = _pi_dot_spectrum(ext, _pi_vector_spectrum(ext, ph, band=True), band=True)
+        for it in range(1, _PROJECTION_MAXITER + 1):
+            lph = _pi_dot_spectrum(ext, _pi_vector_spectrum(ext, ph))
             alpha = rz / fields.real_vdot(ph, lph)
             phib += alpha * ph
             rh -= alpha * lph
@@ -536,7 +543,7 @@ def covariant_project(
             rz = rz_new
         raise NoConvergence(
             f"covariant projection residual {res:.3e} above "
-            f"{tol:.1e} * scale after {maxiter} iterations"
+            f"{_PROJECTION_TOL:.1e} * scale after {_PROJECTION_MAXITER} iterations"
         )
 
     def solve(w: np.ndarray, out: np.ndarray) -> tuple[int, float]:
@@ -555,7 +562,7 @@ def covariant_project(
     return ProjectionResult(out, (it_u, it_v), (res_u, res_v))
 
 
-_K_CUTOFF = 2.0  # on every grid; ROADMAP item 6 asks whether it should follow it
+_K_CUTOFF = 2.0  # on every grid; ROADMAP item 9 asks whether it should follow it
 
 
 def _trial_rng(trials: int, seed) -> np.random.Generator:
@@ -594,7 +601,7 @@ def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
     sigma3 = algebra.matrix_set().sigma_big[2]
 
     def h_a(s, m):
-        return _h_a_spectrum(s, ext, m, band=True)
+        return _h_a_spectrum(s, ext, m)
 
     def trial() -> tuple[float, float]:
         """The identity's relative residual and, at m > 0, the control's."""
@@ -618,14 +625,14 @@ def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
     return rep
 
 
-def _sigma_dot_h(ext: ExternalField, sh: np.ndarray, band: bool = False) -> np.ndarray:
+def _sigma_dot_h(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
     """(Sigma.H) Psi = (i H x u, i H x v), sandwiched, on a 6-stack spectrum."""
 
     def pointwise(d):
         blocks = d.reshape(2, 3, *d.shape[1:])
         return 1j * np.cross(ext.hvec_p, blocks, axisa=0, axisb=1, axisc=1).reshape(d.shape)
 
-    return _sandwich(ext, sh, pointwise, np.zeros_like(sh), 1.0, band)
+    return _sandwich(ext, sh, pointwise, np.zeros_like(sh), 1.0)
 
 
 def _a_dot_e(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
@@ -651,8 +658,8 @@ def constrained_square_check(ext: ExternalField, mass: float, trials: int = 4,
 
     def residual(psi: WaveField) -> float:
         s = _band_of(ext, psi)
-        lhs = _h_a_spectrum(_h_a_spectrum(s, ext, 0.0, band=True), ext, 0.0, band=True)
-        rhs = _pi_squared_spectrum(ext, s, band=True) - ext.charge * _sigma_dot_h(ext, s, band=True)
+        lhs = _h_a_spectrum(_h_a_spectrum(s, ext, 0.0), ext, 0.0)
+        rhs = _pi_squared_spectrum(ext, s) - ext.charge * _sigma_dot_h(ext, s)
         return fields.relative(lhs - rhs, lhs, rhs)
 
     def trial() -> tuple[float, float, tuple, tuple]:
@@ -680,8 +687,8 @@ def hermiticity_check(ext: ExternalField, mass: float, trials: int = 5, seed=0) 
 
     def trial() -> float:
         f, g = (_band_of(ext, _draw(ext, mass, rng)) for _ in range(2))
-        lhs = fields.vdot(f, _generator_spectrum(g, ext, mass, band=True))
-        rhs = fields.vdot(_generator_spectrum(f, ext, mass, band=True), g)
+        lhs = fields.vdot(f, _generator_spectrum(g, ext, mass))
+        rhs = fields.vdot(_generator_spectrum(f, ext, mass), g)
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
     rep = ResidualReport()
@@ -710,14 +717,6 @@ def _band_wavevectors(grid: Grid, product_shape: tuple) -> np.ndarray:
     return k
 
 
-def _clear_off_band(ext: ExternalField, a: np.ndarray) -> np.ndarray:
-    """Zero the non-band planes K_i + 1 .. N'_i - K_i - 1 of a product-grid
-    array (none where N'_i = 2K_i + 1); returns a."""
-    for axis, (k, n) in enumerate(zip(_band(ext.grid), ext.product_shape)):
-        a[(..., *(slice(k + 1, n - k) if i == axis else slice(None) for i in range(3)))] = 0.0
-    return a
-
-
 def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
               work=None) -> np.ndarray:
     """One classical RK4 step on a band stack sh, in place; returns sh.
@@ -732,7 +731,7 @@ def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
     arg, acc, k = work[:3]
 
     def rhs(s, out):
-        g = _generator_spectrum(s, ext, mass, band=True, out=out, work=work[3:])
+        g = _generator_spectrum(s, ext, mass, out=out, work=work[3:])
         g *= -1j
         return g
 

@@ -473,17 +473,23 @@ def _field(name, grid):
 
 
 @pytest.mark.parametrize(
-    "mass, field", [(0.0, "nmax1"), (1.0, "nmax1"), (1.0, "nmax2"), (1.0, "one-axis"),
-                    (1.0, "zero"), (1.0, "from-arrays"), (1.0, "beyond-band")],
-    ids=["0.0", "1.0", "nmax2", "one-axis", "zero-charged", "from-arrays", "beyond-band"])
-def test_fused_operators_match_unfused_oracle(mass, field):
+    "mass, field, grid",
+    [(0.0, "nmax1", ANISO), (1.0, "nmax1", ANISO), (1.0, "nmax2", ANISO),
+     (1.0, "one-axis", ANISO), (1.0, "zero", ANISO), (1.0, "from-arrays", ANISO),
+     (1.0, "beyond-band", ANISO), (1.0, "nmax2", fields.Grid.cubic(8))],
+    ids=["0.0", "1.0", "nmax2", "one-axis", "zero-charged", "from-arrays", "beyond-band",
+         "nmax2-8"])
+def test_fused_operators_match_unfused_oracle(mass, field, grid):
     # white noise carries the k = 0, Nyquist and above-band modes; the
     # oracle forms every product on the full grid, the operators on the
-    # product grids of test_product_grid_shapes
-    ext = _field(field, ANISO)
-    stack = _white_noise((6, *ANISO.shape), 1)
-    f = _white_noise(ANISO.shape, 2)
-    w = _white_noise((3, *ANISO.shape), 3)
+    # product grids of test_product_grid_shapes, and on 8^3 at nmax 2 on
+    # the grid itself, where a band stack has the grid's shape
+    ext = _field(field, grid)
+    if grid != ANISO:
+        assert ext.product_shape == grid.shape
+    stack = _white_noise((6, *grid.shape), 1)
+    f = _white_noise(grid.shape, 2)
+    w = _white_noise((3, *grid.shape), 3)
     pairs = [
         (em.apply_total_generator(stack, ext, mass), _oracle_generator(stack, ext, mass)),
         (_h_a(stack, ext, 0.0), _oracle_a_pi(stack, ext)),
@@ -494,11 +500,11 @@ def test_fused_operators_match_unfused_oracle(mass, field):
     ]
     # one step of a run: the band against the oracle's RK4, the rest, which
     # the coupling leaves alone, against the free closed form
-    dt = 0.5 * em.stability_bound(ANISO, mass, ext)
-    prop = dynamics.FreePropagator(ANISO, mass)
+    dt = 0.5 * em.stability_bound(grid, mass, ext)
+    prop = dynamics.FreePropagator(grid, mass)
     sh = fields.fftn(stack)
     sh = em._advance(sh, ext, prop, dt, 1, np.empty_like(sh))
-    band = em.dealias_mask(ANISO)
+    band = em.dealias_mask(grid)
     rk4 = fields.fftn(_oracle_rk4_step(stack, ext, mass, dt))
     exact = prop.evolve_spectrum(fields.fftn(stack), dt)
     pairs.append((fields.ifftn(sh * band), fields.ifftn(rk4 * band)))
@@ -514,15 +520,15 @@ def test_fused_operators_match_unfused_oracle(mass, field):
         return em._band_stack(ext, x)
 
     cores = [
-        (em._generator_spectrum(band(sh), ext, mass, band=True),
+        (em._generator_spectrum(band(sh), ext, mass),
          em._generator_spectrum(sh, ext, mass), _oracle_generator(stack, ext, mass)),
-        (em._h_a_spectrum(band(sh), ext, 0.0, band=True), em._h_a_spectrum(sh, ext, 0.0),
+        (em._h_a_spectrum(band(sh), ext, 0.0), em._h_a_spectrum(sh, ext, 0.0),
          _oracle_a_pi(stack, ext)),
-        (em._pi_vector_spectrum(ext, band(fh), band=True), em._pi_vector_spectrum(ext, fh),
+        (em._pi_vector_spectrum(ext, band(fh)), em._pi_vector_spectrum(ext, fh),
          _oracle_pi_vector(ext, f)),
-        (em._pi_dot_spectrum(ext, band(wh), band=True), em._pi_dot_spectrum(ext, wh),
+        (em._pi_dot_spectrum(ext, band(wh)), em._pi_dot_spectrum(ext, wh),
          _oracle_pi_dot(ext, w)),
-        (em._sigma_dot_h(ext, band(sh), band=True), em._sigma_dot_h(ext, sh),
+        (em._sigma_dot_h(ext, band(sh)), em._sigma_dot_h(ext, sh),
          _oracle_sigma_dot_h(ext, stack)),
     ]
     for core, full, oracle in cores:
@@ -783,7 +789,7 @@ def test_zero_charge_record_equals_free_record(mass):
                   <= 1e-13 * np.abs(free.total_current))
 
 
-def test_coupled_fft_counts(fft_transforms, psi, ext):
+def test_coupled_fft_counts(fft_transforms, monkeypatch, psi, ext):
     stack = psi.data
     sh = fields.fftn(stack)
     fft_transforms.clear()
@@ -809,10 +815,13 @@ def test_coupled_fft_counts(fft_transforms, psi, ext):
 
     # a CG solve's set-up costs the same at any iteration cap, so the
     # difference between two capped solves is the cost of the iterations
+    monkeypatch.setattr(em, "_PROJECTION_TOL", 1e-300)
+
     def transforms_until_cap(maxiter):
+        monkeypatch.setattr(em, "_PROJECTION_MAXITER", maxiter)
         fft_transforms.clear()
         with pytest.raises(NoConvergence):
-            em.covariant_project(psi, ext, tol=1e-300, maxiter=maxiter)
+            em.covariant_project(psi, ext)
         return sum(fft_transforms)
 
     assert (transforms_until_cap(5) - transforms_until_cap(2)) / 3 <= 9
@@ -853,15 +862,17 @@ def test_squared_check_fails_on_overflow():
     assert not rep.all_passed
 
 
-def test_projection_stops_at_a_non_finite_residual(fft_transforms):
+def test_projection_stops_at_a_non_finite_residual(fft_transforms, monkeypatch):
     # a NaN residual fails every stopping test, so the CG ran to its cap and
     # raised NoConvergence; it must stop within its first iteration
     grid = fields.Grid.cubic(8)
     psi8 = fields.random_wave_field(grid, MASS, 2.0, seed=3)
     ext_ok, ext_big = em.random_smooth_external(grid, 0.5, seed=1), _overflowing()
     fft_transforms.clear()
-    with pytest.raises(NoConvergence):
-        em.covariant_project(psi8, ext_ok, tol=1e-300, maxiter=1)
+    with monkeypatch.context() as capped, pytest.raises(NoConvergence):
+        capped.setattr(em, "_PROJECTION_TOL", 1e-300)
+        capped.setattr(em, "_PROJECTION_MAXITER", 1)
+        em.covariant_project(psi8, ext_ok)
     one_iteration = sum(fft_transforms)
     fft_transforms.clear()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):

@@ -181,6 +181,7 @@ def test_cli_snapshot_info_corrupt_exits_2(tmp_path, capsys, header):
         ["landau", "--grid", "0"],
         ["landau", "--grid", "-4"],
         ["landau", "--grid", "3"],
+        ["landau", "--grid", str(cli._LANDAU_GRID_BOUND + 1)],
         ["chain-check", "--mass", "-1"],
         ["chain-check", "--mass", "nan"],
         ["chain-check", "--modes", "-3"],
@@ -282,6 +283,31 @@ def test_cli_evolve_opens_outputs_before_the_run(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not csv.exists()
+
+
+def test_cli_landau_opens_its_csv_before_the_solve(tmp_path, capsys, monkeypatch):
+    # a --csv that cannot be written exits 2 before the solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(em_coupling, "landau_spectrum", no_solve)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert cli.main(["landau", "--grid", "4", "--csv", str(folder)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["evolve", "em-check"])
+def test_cli_grid_too_large_to_hold_exits_2(tmp_path, capsys, command):
+    # 10^15 points: the first allocation is refused (petabytes), which is
+    # one error line and exit 2, not a MemoryError traceback
+    grid = {"nx": 100000, "ny": 100000, "nz": 100000, "lx": 2 * np.pi, "ly": 2 * np.pi,
+            "lz": 2 * np.pi}
+    config = {"evolve": evolve_config, "em-check": em_check_config}[command](tmp_path, grid=grid)
+    assert cli.main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_evolve_failed_run_keeps_existing_outputs(tmp_path, capsys, monkeypatch):
