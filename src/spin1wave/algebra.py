@@ -25,6 +25,7 @@ complex128 with a 1e-14 tolerance.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,8 +195,9 @@ def hamiltonian_symbol(k, m: float) -> np.ndarray:
 
 def analytic_eigenvalues(k, m: float) -> np.ndarray:
     """Sorted spectrum of H(k): +-sqrt(k^2+m^2) twice each (transverse
-    branch) and +-m once each (longitudinal branch)."""
-    kn = float(np.linalg.norm(np.asarray(k, dtype=float)))
+    branch) and +-m once each (longitudinal branch).  |k| is math.hypot's,
+    which does not overflow below the largest double."""
+    kn = math.hypot(*np.asarray(k, dtype=float))
     om = np.hypot(kn, m)
     return np.sort(np.array([-om, -om, -m, m, om, om]))
 

@@ -29,33 +29,32 @@ ExternalField is built.
 Each operator has one spectral core, and every composite (RK4 stages, the
 record, the identity checks, the projection CG) chains cores on spectra;
 norm ratios and inner products are taken there too, since the FFT scales
-both sides alike.  A core reads its layout from its input's trailing
-shape (_on_grid): ext.grid.shape is a spectrum on the grid, any other a
-band stack (below).  The layout picks the wavevectors of H(k) and pi, and
-whether _sandwich restricts its input to the band first.  Where the
-product grid is the grid, a band stack is read as a grid spectrum; once
-restricted to the band the two are one array.  Real space is used at the
-public boundary (ifftn o core o fftn), for max-norm residuals and for a
-record's state.  The generator is the free symbol H(k) of dynamics plus
-one sandwich of the pointwise coupling e(Phi_d - a.A_d), 12 scalar FFTs
-per apply on a 6-stack.  The record is dynamics.record with this generator
-and the covariant divergence pi.w: 32 scalar FFTs.  evolve_em advances in
-dynamics.run, the run loop free evolution uses too.
+both sides alike.  A core takes a spectrum on the grid or a band stack:
+the band's own modes, a (..., 2K_x + 1, 2K_y + 1, 2K_z + 1) spectrum in
+FFT order (0..K, -K..-1 per axis).  The grid is even on every axis and a
+band stack odd, so the trailing shape tells them apart; it picks the
+wavevectors of H(k) and pi.  The product grid is scratch space that only
+ExternalField and _sandwich know: _sandwich restricts either input to
+the band there and adds the product's band back into its output.  Real
+space is used at the public boundary (ifftn o core o fftn), for max-norm
+residuals and for a record's state.  The generator is the free symbol
+H(k) of dynamics plus one sandwich of the pointwise coupling
+e(Phi_d - a.A_d), 12 scalar FFTs per apply on a 6-stack.  The record is
+dynamics.record with this generator and the covariant divergence pi.w:
+32 scalar FFTs.  evolve_em advances in dynamics.run, the run loop free
+evolution uses too.
 
 D M D maps the band into itself and annihilates the rest, and H(k) acts
 per mode, so band modes evolve under H(k) + D M D and the others under
 H(k) alone, which the free closed form solves exactly.  RK4 runs on the
-band alone, held as a band stack: a (6, *product_shape) spectrum in the
-product grid's own layout whose non-band planes (K_i + 1 .. N'_i - K_i - 1
-per axis, none where N'_i = 2K_i + 1) stay exactly zero.  _sandwich
-transforms a stage straight into its buffer and adds the product's band
-into the stage's band modes, and H(k) and the stage updates work on
-N'^3 modes, not N^3; a step still takes 48 scalar FFTs.  Per record span
-_advance restricts the spectrum to its band, steps it, moves the whole
-spectrum by the closed form into the stack the run lends it and writes
-the band over that: the band is the full-grid RK4's bit for bit, the rest
-(roundoff, 3.6e-16 of the norm at 24^3) moves exactly.  The step's five
-product-grid stacks are lent by its caller, so a step allocates no stack.
+band alone, held as a band stack, so H(k) and the stage updates work on
+(2K + 1)^3 modes, not N^3; a step still takes 48 scalar FFTs.  Per record
+span _advance restricts the spectrum to its band, steps it, moves the
+whole spectrum by the closed form into the stack the run lends it and
+writes the band over that: the band is the full-grid RK4's bit for bit,
+the rest (roundoff, 3.6e-16 of the norm at 24^3) moves exactly.  A step's
+workspace (_rk4_work: three band stacks and two product-grid stacks) is
+lent by its caller, so a step allocates no stack.
 
 The identity checks run on band stacks too: off the band every operator
 is its free symbol, where each identity is the free one.  A trial's state
@@ -107,6 +106,12 @@ def _band(grid: Grid) -> tuple[int, int, int]:
     """The 2/3-rule band per axis: the modes with |n_i| <= K_i = (N_i - 1) // 3,
     which are those with 3|n_i| < N_i."""
     return tuple((n - 1) // 3 for n in grid.shape)
+
+
+def _band_shape(grid: Grid) -> tuple[int, int, int]:
+    """The trailing shape of a band stack: 2K_i + 1 per axis, odd where the
+    grid is even."""
+    return tuple(2 * k + 1 for k in _band(grid))
 
 
 @functools.lru_cache(maxsize=32)
@@ -318,45 +323,38 @@ def _check_grids(psi: WaveField, ext: ExternalField):
 
 
 def _band_stack(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
-    """The band of sh, a spectrum on ext.grid, as a band stack: a new
-    product-grid array, zero off the band."""
+    """The band of sh, a spectrum on ext.grid, as a new band stack."""
     return _restrict(sh, _band(ext.grid),
-                     np.empty((*sh.shape[:-3], *ext.product_shape), dtype=np.complex128))
+                     np.empty((*sh.shape[:-3], *_band_shape(ext.grid)), dtype=np.complex128))
 
 
 def _embed(ext: ExternalField, s: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the band stack s over the band modes of out, a spectrum on
     ext.grid; returns out."""
-    for dst, src in _band_blocks(ext.grid.shape, ext.product_shape, _band(ext.grid)):
+    for dst, src in _band_blocks(ext.grid.shape, s.shape[-3:], _band(ext.grid)):
         out[dst] = s[src]
     return out
 
 
-def _on_grid(ext: ExternalField, x: np.ndarray) -> bool:
-    """The layout rule of the coupled operators: x is a spectrum on ext.grid
-    if its trailing shape is the grid's, and a band stack otherwise."""
-    return x.shape[-3:] == ext.grid.shape
-
-
 def _wavevectors(ext: ExternalField, x: np.ndarray) -> np.ndarray:
-    """The wavevectors of x's layout: ext.grid's, or those of its band in
-    the product-grid layout."""
-    return (fields.wavevectors(ext.grid) if _on_grid(ext, x)
-            else _band_wavevectors(ext.grid, ext.product_shape))
+    """The wavevectors of x's layout, read from its trailing shape: ext.grid's
+    for a spectrum on the grid, its band's for a band stack."""
+    return (fields.wavevectors(ext.grid) if x.shape[-3:] == ext.grid.shape
+            else _band_wavevectors(ext.grid))
 
 
 def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, scale: float,
               buf: np.ndarray | None = None) -> np.ndarray:
     """The one dealiased multiplication: adds scale * D[M(x) D psi] into the
-    band modes of out and returns out, s and out in s's layout (_on_grid).
-    D psi goes into buf, a product-grid array of s's leading shape (a new
-    one if None): a grid spectrum is restricted to its band there first,
-    then transformed in place; a band stack is transformed into it.
-    pointwise applies M(x), made of the product-grid potentials ext.*_p,
-    to that transform, may overwrite it and returns a complex128 array that
-    is its own, which the forward FFT and the scale then overwrite.  M is
-    linear in D psi, so the two transforms' differing normalizations (N'/N
-    into the product grid, N/N' out of it) cancel and neither is applied.
+    band modes of out and returns out, s and out in s's layout (a spectrum
+    on the grid or a band stack).  D psi is s restricted to its band in
+    buf, a product-grid array of s's leading shape (a new one if None), and
+    transformed in place.  pointwise applies M(x), made of the product-grid
+    potentials ext.*_p, to that transform, may overwrite it and returns a
+    complex128 array that is its own, which the forward FFT and the scale
+    then overwrite.  M is linear in D psi, so the two transforms' differing
+    normalizations (N'/N into the product grid, N/N' out of it) cancel and
+    neither is applied.
 
     Exact: D psi has modes |n_i| <= K_i and M, restricted to the potential's
     bandwidth K_A, has |n_i| <= min(K_A, K_i), so on N' >= 2K + min(K_A, K) + 1
@@ -366,9 +364,7 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
     transform counts are those of the full grid."""
     if buf is None:
         buf = np.empty((*s.shape[:-3], *ext.product_shape), dtype=np.complex128)
-    if _on_grid(ext, s):
-        s = _restrict(s, _band(ext.grid), buf)
-    product = pointwise(fields.ifftn(s, out=buf))
+    product = pointwise(fields.ifftn(_restrict(s, _band(ext.grid), buf), out=buf))
     fields.fftn(product, out=product)
     product *= scale
     for dst, src in _band_blocks(out.shape[-3:], ext.product_shape, _band(ext.grid)):
@@ -457,19 +453,18 @@ def _pi_squared_spectrum(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _laplacians(grid: Grid, product_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _laplacians(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The free -Laplacian symbols of covariant_project, read-only: |k|^2 of
     the Nyquist-zeroed wavevectors on grid, which pi.pi is off the band, and
-    its band in the product-grid layout of shape product_shape, the CG's
-    preconditioner.  Their zeros are given the smallest positive |k|^2, so
-    that dividing by them stays finite: on the grid, the modes whose every
-    axis sits at 0 or at Nyquist, where k = 0 and pi.w = k.w is 0 too (k = 0
-    itself is in the band); in the band stack, the k = 0 mode, where the
-    preconditioner must stay positive definite, and the off-band planes,
-    where the CG's vectors are 0."""
+    its band as a band stack, the CG's preconditioner.  Their zeros are
+    given the smallest positive |k|^2, so that dividing by them stays
+    finite: on the grid, the modes whose every axis sits at 0 or at
+    Nyquist, where k = 0 and pi.w = k.w is 0 too (k = 0 itself is in the
+    band); in the band, the k = 0 mode alone, where the preconditioner must
+    stay positive definite."""
     k = fields.wavevectors(grid)
     k2 = fields.vector_dot(k, k)
-    band = _restrict(k2, _band(grid), np.empty(product_shape))
+    band = _restrict(k2, _band(grid), np.empty(_band_shape(grid)))
     kmin = np.min(k2[k2 > 0])
     out = tuple(np.where(a > 0, a, kmin) for a in (k2, band))
     for a in out:
@@ -505,7 +500,7 @@ def covariant_project(psi: WaveField, ext: ExternalField) -> ProjectionResult:
     nearly singular pi.pi, e.g. flux-tuned potentials), NonFiniteState at
     the first scale or residual that is not finite."""
     _check_grids(psi, ext)
-    k2, k2_band = _laplacians(psi.grid, ext.product_shape)
+    k2, k2_band = _laplacians(psi.grid)
     # the stopping test's residual on the grid: its band modes are written
     # before each test, the rest stays 0, as the exact solve leaves it
     rh_grid = np.zeros(psi.grid.shape, dtype=np.complex128)
@@ -703,16 +698,17 @@ def stability_bound(grid: Grid, mass: float, ext: ExternalField) -> float:
     return 0.5 / (kmax + e * float(np.max(np.abs(ext.avec))) + e * float(np.max(np.abs(ext.phi))) + mass)
 
 
-def _product_stack(ext: ExternalField) -> np.ndarray:
-    """An empty 6-stack on ext's product grid."""
-    return np.empty((6, *ext.product_shape), dtype=np.complex128)
+def _rk4_work(ext: ExternalField) -> list[np.ndarray]:
+    """The workspace of _rk4_step: three empty band 6-stacks and the
+    generator's two empty product-grid 6-stacks."""
+    shapes = 3 * [_band_shape(ext.grid)] + 2 * [ext.product_shape]
+    return [np.empty((6, *shape), dtype=np.complex128) for shape in shapes]
 
 
 @functools.lru_cache(maxsize=32)
-def _band_wavevectors(grid: Grid, product_shape: tuple) -> np.ndarray:
-    """The wavevectors of grid's band in the product-grid layout of shape
-    product_shape, zero off the band; read-only."""
-    k = _restrict(fields.wavevectors(grid), _band(grid), np.empty((3, *product_shape)))
+def _band_wavevectors(grid: Grid) -> np.ndarray:
+    """The wavevectors of grid's band as a band stack; read-only."""
+    k = _restrict(fields.wavevectors(grid), _band(grid), np.empty((3, *_band_shape(grid))))
     k.setflags(write=False)
     return k
 
@@ -722,12 +718,12 @@ def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
     """One classical RK4 step on a band stack sh, in place; returns sh.
     Every stage stays a band stack, so a step costs four generator applies
     and no other transform.  The update is sh + dt/6 (k1 + 2 k2 + 2 k3 + k4),
-    summed in that order.  work is five product-grid stacks of scratch, none
-    of them sh: the stage argument, the sum, the stage derivative, and the
-    generator's two (allocated if None), so a step with a workspace
-    allocates no whole stack."""
+    summed in that order.  work is _rk4_work(ext), none of it sh: the stage
+    argument, the sum and the stage derivative as band stacks, then the
+    generator's two product-grid stacks (allocated if None), so a step
+    with a workspace allocates no whole stack."""
     if work is None:
-        work = [_product_stack(ext) for _ in range(5)]
+        work = _rk4_work(ext)
     arg, acc, k = work[:3]
 
     def rhs(s, out):
@@ -761,10 +757,10 @@ def _advance(sh: np.ndarray, ext: ExternalField, prop: dynamics.FreePropagator, 
     The band goes into a band stack and takes the steps; the rest, which
     H_A + e Phi leaves to H(k) alone, moves exactly: prop, the free closed
     form, advances all of sh over steps * dt into out, and the band is
-    written over it.  The six product-grid stacks (the band stack and the
-    steps' workspace) live only while advancing."""
+    written over it.  The band stack and the steps' workspace live only
+    while advancing."""
     band = _band_stack(ext, sh)
-    work = [_product_stack(ext) for _ in range(5)]
+    work = _rk4_work(ext)
     for _ in range(steps):
         _rk4_step(band, ext, prop.mass, dt, work=work)
     return _embed(ext, band, prop.evolve_spectrum(sh, steps * dt, out=out))

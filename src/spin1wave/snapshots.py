@@ -71,7 +71,5 @@ def read_snapshot(path) -> WaveField:
         raise FormatError(f"trailing data: {len(raw) - expected} unexpected bytes")
     flat = np.frombuffer(raw, dtype="<c16", count=count, offset=_HEADER.size)
     comps = flat.reshape(6, grid.npoints)
-    data = np.stack(
-        [c.reshape(grid.shape, order="F") for c in comps]
-    ).astype(np.complex128)
+    data = np.stack([c.reshape(grid.shape, order="F") for c in comps])
     return WaveField(grid, data, mass, time)

@@ -176,9 +176,9 @@ def test_hamiltonian_symbol_matches_cross_form_bit_for_bit(mass):
     assert np.array_equal(dynamics._hamiltonian_symbol(k, mass, sh), want)
 
 
-def _peak_in_stacks(call) -> float:
+def _peak_in_stacks(call, shape=ANISO.shape) -> float:
     """Peak memory call allocates, its output included, in units of one
-    complex (6, *ANISO.shape) stack; a warm-up call fills the caches."""
+    complex (6, *shape) stack; a warm-up call fills the caches."""
     call()
     started = not tracemalloc.is_tracing()
     if started:
@@ -191,7 +191,7 @@ def _peak_in_stacks(call) -> float:
     finally:
         if started:
             tracemalloc.stop()
-    return peak / (6 * 16 * ANISO.npoints)
+    return peak / (6 * 16 * math.prod(shape))
 
 
 _RK4_STEP_WORK_BOUND = 1.0
@@ -202,15 +202,16 @@ _RK4_STEP_WORK_BOUND = 1.0
     ("evolve_spectrum_out", 2.0), ("rk4_step_work", _RK4_STEP_WORK_BOUND)])
 def test_kernel_peak_memory(kernel, bound):
     # outputs preallocated, no whole-stack temporaries; with out= or work=
-    # lent, no whole stack at all
+    # lent, no whole stack at all.  The RK4 step is measured in stacks of
+    # its product grid, where its largest arrays live
     psi = fields.random_wave_field(ANISO, MASS, 2.0, seed=5, transverse=True)
     stack = psi.data
     sh = fields.fftn(stack)
     prop = FreePropagator(ANISO, MASS)
     ext = em_coupling.random_smooth_external(ANISO, 0.5, seed=21, amplitude=0.2, nmax=1)
     out = np.empty_like(sh)
-    band = em_coupling._restrict(sh, em_coupling._band(ANISO), em_coupling._product_stack(ext))
-    work = [em_coupling._product_stack(ext) for _ in range(5)]
+    band = em_coupling._band_stack(ext, sh)
+    work = em_coupling._rk4_work(ext)
     call = {
         "fftn": lambda: fields.fftn(stack),
         "ifftn": lambda: fields.ifftn(sh),
@@ -219,21 +220,22 @@ def test_kernel_peak_memory(kernel, bound):
         "evolve_spectrum_out": lambda: prop.evolve_spectrum(sh, 0.7, out=out),
         "rk4_step_work": lambda: em_coupling._rk4_step(band, ext, MASS, 1e-3, work=work),
     }[kernel]
-    assert _peak_in_stacks(call) <= bound
+    shape = ext.product_shape if kernel == "rk4_step_work" else ANISO.shape
+    assert _peak_in_stacks(call, shape) <= bound
 
 
 def test_rk4_step_peak_memory_where_the_product_grid_is_the_grid():
-    # an nmax 2 field on 8^3 has the product grid 8^3: a band stack has the
-    # grid's shape, and _sandwich restricts it into the lent workspace.  The
-    # bound is rk4_step_work's, in stacks of this grid
+    # an nmax 2 field on 8^3 has the product grid 8^3, and the step's band
+    # stacks 5^3.  The bound is rk4_step_work's, in product-grid stacks
     grid = fields.Grid.cubic(8)
     ext = em_coupling.random_smooth_external(grid, 0.5, seed=21, amplitude=0.2, nmax=2)
     assert ext.product_shape == grid.shape
     psi = fields.random_wave_field(grid, MASS, 2.0, seed=5, transverse=True)
     band = em_coupling._band_stack(ext, fields.fftn(psi.data))
-    work = [em_coupling._product_stack(ext) for _ in range(5)]
-    peak = _peak_in_stacks(lambda: em_coupling._rk4_step(band, ext, MASS, 1e-3, work=work))
-    assert peak * ANISO.npoints / grid.npoints <= _RK4_STEP_WORK_BOUND
+    work = em_coupling._rk4_work(ext)
+    peak = _peak_in_stacks(lambda: em_coupling._rk4_step(band, ext, MASS, 1e-3, work=work),
+                           ext.product_shape)
+    assert peak <= _RK4_STEP_WORK_BOUND
 
 
 def test_kgf_dichotomy(psi_t):

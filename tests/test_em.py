@@ -483,7 +483,7 @@ def test_fused_operators_match_unfused_oracle(mass, field, grid):
     # white noise carries the k = 0, Nyquist and above-band modes; the
     # oracle forms every product on the full grid, the operators on the
     # product grids of test_product_grid_shapes, and on 8^3 at nmax 2 on
-    # the grid itself, where a band stack has the grid's shape
+    # the grid itself
     ext = _field(field, grid)
     if grid != ANISO:
         assert ext.product_shape == grid.shape
@@ -535,6 +535,20 @@ def test_fused_operators_match_unfused_oracle(mass, field, grid):
         assert np.array_equal(core, band(full))
         want = band(fields.fftn(oracle))
         assert np.linalg.norm(core - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("grid, field", [
+    (ANISO, "nmax1"), (fields.Grid(4, 10, 6, 5.0, 6.5, 8.0), "nmax1"),
+    (fields.Grid.cubic(8), "nmax2"),  # the product grid is the grid
+], ids=["aniso", "4-point-axis", "nmax2-8"])
+def test_band_stack_holds_the_band(grid, field):
+    # a band stack is the band's own modes, 2K_i + 1 per axis (odd, the grid
+    # even); embedded into zeros it is the dealiased spectrum exactly
+    ext = _field(field, grid)
+    x = fields.fftn(_white_noise((6, *grid.shape), 4))
+    s = em._band_stack(ext, x)
+    assert s.shape == (6, *(2 * ((n - 1) // 3) + 1 for n in grid.shape))
+    assert np.array_equal(em._embed(ext, s, np.zeros_like(x)), x * em.dealias_mask(grid))
 
 
 @pytest.mark.parametrize("grid, field, bandwidth, shape", [
@@ -601,8 +615,7 @@ def test_fourier_series_rejects_bad_terms(terms):
 ], ids=["16x12x10", "aniso-nmax1", "aniso-nmax2", "aniso-one-axis", "aniso-zero",
         "aniso-beyond-band", "14-uniform"])
 def test_rk4_step_in_place_matches_formula_bit_for_bit(grid, field):
-    # the step on a band stack is the band of the full-grid formula, and
-    # keeps the planes off the band at exactly zero
+    # the step on a band stack is the band of the full-grid formula
     ext_a = _field(field, grid)
     sh = fields.fftn(_white_noise((6, *grid.shape), 6))
     dt = 0.5 * em.stability_bound(grid, MASS, ext_a)
@@ -647,18 +660,15 @@ def test_evolve_em_matches_allocating_steps_bit_for_bit():
 
 def test_evolve_em_splits_band_and_complement(monkeypatch, ext_aniso):
     # white noise carries real content off the band.  Over one record span
-    # the band takes the RK4 steps on its band stack, bit for bit, with the
-    # planes off the band at exactly zero after every step; the rest moves
-    # by the free closed form over the span, bit for bit.
+    # the band takes the RK4 steps on its band stack, in place, bit for bit;
+    # the rest moves by the free closed form over the span, bit for bit.
     psi_n = fields.WaveField(ANISO, _white_noise((6, *ANISO.shape), 9), MASS)
     dt, n_steps = 0.5 * em.stability_bound(ANISO, MASS, ext_aniso), 5
-    kept = em._band(ANISO)
     steps, spectra = [], []
     rk4_step, diagnostics = em._rk4_step, em._em_diagnostics
 
     def checked_step(s, *args, **kwargs):
-        rk4_step(s, *args, **kwargs)
-        steps.append(np.array_equal(em._restrict(s, kept, np.empty_like(s)), s))
+        steps.append(rk4_step(s, *args, **kwargs) is s and s.shape == (6, *em._band_shape(ANISO)))
         return s
 
     def captured(state, sh, ext):

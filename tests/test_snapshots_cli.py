@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,21 @@ def test_truncated_file_names_byte_count(tmp_path):
     (tmp_path / "t.s1wf").write_bytes(raw[: len(raw) - 17])
     with pytest.raises(FormatError, match="truncated"):
         snapshots.read_snapshot(tmp_path / "t.s1wf")
+
+
+def test_read_snapshot_peak_memory(tmp_path):
+    # the file's bytes and the one stack made of them; no third copy
+    psi = fields.random_wave_field(fields.Grid.cubic(16), 1.3, 1.5, seed=9)
+    p = tmp_path / "x.s1wf"
+    snapshots.write_snapshot(psi, p)
+    snapshots.read_snapshot(p)  # warm-up
+    tracemalloc.start()
+    try:
+        snapshots.read_snapshot(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * psi.data.nbytes
 
 
 def test_bad_magic(tmp_path):
@@ -219,6 +235,19 @@ def test_cli_dispersion(capsys):
     assert rc == 0
     ev = out["eigenvalues"]
     assert abs(ev[0] + np.sqrt(2)) <= 1e-12 and abs(ev[2] + 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("k, rc", [("1e200,0,0", 0), ("1.5e308,1.5e308,0", 1)],
+                         ids=["huge-k", "k-beyond-the-largest-double"])
+def test_cli_dispersion_at_huge_k(capsys, k, rc):
+    # |k| is found without overflow below the largest double, and a
+    # deviation that is not finite fails; numpy's warnings stay off stderr
+    assert cli.main(["dispersion", "--m", "1", "--k", k, "--json"]) == rc
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert math.isfinite(out["max_deviation"]) == (rc == 0)
+    assert out["all_passed"] == (rc == 0)
+    assert captured.err == ""
 
 
 def test_cli_dispersion_bad_k(capsys):
