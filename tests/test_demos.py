@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import make_golden
 import spin1wave
+from test_golden import MANIFEST, check_platform
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
@@ -25,3 +27,7 @@ def test_demo_runs(demo):
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    check_platform()
+    assert make_golden.sha256(proc.stdout.encode()) == MANIFEST["demos"][demo], (
+        f"{demo}'s stdout moved; if that is intended, regenerate with "
+        f"`{make_golden.REGENERATE}`")
