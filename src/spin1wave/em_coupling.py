@@ -10,8 +10,11 @@ identities exact as long as the products of fields and potentials stay
 inside the dealiased band.
 
 One function, _sandwich, computes every such product on spectra: one inverse
-FFT, a pointwise product, one forward FFT.  It forms the product on a
-product grid, per axis
+FFT, a pointwise product, one forward FFT, and the product's factor, which
+each caller passes (e, -e, 1j e, ...).  It alone decides that a product is
+zero: at a zero factor it adds nothing and transforms nothing, so at e = 0
+every coupled operator is its free symbol and costs no transform.  It
+forms the product on a product grid, per axis
 N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1), with K = (N - 1) // 3
 the band and K_A the potential's Fourier bandwidth (the ExternalField's
 bandwidth, measured from the potentials' spectra).  That is the
@@ -64,7 +67,8 @@ every operator after that works on the product grid.  Per trial at
 e != 0: hermiticity_check 24 scalar FFTs on the grid and 24 on the
 product grid (48 in all), squared_hamiltonian_check 12 and 60 (72),
 constrained_square_check 18 and 168 (186; the projected state goes to
-the grid's spectrum once more) plus two block solves.
+the grid's spectrum once more) plus two block solves.  At e = 0 only the
+grid's are made.
 
 Covariant constraints (p - eA).u = 0, (p - eA).v = 0 are enforced by
 solving pi.pi phi = pi.w and setting w -> w - pi phi.  pi.pi maps the band
@@ -343,12 +347,15 @@ def _wavevectors(ext: ExternalField, x: np.ndarray) -> np.ndarray:
             else _band_wavevectors(ext.grid))
 
 
-def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, scale: float,
+def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, scale: complex,
               buf: np.ndarray | None = None) -> np.ndarray:
     """The one dealiased multiplication: adds scale * D[M(x) D psi] into the
     band modes of out and returns out, s and out in s's layout (a spectrum
-    on the grid or a band stack).  D psi is s restricted to its band in
-    buf, a product-grid array of s's leading shape (a new one if None), and
+    on the grid or a band stack).  Each caller passes its product's
+    physical factor as scale; a zero scale adds nothing and transforms
+    nothing: out is returned before any allocation, so at e = 0 no coupled
+    term costs a transform.  D psi is s restricted to its band in buf, a
+    product-grid array of s's leading shape (a new one if None), and
     transformed in place.  pointwise applies M(x), made of the product-grid
     potentials ext.*_p, to that transform, may overwrite it and returns a
     complex128 array that is its own, which the forward FFT and the scale
@@ -362,6 +369,8 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
     is the one the full grid gives; only the modes of the potential beyond
     K_A, below 1e-12 of its largest, are left out.  The gain needs K_A < K; the
     transform counts are those of the full grid."""
+    if scale == 0:
+        return out
     if buf is None:
         buf = np.empty((*s.shape[:-3], *ext.product_shape), dtype=np.complex128)
     product = pointwise(fields.ifftn(_restrict(s, _band(ext.grid), buf), out=buf))
@@ -372,34 +381,27 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
     return out
 
 
-def _coupling(ext: ExternalField, phi_p, product: np.ndarray | None = None):
-    """The pointwise coupling phi_p - a.A_p of H_A + e phi_p, for _sandwich:
-    it overwrites D psi with the result; a.A_p D psi goes into product (a
-    new stack if None).  phi_p multiplies one component at a time: numpy
-    buffers a broadcast in-place product (up to 8192 elements)."""
-    def pointwise(d):
-        a_d = dynamics._hamiltonian_symbol(ext.avec_p, 0.0, d, out=product)
+def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_p=0.0, *,
+                  out: np.ndarray | None = None, work=(None, None)) -> np.ndarray:
+    """H_A + e phi_p on a 6-stack spectrum in either layout, H_A =
+    a.(p - eA) + m b: the free symbol H(k) plus one sandwich of the
+    pointwise coupling phi_p - a.A_p at scale e, phi_p on the product grid.
+    phi_p = 0 gives H_A alone.  The result goes into out (a new stack if
+    None), which must not overlap sh or work: the two product-grid stacks
+    of _sandwich's inverse transform and the a.A_p product (each allocated
+    if None).  12 scalar FFTs on the product grid, none at e = 0."""
+
+    def coupling(d):
+        # overwrites D psi; phi_p multiplies one component at a time, since
+        # numpy buffers a broadcast in-place product (up to 8192 elements)
+        a_d = dynamics._hamiltonian_symbol(ext.avec_p, 0.0, d, out=work[1])
         for component in d:
             component *= phi_p
         d -= a_d
         return d
 
-    return pointwise
-
-
-def _h_a_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, phi_p=0.0, *,
-                  out: np.ndarray | None = None, work=(None, None)) -> np.ndarray:
-    """H_A + e phi_p on a 6-stack spectrum in either layout, H_A =
-    a.(p - eA) + m b: the free symbol H(k) plus one sandwich of the
-    pointwise coupling e(phi_p - a.A_p), phi_p on the product grid.
-    phi_p = 0 gives H_A alone.  The result goes into out (a new stack if
-    None), which must not overlap sh or work: the two product-grid stacks
-    of _sandwich's inverse transform and the a.A_p product (each allocated
-    if None).  12 scalar FFTs at e != 0, on the product grid."""
     out = dynamics._hamiltonian_symbol(_wavevectors(ext, sh), mass, sh, out=out)
-    if ext.charge != 0.0:
-        _sandwich(ext, sh, _coupling(ext, phi_p, work[1]), out, ext.charge, work[0])
-    return out
+    return _sandwich(ext, sh, coupling, out, ext.charge, work[0])
 
 
 def _generator_spectrum(sh: np.ndarray, ext: ExternalField, mass: float, *,
@@ -419,9 +421,7 @@ def _pi_vector_spectrum(ext: ExternalField, fh: np.ndarray) -> np.ndarray:
     returns the spectrum of the vector field, vector axis at -4."""
     fh = fh[..., None, :, :, :]
     out = _wavevectors(ext, fh) * fh
-    if ext.charge != 0.0:
-        _sandwich(ext, fh, lambda d: ext.avec_p * d, out, -ext.charge)
-    return out
+    return _sandwich(ext, fh, lambda d: ext.avec_p * d, out, -ext.charge)
 
 
 def pi_vector(ext: ExternalField, f: np.ndarray) -> np.ndarray:
@@ -435,9 +435,7 @@ def _pi_dot_spectrum(ext: ExternalField, wh: np.ndarray) -> np.ndarray:
     are summed before the outer transform, which the linearity of the
     truncation makes exact."""
     out = fields.vector_dot(_wavevectors(ext, wh), wh)
-    if ext.charge != 0.0:
-        _sandwich(ext, wh, lambda d: fields.vector_dot(ext.avec_p, d), out, -ext.charge)
-    return out
+    return _sandwich(ext, wh, lambda d: fields.vector_dot(ext.avec_p, d), out, -ext.charge)
 
 
 def pi_dot(ext: ExternalField, w: np.ndarray) -> np.ndarray:
@@ -595,19 +593,16 @@ def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
     rng = _trial_rng(trials, seed)
     sigma3 = algebra.matrix_set().sigma_big[2]
 
-    def h_a(s, m):
-        return _h_a_spectrum(s, ext, m)
-
     def trial() -> tuple[float, float]:
         """The identity's relative residual and, at m > 0, the control's."""
         s = _band_of(ext, _draw(ext, mass, rng))
-        a_pi = h_a(s, 0.0)
-        lhs = h_a(h_a(s, mass), mass)
-        rhs = h_a(a_pi, 0.0) + mass**2 * s
+        a_pi = _h_a_spectrum(s, ext, 0.0)
+        lhs = _h_a_spectrum(_h_a_spectrum(s, ext, mass), ext, mass)
+        rhs = _h_a_spectrum(a_pi, ext, 0.0) + mass**2 * s
         control = math.nan
         if mass > 0:
             hp = a_pi + mass * np.einsum("ij,j...->i...", sigma3, s)
-            lhs_c = h_a(hp, 0.0) + mass * np.einsum("ij,j...->i...", sigma3, hp)
+            lhs_c = _h_a_spectrum(hp, ext, 0.0) + mass * np.einsum("ij,j...->i...", sigma3, hp)
             control = fields.relative(lhs_c - rhs, lhs, rhs)
         return fields.relative(lhs - rhs, lhs, rhs), control
 
@@ -620,20 +615,22 @@ def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
     return rep
 
 
-def _sigma_dot_h(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
-    """(Sigma.H) Psi = (i H x u, i H x v), sandwiched, on a 6-stack spectrum."""
+def _sigma_dot_h(ext: ExternalField, sh: np.ndarray, scale: complex) -> np.ndarray:
+    """scale (Sigma.H) Psi, with (Sigma.H) Psi = (i H x u, i H x v),
+    sandwiched on a 6-stack spectrum into a new stack: zeros at scale 0."""
 
     def pointwise(d):
         blocks = d.reshape(2, 3, *d.shape[1:])
         return 1j * np.cross(ext.hvec_p, blocks, axisa=0, axisb=1, axisc=1).reshape(d.shape)
 
-    return _sandwich(ext, sh, pointwise, np.zeros_like(sh), 1.0)
+    return _sandwich(ext, sh, pointwise, np.zeros_like(sh), scale)
 
 
-def _a_dot_e(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
-    """(a.E) Psi = (E x v, -E x u), sandwiched, on a 6-stack spectrum."""
+def _a_dot_e(ext: ExternalField, sh: np.ndarray, scale: complex) -> np.ndarray:
+    """scale (a.E) Psi, with (a.E) Psi = (E x v, -E x u), sandwiched on a
+    6-stack spectrum into a new stack: zeros at scale 0."""
     return _sandwich(ext, sh, lambda d: dynamics._hamiltonian_symbol(ext.evec_p, 0.0, d),
-                     np.zeros_like(sh), 1.0)
+                     np.zeros_like(sh), scale)
 
 
 def constrained_square_check(ext: ExternalField, mass: float, trials: int = 4,
@@ -654,7 +651,7 @@ def constrained_square_check(ext: ExternalField, mass: float, trials: int = 4,
     def residual(psi: WaveField) -> float:
         s = _band_of(ext, psi)
         lhs = _h_a_spectrum(_h_a_spectrum(s, ext, 0.0), ext, 0.0)
-        rhs = _pi_squared_spectrum(ext, s) - ext.charge * _sigma_dot_h(ext, s)
+        rhs = _pi_squared_spectrum(ext, s) + _sigma_dot_h(ext, s, -ext.charge)
         return fields.relative(lhs - rhs, lhs, rhs)
 
     def trial() -> tuple[float, float, tuple, tuple]:
@@ -806,8 +803,10 @@ def second_order_residual(psi0: WaveField, ext: ExternalField, dt: float) -> flo
     The time side is estimated from central differences of slices at +-dt
     that _advance evolves in 4 RK4 steps each, as evolve_em does; the
     residual converges as O(dt^2).  psi0 should be covariantly projected
-    (the magnetic term needs the constraints).  StepTooLarge unless dt / 4
-    is within the stability bound."""
+    (the magnetic term needs the constraints).  Each coupled term is one
+    sandwich at its factor, e Phi (e Phi Psi) for the square, so at e = 0
+    the only transform is that of psi0.  StepTooLarge unless dt / 4 is
+    within the stability bound."""
     _check_grids(psi0, ext)
     h = dt / 4
     if not h <= stability_bound(psi0.grid, psi0.mass, ext):
@@ -819,18 +818,17 @@ def second_order_residual(psi0: WaveField, ext: ExternalField, dt: float) -> flo
     plus = _advance(sh0, ext, prop, h, 4, np.empty_like(sh0))
     minus = _advance(sh0, ext, prop, -h, 4, np.empty_like(sh0))
 
-    def mulphi(s):
-        out = np.zeros_like(s)
-        return _sandwich(ext, s, lambda d: ext.phi_p * d, out, 1.0) if e != 0.0 else out
+    def mulphi(s, scale):
+        return _sandwich(ext, s, lambda d: ext.phi_p * d, np.zeros_like(s), scale)
 
     ddt = (plus - minus) / (2.0 * dt)
     d2dt = (plus - 2.0 * sh0 + minus) / dt**2
-    lhs = -d2dt - 2j * e * mulphi(ddt) + e**2 * mulphi(mulphi(sh0))
+    lhs = -d2dt + mulphi(ddt, -2j * e) + mulphi(mulphi(sh0, e), e)
     rhs = (
         _pi_squared_spectrum(ext, sh0)
         + m**2 * sh0
-        - e * _sigma_dot_h(ext, sh0)
-        + 1j * e * _a_dot_e(ext, sh0)
+        + _sigma_dot_h(ext, sh0, -e)
+        + _a_dot_e(ext, sh0, 1j * e)
     )
     return fields.relative(lhs - rhs, rhs)
 

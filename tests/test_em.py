@@ -495,8 +495,8 @@ def test_fused_operators_match_unfused_oracle(mass, field, grid):
         (_h_a(stack, ext, 0.0), _oracle_a_pi(stack, ext)),
         (em.pi_vector(ext, f), _oracle_pi_vector(ext, f)),
         (em.pi_dot(ext, w), _oracle_pi_dot(ext, w)),
-        (fields.ifftn(em._sigma_dot_h(ext, fields.fftn(stack))), _oracle_sigma_dot_h(ext, stack)),
-        (fields.ifftn(em._a_dot_e(ext, fields.fftn(stack))), _oracle_a_dot_e(ext, stack)),
+        (fields.ifftn(em._sigma_dot_h(ext, fields.fftn(stack), 1.0)), _oracle_sigma_dot_h(ext, stack)),
+        (fields.ifftn(em._a_dot_e(ext, fields.fftn(stack), 1.0)), _oracle_a_dot_e(ext, stack)),
     ]
     # one step of a run: the band against the oracle's RK4, the rest, which
     # the coupling leaves alone, against the free closed form
@@ -528,7 +528,7 @@ def test_fused_operators_match_unfused_oracle(mass, field, grid):
          _oracle_pi_vector(ext, f)),
         (em._pi_dot_spectrum(ext, band(wh)), em._pi_dot_spectrum(ext, wh),
          _oracle_pi_dot(ext, w)),
-        (em._sigma_dot_h(ext, band(sh)), em._sigma_dot_h(ext, sh),
+        (em._sigma_dot_h(ext, band(sh), 1.0), em._sigma_dot_h(ext, sh, 1.0),
          _oracle_sigma_dot_h(ext, stack)),
     ]
     for core, full, oracle in cores:
@@ -836,6 +836,20 @@ def test_coupled_fft_counts(fft_transforms, monkeypatch, psi, ext):
 
     assert (transforms_until_cap(5) - transforms_until_cap(2)) / 3 <= 9
 
+
+
+def test_zero_coupling_costs_no_product_transform(fft_transforms):
+    """At e = 0 every coupled product is skipped in _sandwich: the checks
+    make only the grid's transforms."""
+    ext = em.random_smooth_external(GRID, 0.0, seed=11, amplitude=0.2, nmax=1)
+    fft_transforms.clear()
+    em.constrained_square_check(ext, 1.0, trials=2, seed=3)
+    assert sum(fft_transforms) == 68  # 116 with the field-strength products
+    psi = fields.random_wave_field(GRID, 1.0, 1.5, seed=5, transverse=True, kmax=2.0)
+    psi = em.covariant_project(psi, ext).field
+    fft_transforms.clear()
+    em.second_order_residual(psi, ext, 0.02)
+    assert sum(fft_transforms) == 6  # the transform of psi0; 30 with the products
 
 def test_external_field_build(fft_transforms, ext):
     # E and H come from the spectra the build holds and exist only on the
