@@ -107,13 +107,16 @@ class FreePropagator:
 
         With H = m b + a.k and (a.k) P_L = 0, the closed form expands to
         (c - i s m b) - i s a.k + P_L (exp(-i m t b) - c + i s m b), where
-        c = cos wt and s = sin(wt)/w; b is +1 on u and -1 on v, so the v
-        block takes the complex conjugates of the u block's coefficients.
+        c = cos wt and s = sin(wt)/w (t where w = 0); b is +1 on u and -1 on
+        v, so the v block takes the complex conjugates of the u block's
+        coefficients.  c and s take one phase wt, so c^2 + (s w)^2 = 1 to
+        roundoff at any t: a phase rounded once more for s alone (as in
+        t sinc(wt / pi)) broke unitarity by 3e-6 at t = 1e12.
         """
-        m, khat = self.mass, self.evecs
-        wt = self.evals * t
+        m, w, khat = self.mass, self.evals, self.evecs
+        wt = w * t
         c = np.cos(wt)
-        s = t * np.sinc(wt / np.pi)  # sin(wt)/w, finite at w = 0
+        s = np.divide(np.sin(wt), w, out=np.full_like(wt, t), where=w > 0)
         alpha = c - 1j * m * s
         delta = np.exp(-1j * m * t) - alpha
         out = _hamiltonian_symbol(fields.wavevectors(self.grid), 0.0, sh, out=out)

@@ -73,6 +73,13 @@ def test_unitarity_and_energy_conservation(prop, psi_t):
         assert abs(dynamics.energy(out) - e0) <= 1e-13 * max(abs(e0), 1.0)
 
 
+@pytest.mark.parametrize("t", [1e6, 1e9, 1e12])
+def test_closed_form_stays_unitary_at_long_times(prop, t):
+    psi = fields.random_wave_field(GRID, MASS, 2.0, seed=7, transverse=True)
+    n0 = psi.norm()
+    # 3.1e-11, 1.8e-8 and 3.0e-6 when sin(wt)/w took a phase of its own
+    assert abs(prop.evolve(psi, t).norm() - n0) <= 1e-14 * n0
+
 def test_constraint_preservation(prop, psi_t):
     r0 = max(fields.divergence_residuals(psi_t))
     floor = 1e-15 * dynamics.omega_max(GRID, MASS)
