@@ -38,7 +38,11 @@ from . import algebra
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic box; sample counts must be even and >= 4 per axis."""
+    """Uniform periodic box; sample counts must be even and >= 4 per axis.
+    The lengths must be positive and finite, with a cell volume that is a
+    nonzero finite double and a finite largest |k|^2 (Nyquist kept, as
+    k_squared forms it); ValueError otherwise.  A cubic box of N points
+    per axis thus needs about 1e-108 N < L < 5e102 N."""
 
     nx: int
     ny: int
@@ -54,6 +58,16 @@ class Grid:
         for l in (self.lx, self.ly, self.lz):
             if not 0 < l < np.inf:
                 raise ValueError("box lengths must be positive and finite")
+        # a few float operations: the grid is built before every run
+        if not 0 < self.cell_volume < np.inf:
+            raise ValueError(f"box lengths give a cell volume of {self.cell_volume!r}, "
+                             f"not a nonzero finite number")
+        k2 = 0.0
+        for n, d in zip(self.shape, self.spacing):
+            k = 2.0 * np.pi * ((n // 2) * (1.0 / (n * d)))  # as fftfreq forms it
+            k2 += k * k
+        if not k2 < np.inf:
+            raise ValueError("box lengths give a largest |k|^2 that is not finite")
 
     @staticmethod
     def cubic(n: int) -> "Grid":
@@ -305,14 +319,17 @@ def random_vector_field(
     The default kmax is a quarter of the smallest axis Nyquist wavenumber,
     so that quadratic quantities (densities, currents) of the field remain
     exactly resolved by the spectral derivative operators.  Raises
-    ValueError unless k_cutoff is positive with a nonzero square."""
-    if not (k_cutoff > 0 and k_cutoff**2 > 0):  # the envelope divides by k_cutoff^2
+    ValueError unless k_cutoff is positive with a nonzero square.  Squares
+    that overflow are inf, and the envelope keeps its exact limits: 1 for
+    an infinite k_cutoff^2, 0 off k = 0 where the quotient overflows."""
+    if not (k_cutoff > 0 and k_cutoff * k_cutoff > 0):  # the envelope divides by it
         raise ValueError(f"k_cutoff must be positive, got {k_cutoff!r}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     k2 = k_squared(grid)  # Nyquist kept, so the hard cutoff really cuts it
     if kmax is None:
         kmax = 0.25 * nyquist_wavenumber(grid)
-    envelope = np.exp(-k2 / (2.0 * k_cutoff**2)) * (k2 <= kmax**2)
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-k2 / (2.0 * (k_cutoff * k_cutoff))) * (k2 <= kmax * kmax)
     shape = (3, *grid.shape)
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return ifftn(amps * envelope[None])

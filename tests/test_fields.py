@@ -24,6 +24,20 @@ def test_grid_validation():
         Grid(16, 16, 16, 0.0, 1.0, 1.0)  # empty box
 
 
+@pytest.mark.parametrize("lengths", [(1e-300,) * 3, (1e200,) * 3, (1e-160, 1e100, 1e100)],
+                         ids=["cell-underflows", "cell-overflows", "k-squared-overflows"])
+def test_grid_refuses_lengths_beyond_the_doubles(lengths):
+    with pytest.raises(ValueError, match="box lengths"):
+        Grid(8, 8, 8, *lengths)
+
+
+@pytest.mark.parametrize("lengths", [(2 * math.pi,) * 3, (7.0, 5.5, 4.5), (1e30,) * 3,
+                                     (1e-30,) * 3])
+def test_grid_builds_across_scales(lengths):
+    grid = Grid(16, 12, 10, *lengths)
+    assert 0 < grid.cell_volume < math.inf
+    assert np.isfinite(fields.k_squared(grid)).all()
+
 def test_curl_of_plane_wave():
     k = fields.mode_wavevector(GRID, (0, 0, 1))
     f = fields.plane_wave(GRID, k, (1, 0, 0))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -610,6 +611,43 @@ def test_cli_evolve_huge_t_final_exits_2(tmp_path, overrides):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
+
+@pytest.mark.parametrize("command", ["evolve", "em-check"])
+@pytest.mark.parametrize("length", [1e-300, 1e200], ids=["box-1e-300", "box-1e200"])
+def test_cli_box_beyond_the_doubles_exits_2(tmp_path, capsys, command, length):
+    # at 1e-300 k^2 overflowed (an OverflowError traceback); at 1e200 the
+    # cell volume is inf (evolve wrote a NaN CSV, em-check a traceback)
+    grid = {"nx": 8, "ny": 8, "nz": 8, "lx": length, "ly": length, "lz": length}
+    config = evolve_config if command == "evolve" else em_check_config
+    assert cli.main([command, "--config", str(config(tmp_path, grid=grid))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k_cutoff", [1e200, 1e-160])
+def test_cli_evolve_extreme_k_cutoff_runs(tmp_path, capsys, k_cutoff):
+    # 1e200 squared by ** raised OverflowError; at 1e-160 the envelope's
+    # quotient overflows, where its limit exp(-inf) = 0 is exact
+    path = evolve_config(tmp_path, **_random_ic(k_cutoff=k_cutoff, transverse=True))
+    out = tmp_path / "state.s1wf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    psi = snapshots.read_snapshot(out)
+    assert np.isfinite(psi.data).all()
+    assert abs(psi.norm() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("length", [1e-300, 1e200])
+def test_snapshot_box_beyond_the_doubles_is_format_error(tmp_path, length):
+    p = tmp_path / "x.s1wf"
+    snapshots.write_snapshot(make_state(), p)
+    raw = bytearray(p.read_bytes())
+    raw[20:44] = struct.pack("<3d", length, length, length)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="invalid grid"):
+        snapshots.read_snapshot(p)
 
 @pytest.mark.parametrize("t_final, dt, rows", [(1.0, 0.6, 3), (0.3, 0.1, 4), (0.7, 0.1, 8)])
 def test_cli_evolve_free_record_times(tmp_path, t_final, dt, rows):
