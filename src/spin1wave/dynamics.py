@@ -110,8 +110,8 @@ class FreePropagator:
         c = cos wt and s = sin(wt)/w (t where w = 0); b is +1 on u and -1 on
         v, so the v block takes the complex conjugates of the u block's
         coefficients.  c and s take one phase wt, so c^2 + (s w)^2 = 1 to
-        roundoff at any t: a phase rounded once more for s alone (as in
-        t sinc(wt / pi)) broke unitarity by 3e-6 at t = 1e12.
+        roundoff at any t; a phase rounded again for s alone drifts from it
+        as t grows (1e-4 at w = 1, t = 1e12).
         """
         m, w, khat = self.mass, self.evals, self.evecs
         wt = w * t

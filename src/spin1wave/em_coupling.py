@@ -10,11 +10,10 @@ identities exact as long as the products of fields and potentials stay
 inside the dealiased band.
 
 One function, _sandwich, computes every such product on spectra: one inverse
-FFT, a pointwise product, one forward FFT, and the product's factor, which
-each caller passes (e, -e, 1j e, ...).  It alone decides that a product is
-zero: at a zero factor it adds nothing and transforms nothing, so at e = 0
-every coupled operator is its free symbol and costs no transform.  It
-forms the product on a product grid, per axis
+FFT, a pointwise product, one forward FFT, times the factor each caller
+passes (e, -e, 1j e, ...).  At a zero factor it adds nothing and transforms
+nothing, so at e = 0 no coupled term costs a transform.  It forms the
+product on a product grid, per axis
 N' = min(N, smallest 2^a 3^b 5^c >= 2K + min(K_A, K) + 1), with K = (N - 1) // 3
 the band and K_A the potential's Fourier bandwidth (the ExternalField's
 bandwidth, measured from the potentials' spectra).  That is the

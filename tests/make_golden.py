@@ -26,10 +26,13 @@ import tempfile
 
 import numpy as np
 
+import spin1wave
+from spin1wave import cli
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MANIFEST = os.path.join(ROOT, "tests", "golden.json")
 REGENERATE = "PYTHONPATH=src python tests/make_golden.py"
-BOX = 6.283185307179586  # 2 pi
+BOX = 2 * np.pi
 
 
 def _grid(n: int) -> dict:
@@ -85,8 +88,6 @@ def platform_id() -> dict:
 def run_entry(argv: list, config, files: list, directory: str) -> dict:
     """Run `spin1wave argv` in process, in directory, with config written
     to config.json there first if given; its exit code and digests."""
-    from spin1wave import cli
-
     with contextlib.chdir(directory):
         if config is not None:
             with open("config.json", "w") as fh:
@@ -103,8 +104,6 @@ def run_entry(argv: list, config, files: list, directory: str) -> dict:
 
 def run_demo(name: str) -> subprocess.CompletedProcess:
     """Run demos/name in a fresh interpreter with the package on its path."""
-    import spin1wave
-
     src = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
     return subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,

@@ -4,9 +4,8 @@ import sys
 
 import pytest
 
-import make_golden
 import spin1wave
-from test_golden import MANIFEST, check_platform
+from test_golden import check_demo_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
@@ -27,7 +26,4 @@ def test_demo_runs(demo):
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    check_platform()
-    assert make_golden.sha256(proc.stdout.encode()) == MANIFEST["demos"][demo], (
-        f"{demo}'s stdout moved; if that is intended, regenerate with "
-        f"`{make_golden.REGENERATE}`")
+    check_demo_stdout(demo, proc.stdout)

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import make_golden
 import spin1wave
 from spin1wave import algebra, dynamics, em_coupling, fields
 from spin1wave.dynamics import FreePropagator
 from spin1wave.errors import CurrentMismatch, NonFiniteState, ScheduleError, StepTooLarge
-from test_golden import MANIFEST, check_platform
+from test_golden import check_demo_stdout
 
 GRID = fields.Grid.cubic(16)
 MASS = 1.0
@@ -450,8 +449,4 @@ def test_demo_04_runs():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    check_platform()
-    assert (make_golden.sha256(proc.stdout.encode())
-            == MANIFEST["demos"]["04_free_evolution_conservation.py"]), (
-        f"demo 04's stdout moved; if that is intended, regenerate with "
-        f"`{make_golden.REGENERATE}`")
+    check_demo_stdout("04_free_evolution_conservation.py", proc.stdout)

@@ -20,6 +20,14 @@ def check_platform():
         f"regenerate it with `{make_golden.REGENERATE}` and review the moved digests")
 
 
+def check_demo_stdout(name: str, stdout: str):
+    """The stdout of a demo run against its digest in the manifest."""
+    check_platform()
+    assert make_golden.sha256(stdout.encode()) == MANIFEST["demos"][name], (
+        f"{name}'s stdout moved; if that is intended, regenerate with "
+        f"`{make_golden.REGENERATE}`")
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     """Every entry run in order in one directory, by name."""
