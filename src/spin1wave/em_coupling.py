@@ -35,9 +35,12 @@ both sides alike.  A core takes a spectrum on the grid or a band stack:
 the band's own modes, a (..., 2K_x + 1, 2K_y + 1, 2K_z + 1) spectrum in
 FFT order (0..K, -K..-1 per axis).  The grid is even on every axis and a
 band stack odd, so the trailing shape tells them apart; it picks the
-wavevectors of H(k) and pi.  The product grid is scratch space that only
-ExternalField and _sandwich know: _sandwich restricts either input to
-the band there and adds the product's band back into its output.  Real
+wavevectors of H(k) and pi.  Every move of the band between layouts is
+one copy rule, _copy_modes: its corner blocks written over the same modes
+of a new band stack (_band_stack), of a grid spectrum, or of a zeroed
+product-grid buffer.  The product grid is scratch space that only
+ExternalField and _sandwich know: _sandwich copies either input's band
+into it and adds the product's band back into its output.  Real
 space is used at the public boundary (ifftn o core o fftn), for max-norm
 residuals and for a record's state.  The generator is the free symbol
 H(k) of dynamics plus one sandwich of the pointwise coupling
@@ -51,9 +54,9 @@ per mode, so band modes evolve under H(k) + D M D and the others under
 H(k) alone, which the free closed form solves exactly.  RK4 runs on the
 band alone, held as a band stack, so H(k) and the stage updates work on
 (2K + 1)^3 modes, not N^3; a step still takes 48 scalar FFTs.  Per record
-span _advance restricts the spectrum to its band, steps it, moves the
-whole spectrum by the closed form into the stack the run lends it and
-writes the band over that: the band is the full-grid RK4's bit for bit,
+span _advance copies the spectrum's band into a band stack, steps it,
+moves the whole spectrum by the closed form into the stack the run lends
+it and writes the band over that: the band is the full-grid RK4's bit for bit,
 the rest (roundoff, 3.6e-16 of the norm at 24^3) moves exactly.  A step's
 workspace (_rk4_work: three band stacks and two product-grid stacks) is
 lent by its caller, so a step allocates no stack.
@@ -180,13 +183,21 @@ def _band_blocks(src: tuple, dst: tuple, bandwidth: tuple) -> tuple:
                  for corner in itertools.product(*axes))
 
 
-def _restrict(spec: np.ndarray, bandwidth: tuple, out: np.ndarray) -> np.ndarray:
-    """The modes |n_i| <= bandwidth_i of spec, written into out, a spectrum
-    on a grid of its own trailing shape, which is zero elsewhere."""
-    out.fill(0.0)
-    for src, dst in _band_blocks(spec.shape[-3:], out.shape[-3:], bandwidth):
-        out[dst] = spec[src]
-    return out
+def _copy_modes(src: np.ndarray, dst: np.ndarray, bandwidth: tuple) -> np.ndarray:
+    """Write the modes |n_i| <= bandwidth_i of src over the same modes of dst
+    and return dst; src and dst are spectra of any trailing shapes that hold
+    those modes (a grid, a product grid or a band stack).  The other modes of
+    dst are left as they are."""
+    for s, d in _band_blocks(src.shape[-3:], dst.shape[-3:], bandwidth):
+        dst[d] = src[s]
+    return dst
+
+
+def _band_stack(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """The band of x, a spectrum on grid, as a new band stack of x's dtype;
+    every entry of it is written."""
+    return _copy_modes(x, np.empty((*x.shape[:-3], *_band_shape(grid)), dtype=x.dtype),
+                       _band(grid))
 
 
 @dataclass
@@ -241,8 +252,8 @@ class ExternalField:
         """The real field of spectrum spec, on the grid, truncated to the
         dealiased band and the bandwidth and sampled on the product grid."""
         kept = tuple(map(min, _band(self.grid), self.bandwidth))
-        out = np.empty((*spec.shape[:-3], *self.product_shape), dtype=np.complex128)
-        out = fields.ifftn(_restrict(spec, kept, out), out=out).real
+        out = np.zeros((*spec.shape[:-3], *self.product_shape), dtype=np.complex128)
+        out = fields.ifftn(_copy_modes(spec, out, kept), out=out).real
         # the inverse transform divided by the product grid's points, the
         # values need the grid's
         out *= math.prod(self.product_shape) / self.grid.npoints
@@ -325,20 +336,6 @@ def _check_grids(psi: WaveField, ext: ExternalField):
         raise GridMismatch("state and external field live on different grids")
 
 
-def _band_stack(ext: ExternalField, sh: np.ndarray) -> np.ndarray:
-    """The band of sh, a spectrum on ext.grid, as a new band stack."""
-    return _restrict(sh, _band(ext.grid),
-                     np.empty((*sh.shape[:-3], *_band_shape(ext.grid)), dtype=np.complex128))
-
-
-def _embed(ext: ExternalField, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the band stack s over the band modes of out, a spectrum on
-    ext.grid; returns out."""
-    for dst, src in _band_blocks(ext.grid.shape, s.shape[-3:], _band(ext.grid)):
-        out[dst] = s[src]
-    return out
-
-
 def _wavevectors(ext: ExternalField, x: np.ndarray) -> np.ndarray:
     """The wavevectors of x's layout, read from its trailing shape: ext.grid's
     for a spectrum on the grid, its band's for a band stack."""
@@ -353,9 +350,9 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
     on the grid or a band stack).  Each caller passes its product's
     physical factor as scale; a zero scale adds nothing and transforms
     nothing: out is returned before any allocation, so at e = 0 no coupled
-    term costs a transform.  D psi is s restricted to its band in buf, a
-    product-grid array of s's leading shape (a new one if None), and
-    transformed in place.  pointwise applies M(x), made of the product-grid
+    term costs a transform.  D psi is s's band copied into buf, a
+    product-grid array of s's leading shape (a new one if None) zeroed
+    first, and transformed in place.  pointwise applies M(x), made of the product-grid
     potentials ext.*_p, to that transform, may overwrite it and returns a
     complex128 array that is its own, which the forward FFT and the scale
     then overwrite.  M is linear in D psi, so the two transforms' differing
@@ -372,7 +369,8 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
         return out
     if buf is None:
         buf = np.empty((*s.shape[:-3], *ext.product_shape), dtype=np.complex128)
-    product = pointwise(fields.ifftn(_restrict(s, _band(ext.grid), buf), out=buf))
+    buf.fill(0.0)
+    product = pointwise(fields.ifftn(_copy_modes(s, buf, _band(ext.grid)), out=buf))
     fields.fftn(product, out=product)
     product *= scale
     for dst, src in _band_blocks(out.shape[-3:], ext.product_shape, _band(ext.grid)):
@@ -461,7 +459,7 @@ def _laplacians(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     stay positive definite."""
     k = fields.wavevectors(grid)
     k2 = fields.vector_dot(k, k)
-    band = _restrict(k2, _band(grid), np.empty(_band_shape(grid)))
+    band = _band_stack(grid, k2)
     kmin = np.min(k2[k2 > 0])
     out = tuple(np.where(a > 0, a, kmin) for a in (k2, band))
     for a in out:
@@ -498,13 +496,14 @@ def covariant_project(psi: WaveField, ext: ExternalField) -> ProjectionResult:
     the first scale or residual that is not finite."""
     _check_grids(psi, ext)
     k2, k2_band = _laplacians(psi.grid)
+    band = _band(psi.grid)
     # the stopping test's residual on the grid: its band modes are written
     # before each test, the rest stays 0, as the exact solve leaves it
     rh_grid = np.zeros(psi.grid.shape, dtype=np.complex128)
     r_grid = np.empty_like(rh_grid)
 
     def converged(rh: np.ndarray, scale: float) -> tuple[bool, float]:
-        res = float(np.max(np.abs(fields.ifftn(_embed(ext, rh, rh_grid), out=r_grid))))
+        res = float(np.max(np.abs(fields.ifftn(_copy_modes(rh, rh_grid, band), out=r_grid))))
         if not (math.isfinite(res) and math.isfinite(scale)):
             raise NonFiniteState(f"covariant projection residual {res} at scale {scale}")
         return res <= _PROJECTION_TOL * scale, res
@@ -543,8 +542,9 @@ def covariant_project(psi: WaveField, ext: ExternalField) -> ProjectionResult:
         scale = max(float(np.max(np.abs(w))), 1e-300)
         rh = _pi_dot_spectrum(ext, fields.fftn(w))
         phih = rh / k2  # exact off the band; the band's phi is written over it
-        phib, it, res = band_cg(_band_stack(ext, rh), scale)
-        np.subtract(w, fields.ifftn(_pi_vector_spectrum(ext, _embed(ext, phib, phih))), out=out)
+        phib, it, res = band_cg(_band_stack(psi.grid, rh), scale)
+        np.subtract(w, fields.ifftn(_pi_vector_spectrum(ext, _copy_modes(phib, phih, band))),
+                    out=out)
         return it, res
 
     data = np.empty_like(psi.data)
@@ -575,12 +575,6 @@ def _draw(ext: ExternalField, mass: float, rng) -> WaveField:
     return fields.random_wave_field(ext.grid, mass, _K_CUTOFF, rng)
 
 
-def _band_of(ext: ExternalField, psi: WaveField) -> np.ndarray:
-    """The spectrum of psi's stack as a band stack: one forward transform on
-    the grid, restricted to the band."""
-    return _band_stack(ext, fields.fftn(psi.data))
-
-
 def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
                               seed=0) -> ResidualReport:
     """Operator identity H_A^2 = (a.pi)^2 + m^2 on unconstrained states.
@@ -594,7 +588,7 @@ def squared_hamiltonian_check(ext: ExternalField, mass: float, trials: int = 10,
 
     def trial() -> tuple[float, float]:
         """The identity's relative residual and, at m > 0, the control's."""
-        s = _band_of(ext, _draw(ext, mass, rng))
+        s = _band_stack(ext.grid, fields.fftn(_draw(ext, mass, rng).data))
         a_pi = _h_a_spectrum(s, ext, 0.0)
         lhs = _h_a_spectrum(_h_a_spectrum(s, ext, mass), ext, mass)
         rhs = _h_a_spectrum(a_pi, ext, 0.0) + mass**2 * s
@@ -648,7 +642,7 @@ def constrained_square_check(ext: ExternalField, mass: float, trials: int = 4,
     rng = _trial_rng(trials, seed)
 
     def residual(psi: WaveField) -> float:
-        s = _band_of(ext, psi)
+        s = _band_stack(ext.grid, fields.fftn(psi.data))
         lhs = _h_a_spectrum(_h_a_spectrum(s, ext, 0.0), ext, 0.0)
         rhs = _pi_squared_spectrum(ext, s) + _sigma_dot_h(ext, s, -ext.charge)
         return fields.relative(lhs - rhs, lhs, rhs)
@@ -677,7 +671,8 @@ def hermiticity_check(ext: ExternalField, mass: float, trials: int = 5, seed=0) 
     rng = _trial_rng(trials, seed)
 
     def trial() -> float:
-        f, g = (_band_of(ext, _draw(ext, mass, rng)) for _ in range(2))
+        f, g = (_band_stack(ext.grid, fields.fftn(_draw(ext, mass, rng).data))
+                for _ in range(2))
         lhs = fields.vdot(f, _generator_spectrum(g, ext, mass))
         rhs = fields.vdot(_generator_spectrum(f, ext, mass), g)
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
@@ -704,22 +699,20 @@ def _rk4_work(ext: ExternalField) -> list[np.ndarray]:
 @functools.lru_cache(maxsize=32)
 def _band_wavevectors(grid: Grid) -> np.ndarray:
     """The wavevectors of grid's band as a band stack; read-only."""
-    k = _restrict(fields.wavevectors(grid), _band(grid), np.empty((3, *_band_shape(grid))))
+    k = _band_stack(grid, fields.wavevectors(grid))
     k.setflags(write=False)
     return k
 
 
 def _rk4_step(sh: np.ndarray, ext: ExternalField, mass: float, dt: float, *,
-              work=None) -> np.ndarray:
+              work: list[np.ndarray]) -> np.ndarray:
     """One classical RK4 step on a band stack sh, in place; returns sh.
     Every stage stays a band stack, so a step costs four generator applies
     and no other transform.  The update is sh + dt/6 (k1 + 2 k2 + 2 k3 + k4),
     summed in that order.  work is _rk4_work(ext), none of it sh: the stage
     argument, the sum and the stage derivative as band stacks, then the
-    generator's two product-grid stacks (allocated if None), so a step
-    with a workspace allocates no whole stack."""
-    if work is None:
-        work = _rk4_work(ext)
+    generator's two product-grid stacks, so a step allocates no whole
+    stack."""
     arg, acc, k = work[:3]
 
     def rhs(s, out):
@@ -755,11 +748,11 @@ def _advance(sh: np.ndarray, ext: ExternalField, prop: dynamics.FreePropagator, 
     form, advances all of sh over steps * dt into out, and the band is
     written over it.  The band stack and the steps' workspace live only
     while advancing."""
-    band = _band_stack(ext, sh)
+    band = _band_stack(ext.grid, sh)
     work = _rk4_work(ext)
     for _ in range(steps):
         _rk4_step(band, ext, prop.mass, dt, work=work)
-    return _embed(ext, band, prop.evolve_spectrum(sh, steps * dt, out=out))
+    return _copy_modes(band, prop.evolve_spectrum(sh, steps * dt, out=out), _band(ext.grid))
 
 
 def _em_diagnostics(psi: WaveField, sh: np.ndarray, ext: ExternalField) -> dynamics.DiagnosticsRecord:

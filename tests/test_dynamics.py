@@ -218,7 +218,7 @@ def test_kernel_peak_memory(kernel, bound):
     prop = FreePropagator(ANISO, MASS)
     ext = em_coupling.random_smooth_external(ANISO, 0.5, seed=21, amplitude=0.2, nmax=1)
     out = np.empty_like(sh)
-    band = em_coupling._band_stack(ext, sh)
+    band = em_coupling._band_stack(ext.grid, sh)
     work = em_coupling._rk4_work(ext)
     call = {
         "fftn": lambda: fields.fftn(stack),
@@ -239,7 +239,7 @@ def test_rk4_step_peak_memory_where_the_product_grid_is_the_grid():
     ext = em_coupling.random_smooth_external(grid, 0.5, seed=21, amplitude=0.2, nmax=2)
     assert ext.product_shape == grid.shape
     psi = fields.random_wave_field(grid, MASS, 2.0, seed=5, transverse=True)
-    band = em_coupling._band_stack(ext, fields.fftn(psi.data))
+    band = em_coupling._band_stack(ext.grid, fields.fftn(psi.data))
     work = em_coupling._rk4_work(ext)
     peak = _peak_in_stacks(lambda: em_coupling._rk4_step(band, ext, MASS, 1e-3, work=work),
                            ext.product_shape)

@@ -517,7 +517,7 @@ def test_fused_operators_match_unfused_oracle(mass, field, grid):
     sh, fh, wh = fields.fftn(stack), fields.fftn(f), fields.fftn(w)
 
     def band(x):
-        return em._band_stack(ext, x)
+        return em._band_stack(ext.grid, x)
 
     cores = [
         (em._generator_spectrum(band(sh), ext, mass),
@@ -543,12 +543,17 @@ def test_fused_operators_match_unfused_oracle(mass, field, grid):
 ], ids=["aniso", "4-point-axis", "nmax2-8"])
 def test_band_stack_holds_the_band(grid, field):
     # a band stack is the band's own modes, 2K_i + 1 per axis (odd, the grid
-    # even); embedded into zeros it is the dealiased spectrum exactly
+    # even), every one of them written; embedded into zeros it is the
+    # dealiased spectrum exactly
     ext = _field(field, grid)
     x = fields.fftn(_white_noise((6, *grid.shape), 4))
-    s = em._band_stack(ext, x)
+    s = em._band_stack(ext.grid, x)
     assert s.shape == (6, *(2 * ((n - 1) // 3) + 1 for n in grid.shape))
-    assert np.array_equal(em._embed(ext, s, np.zeros_like(x)), x * em.dealias_mask(grid))
+    filled = em._copy_modes(x, np.full(s.shape, np.nan, complex), em._band(grid))
+    assert not np.isnan(filled).any()
+    assert np.array_equal(filled, s)
+    assert np.array_equal(em._copy_modes(s, np.zeros_like(x), em._band(grid)),
+                          x * em.dealias_mask(grid))
 
 
 @pytest.mark.parametrize("grid, field, bandwidth, shape", [
@@ -628,9 +633,9 @@ def test_rk4_step_in_place_matches_formula_bit_for_bit(grid, field):
     k3 = rhs(sh + 0.5 * dt * k2)
     k4 = rhs(sh + dt * k3)
     want = sh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    got = em._band_stack(ext_a, sh)
-    assert em._rk4_step(got, ext_a, MASS, dt) is got
-    assert np.array_equal(got, em._band_stack(ext_a, want))
+    got = em._band_stack(ext_a.grid, sh)
+    assert em._rk4_step(got, ext_a, MASS, dt, work=em._rk4_work(ext_a)) is got
+    assert np.array_equal(got, em._band_stack(ext_a.grid, want))
 
 
 def test_evolve_em_matches_allocating_steps_bit_for_bit():
@@ -682,11 +687,11 @@ def test_evolve_em_splits_band_and_complement(monkeypatch, ext_aniso):
     assert steps == [True] * n_steps
 
     sh0 = fields.fftn(psi_n.data)
-    band = em._band_stack(ext_aniso, sh0)
+    band = em._band_stack(ext_aniso.grid, sh0)
     for _ in range(n_steps):
-        em._rk4_step(band, ext_aniso, MASS, dt)
+        em._rk4_step(band, ext_aniso, MASS, dt, work=em._rk4_work(ext_aniso))
     mask = em.dealias_mask(ANISO)
-    assert np.array_equal(em._band_stack(ext_aniso, spectra[-1]), band)
+    assert np.array_equal(em._band_stack(ext_aniso.grid, spectra[-1]), band)
     exact = dynamics.FreePropagator(ANISO, MASS).evolve_spectrum(sh0, n_steps * dt)
     assert np.array_equal(spectra[-1][:, ~mask], exact[:, ~mask])
     assert np.linalg.norm(exact[:, ~mask]) > 0.5 * np.linalg.norm(exact)
@@ -806,9 +811,9 @@ def test_coupled_fft_counts(fft_transforms, monkeypatch, psi, ext):
     em.apply_total_generator(stack, ext, MASS)
     assert sum(fft_transforms) <= 24
     fft_transforms.clear()
-    band = em._band_stack(ext, sh)
+    band = em._band_stack(ext.grid, sh)
     fft_transforms.clear()
-    em._rk4_step(band, ext, MASS, 0.01)
+    em._rk4_step(band, ext, MASS, 0.01, work=em._rk4_work(ext))
     assert sum(fft_transforms) <= 48
     fft_transforms.clear()
     em.pi_vector(ext, stack[0])
