@@ -20,15 +20,15 @@ Kernel rule, here, in dynamics and in the coupled generator and RK4 step
 of em_coupling: a spectral kernel allocates its outputs once, at full
 size, and builds them component by component or in place; it holds no
 temporary the size of a whole six-component stack.  A time-stepping
-kernel takes its output (out=) and whole-stack scratch (work=) from the
-caller, by keyword, and allocates them only where the caller passes none,
-running the same code either way, so a run loop that lends it buffers
-allocates no whole stack per step.  fftn and ifftn transform into their
+kernel takes its output (out=, allocated where the caller passes none)
+and its whole-stack scratch (work=, required) from the caller, by keyword,
+so a run loop that lends it buffers allocates no whole stack per step.  fftn and ifftn transform into their
 one output, which may be their input.
 """
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +40,10 @@ from . import algebra
 class Grid:
     """Uniform periodic box; sample counts must be even and >= 4 per axis.
     The lengths must be positive and finite, with a cell volume that is a
-    nonzero finite double and a finite largest |k|^2 (Nyquist kept, as
-    k_squared forms it); ValueError otherwise.  A cubic box of N points
-    per axis thus needs about 1e-108 N < L < 5e102 N."""
+    finite normal double (at least sys.float_info.min, 2.2e-308; a
+    subnormal volume has lost its precision) and a finite largest |k|^2
+    (Nyquist kept, as k_squared forms it); ValueError otherwise.  A cubic
+    box of N points per axis thus needs about 2.8e-103 N < L < 5e102 N."""
 
     nx: int
     ny: int
@@ -59,9 +60,9 @@ class Grid:
             if not 0 < l < np.inf:
                 raise ValueError("box lengths must be positive and finite")
         # a few float operations: the grid is built before every run
-        if not 0 < self.cell_volume < np.inf:
+        if not sys.float_info.min <= self.cell_volume < np.inf:
             raise ValueError(f"box lengths give a cell volume of {self.cell_volume!r}, "
-                             f"not a nonzero finite number")
+                             f"not a finite normal double")
         k2 = 0.0
         for n, d in zip(self.shape, self.spacing):
             k = 2.0 * np.pi * ((n // 2) * (1.0 / (n * d)))  # as fftfreq forms it

@@ -10,9 +10,11 @@ Layout (little-endian throughout):
     f64     time
     data    6*nx*ny*nz complex values as (re: f64, im: f64) pairs,
             component order (u_x, u_y, u_z, v_x, v_y, v_z),
-            x-index fastest within each component.
+            x-index fastest within each component; every value finite.
 
-Round trips are bit-exact.
+Round trips are bit-exact.  read_snapshot raises FormatError for a file
+that breaks the layout, a header value out of range or a field value that
+is not finite (write_snapshot never writes one: a run stops first).
 """
 from __future__ import annotations
 
@@ -71,5 +73,8 @@ def read_snapshot(path) -> WaveField:
         raise FormatError(f"trailing data: {len(raw) - expected} unexpected bytes")
     flat = np.frombuffer(raw, dtype="<c16", count=count, offset=_HEADER.size)
     comps = flat.reshape(6, grid.npoints)
+    for i, comp in enumerate(comps):  # one component at a time: no stack-sized mask
+        if not np.isfinite(comp).all():
+            raise FormatError(f"field data of component {i} holds a value that is not finite")
     data = np.stack([c.reshape(grid.shape, order="F") for c in comps])
     return WaveField(grid, data, mass, time)

@@ -2,7 +2,7 @@
 
 Each entry is one `spin1wave` invocation: its argv, the config it reads
 (written to config.json first, or none), the exit code, and the sha256 of
-its stdout and of each file it writes.  Entries run in order in one
+its stdout, of its stderr and of each file it writes.  Entries run in order in one
 directory, so snapshot-info reads the snapshot an evolve entry wrote.  The
 manifest also holds the sha256 of each demo's stdout, and the numpy
 version and machine it was recorded on: FFT roundoff may differ on
@@ -54,6 +54,12 @@ def _em_check(n: int) -> dict:
             "external_field": _FIELD}
 
 
+# a cell volume of 5e-324, a subnormal double
+_SUBNORMAL_BOX = {**_FREE, "grid": {**_grid(8), "lx": 1.4e-107, "ly": 1.4e-107, "lz": 1.4e-107},
+                  "initial_condition": {**_STATE, "k_cutoff": 1e108},
+                  "evolution": {"t_final": 1e-108, "dt": 1e-108, "diag_stride": 1}}
+
+
 # (name, argv, config, files written)
 ENTRIES = [
     ("verify-algebra", ["verify-algebra"], None, []),
@@ -72,6 +78,12 @@ ENTRIES = [
     ("em-check-24", ["em-check", "--config", "config.json", "--json"], _em_check(24), []),
     ("em-check-16", ["em-check", "--config", "config.json", "--json"], _em_check(16), []),
     ("landau-8", ["landau", "--grid", "8", "--csv", "levels.csv"], None, ["levels.csv"]),
+    # error exits: one `error:` line on stderr
+    ("evolve-unknown-key", ["evolve", "--config", "config.json"], {**_FREE, "masss": 1.0}, []),
+    ("snapshot-info-not-a-snapshot", ["snapshot-info", "config.json"], {}, []),
+    ("em-check-8-charge-1e200", ["em-check", "--config", "config.json", "--json"],
+     {**_em_check(8), "charge": 1e200}, []),
+    ("evolve-subnormal-box", ["evolve", "--config", "config.json"], _SUBNORMAL_BOX, []),
 ]
 
 DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
@@ -92,14 +104,15 @@ def run_entry(argv: list, config, files: list, directory: str) -> dict:
         if config is not None:
             with open("config.json", "w") as fh:
                 json.dump(config, fh)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         digests = {}
         for name in files:
             with open(name, "rb") as fh:
                 digests[name] = sha256(fh.read())
-    return {"exit": code, "stdout": sha256(out.getvalue().encode()), "files": digests}
+    return {"exit": code, "stdout": sha256(out.getvalue().encode()),
+            "stderr": sha256(err.getvalue().encode()), "files": digests}
 
 
 def run_demo(name: str) -> subprocess.CompletedProcess:

@@ -1,29 +1,13 @@
-import os
-import subprocess
-import sys
-
+"""Every demo runs in a fresh interpreter (make_golden.run_demo), exits 0 and
+prints the stdout pinned in tests/golden.json."""
 import pytest
 
-import spin1wave
+import make_golden
 from test_golden import check_demo_stdout
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
 
-
-# demo 04 has its own test, test_dynamics.py::test_demo_04_runs
-@pytest.mark.parametrize("demo", [
-    "01_matrix_identities.py",
-    "02_dispersion_branches.py",
-    "03_potential_chains.py",
-    "05_constraints_and_kgf.py",
-    "06_external_field_identities.py",
-    "07_landau_levels.py",
-])
+@pytest.mark.parametrize("demo", make_golden.DEMOS)
 def test_demo_runs(demo):
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
-        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=300,
-    )
+    proc = make_golden.run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     check_demo_stdout(demo, proc.stdout)

@@ -13,7 +13,6 @@ import spin1wave
 from spin1wave import algebra, dynamics, em_coupling, fields
 from spin1wave.dynamics import FreePropagator
 from spin1wave.errors import CurrentMismatch, NonFiniteState, ScheduleError, StepTooLarge
-from test_golden import check_demo_stdout
 
 GRID = fields.Grid.cubic(16)
 MASS = 1.0
@@ -438,15 +437,3 @@ def test_current_mismatch_raises_under_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_demo_04_runs():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spin1wave.__file__)))
-    demo = os.path.join(root, "demos", "04_free_evolution_conservation.py")
-    proc = subprocess.run(
-        [sys.executable, demo], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    check_demo_stdout("04_free_evolution_conservation.py", proc.stdout)

@@ -24,8 +24,10 @@ def test_grid_validation():
         Grid(16, 16, 16, 0.0, 1.0, 1.0)  # empty box
 
 
-@pytest.mark.parametrize("lengths", [(1e-300,) * 3, (1e200,) * 3, (1e-160, 1e100, 1e100)],
-                         ids=["cell-underflows", "cell-overflows", "k-squared-overflows"])
+@pytest.mark.parametrize("lengths", [(1e-300,) * 3, (1e200,) * 3, (1e-160, 1e100, 1e100),
+                                     (1.4e-107,) * 3],
+                         ids=["cell-underflows", "cell-overflows", "k-squared-overflows",
+                              "cell-subnormal"])
 def test_grid_refuses_lengths_beyond_the_doubles(lengths):
     with pytest.raises(ValueError, match="box lengths"):
         Grid(8, 8, 8, *lengths)

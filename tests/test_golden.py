@@ -1,8 +1,8 @@
 """The command line's outputs against tests/golden.json: every entry rerun in
-process, its exit code and the sha256 of its stdout and files compared.
-The manifest is written by tests/make_golden.py; on another numpy version
-or machine the bytes may differ by FFT roundoff, so the test fails there
-and names that command."""
+process, its exit code and the sha256 of its stdout, stderr and files
+compared.  The manifest is written by tests/make_golden.py; on another
+numpy version or machine the bytes may differ by FFT roundoff, so the test
+fails there and names that command."""
 import json
 
 import pytest
@@ -46,6 +46,6 @@ def test_manifest_covers_every_entry_and_demo():
 def test_cli_output_matches_manifest(entry, outputs):
     check_platform()
     got = outputs[entry["name"]]
-    want = {k: entry[k] for k in ("exit", "stdout", "files")}
+    want = {k: entry[k] for k in ("exit", "stdout", "stderr", "files")}
     assert got == want, (f"{entry['name']} ({' '.join(entry['argv'])}) moved; if that is "
                          f"intended, regenerate with `{make_golden.REGENERATE}`")

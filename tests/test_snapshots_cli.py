@@ -191,6 +191,23 @@ def test_cli_snapshot_info_corrupt_exits_2(tmp_path, capsys, header):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("index, value", [((0, 0, 0, 0), complex(math.nan, 0.0)),
+                                          ((5, 3, 3, 3), complex(0.0, -math.inf))],
+                         ids=["nan-first", "inf-last"])
+def test_non_finite_field_data_is_format_error(tmp_path, capsys, index, value):
+    # no run writes such data (it stops with NonFiniteState), so it is a
+    # corrupt file; snapshot-info printed "norm": NaN and exited 0
+    psi = fields.random_wave_field(fields.Grid.cubic(4), 0.5, 1.0, seed=1)
+    psi.data[index] = value
+    p = tmp_path / "x.s1wf"
+    snapshots.write_snapshot(psi, p)
+    with pytest.raises(FormatError, match="not finite"):
+        snapshots.read_snapshot(p)
+    assert cli.main(["snapshot-info", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -613,10 +630,12 @@ def test_cli_evolve_huge_t_final_exits_2(tmp_path, overrides):
 
 
 @pytest.mark.parametrize("command", ["evolve", "em-check"])
-@pytest.mark.parametrize("length", [1e-300, 1e200], ids=["box-1e-300", "box-1e200"])
+@pytest.mark.parametrize("length", [1e-300, 1e200, 1.4e-107],
+                         ids=["box-1e-300", "box-1e200", "box-1.4e-107"])
 def test_cli_box_beyond_the_doubles_exits_2(tmp_path, capsys, command, length):
     # at 1e-300 k^2 overflowed (an OverflowError traceback); at 1e200 the
-    # cell volume is inf (evolve wrote a NaN CSV, em-check a traceback)
+    # cell volume is inf (evolve wrote a NaN CSV, em-check a traceback); at
+    # 1.4e-107 it is subnormal, 5e-324 (evolve exited 0 with norm 0)
     grid = {"nx": 8, "ny": 8, "nz": 8, "lx": length, "ly": length, "lz": length}
     config = evolve_config if command == "evolve" else em_check_config
     assert cli.main([command, "--config", str(config(tmp_path, grid=grid))]) == 2
@@ -639,7 +658,7 @@ def test_cli_evolve_extreme_k_cutoff_runs(tmp_path, capsys, k_cutoff):
     assert abs(psi.norm() - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("length", [1e-300, 1e200])
+@pytest.mark.parametrize("length", [1e-300, 1e200, 1.4e-107])
 def test_snapshot_box_beyond_the_doubles_is_format_error(tmp_path, length):
     p = tmp_path / "x.s1wf"
     snapshots.write_snapshot(make_state(), p)
