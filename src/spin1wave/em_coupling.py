@@ -56,10 +56,10 @@ band alone, held as a band stack, so H(k) and the stage updates work on
 (2K + 1)^3 modes, not N^3; a step still takes 48 scalar FFTs.  Per record
 span _advance copies the spectrum's band into a band stack, steps it,
 moves the whole spectrum by the closed form into the stack the run lends
-it and writes the band over that: the band is the full-grid RK4's bit for bit,
-the rest (roundoff, 3.6e-16 of the norm at 24^3) moves exactly.  A step's
-workspace (_rk4_work: three band stacks and two product-grid stacks) is
-lent by its caller, so a step allocates no stack.
+it and writes the band over that: the band is the full-grid RK4's bit for
+bit, the rest (roundoff, 3.6e-16 of the norm at 24^3) moves exactly.  A
+step's workspace (_rk4_work: three band stacks and two product-grid
+stacks) is lent by its caller, so a step allocates no stack.
 
 The identity checks run on band stacks too: off the band every operator
 is its free symbol, where each identity is the free one.  A trial's state
@@ -352,10 +352,10 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
     nothing: out is returned before any allocation, so at e = 0 no coupled
     term costs a transform.  D psi is s's band copied into buf, a
     product-grid array of s's leading shape (a new one if None) zeroed
-    first, and transformed in place.  pointwise applies M(x), made of the product-grid
-    potentials ext.*_p, to that transform, may overwrite it and returns a
-    complex128 array that is its own, which the forward FFT and the scale
-    then overwrite.  M is linear in D psi, so the two transforms' differing
+    first, and transformed in place.  pointwise applies M(x), made of the
+    product-grid potentials ext.*_p, to that transform, may overwrite it
+    and returns a complex128 array that is its own, which the forward FFT
+    and the scale then overwrite.  M is linear in D psi, so the two transforms' differing
     normalizations (N'/N into the product grid, N/N' out of it) cancel and
     neither is applied.
 

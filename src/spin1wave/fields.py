@@ -22,8 +22,8 @@ size, and builds them component by component or in place; it holds no
 temporary the size of a whole six-component stack.  A time-stepping
 kernel takes its output (out=, allocated where the caller passes none)
 and its whole-stack scratch (work=, required) from the caller, by keyword,
-so a run loop that lends it buffers allocates no whole stack per step.  fftn and ifftn transform into their
-one output, which may be their input.
+so a run loop that lends it buffers allocates no whole stack per step.
+fftn and ifftn transform into their one output, which may be their input.
 """
 from __future__ import annotations
 

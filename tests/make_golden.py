@@ -2,11 +2,11 @@
 
 Each entry is one `spin1wave` invocation: its argv, the config it reads
 (written to config.json first, or none), the exit code, and the sha256 of
-its stdout, of its stderr and of each file it writes.  Entries run in order in one
-directory, so snapshot-info reads the snapshot an evolve entry wrote.  The
-manifest also holds the sha256 of each demo's stdout, and the numpy
-version and machine it was recorded on: FFT roundoff may differ on
-another, and test_golden.py then fails and names this command.
+its stdout, of its stderr and of each file it writes.  Entries run in
+order in one directory, so snapshot-info reads the snapshot an evolve
+entry wrote.  The manifest also holds the sha256 of each demo's stdout,
+and the numpy version and machine it was recorded on: FFT roundoff may
+differ on another, and test_golden.py then fails and names this command.
 
     PYTHONPATH=src python tests/make_golden.py
 

@@ -128,8 +128,12 @@ def test_unsupported_version(tmp_path):
         (52, math.nan, "time"),
         (52, -math.inf, "time"),
         (20, math.inf, "invalid grid"),  # lx
+        # no run writes non-finite data (it stops with NonFiniteState)
+        (60, math.nan, "not finite"),  # Re u_x at the first point
+        (60 + 16 * 6 * 8**3 - 8, -math.inf, "not finite"),  # Im v_z at the last
     ],
-    ids=["negative-mass", "nan-mass", "inf-mass", "nan-time", "inf-time", "inf-length"],
+    ids=["negative-mass", "nan-mass", "inf-mass", "nan-time", "inf-time", "inf-length",
+         "nan-data-first", "inf-data-last"],
 )
 def test_bad_header_value_is_format_error(tmp_path, offset, value, match):
     psi = make_state()
@@ -176,36 +180,22 @@ def test_header_corruption_yields_format_error_or_valid_field(edits):
     assert g.npoints == _SMALL.grid.npoints  # the data size still matches
 
 
-@pytest.mark.parametrize("header", [b"NOPE", "nan-mass"])
+@pytest.mark.parametrize("header", [b"NOPE", "nan-mass", "nan-data"])
 def test_cli_snapshot_info_corrupt_exits_2(tmp_path, capsys, header):
+    # with NaN data snapshot-info printed "norm": NaN and exited 0
     p = tmp_path / "x.s1wf"
     snapshots.write_snapshot(make_state(), p)
     raw = bytearray(p.read_bytes())
     if header == "nan-mass":
         raw[44:52] = struct.pack("<d", math.nan)
+    elif header == "nan-data":
+        raw[60:68] = struct.pack("<d", math.nan)
     else:
         raw[:4] = header
     p.write_bytes(bytes(raw))
     assert cli.main(["snapshot-info", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("index, value", [((0, 0, 0, 0), complex(math.nan, 0.0)),
-                                          ((5, 3, 3, 3), complex(0.0, -math.inf))],
-                         ids=["nan-first", "inf-last"])
-def test_non_finite_field_data_is_format_error(tmp_path, capsys, index, value):
-    # no run writes such data (it stops with NonFiniteState), so it is a
-    # corrupt file; snapshot-info printed "norm": NaN and exited 0
-    psi = fields.random_wave_field(fields.Grid.cubic(4), 0.5, 1.0, seed=1)
-    psi.data[index] = value
-    p = tmp_path / "x.s1wf"
-    snapshots.write_snapshot(psi, p)
-    with pytest.raises(FormatError, match="not finite"):
-        snapshots.read_snapshot(p)
-    assert cli.main(["snapshot-info", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
