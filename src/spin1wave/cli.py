@@ -456,6 +456,12 @@ def _cmd_landau(args) -> int:
 
 def _cmd_snapshot_info(args) -> int:
     psi = snapshots.read_snapshot(args.path)
+    # finite data whose norm overflows a double: the snapshot is input from
+    # outside the program, so this is a format error (exit 2)
+    with np.errstate(over="ignore"):
+        norm = psi.norm()
+    if not math.isfinite(norm):
+        raise FormatError(f"the norm of the field data overflows a double: {norm}")
     info = {
         "grid": {
             "nx": psi.grid.nx, "ny": psi.grid.ny, "nz": psi.grid.nz,
@@ -463,7 +469,7 @@ def _cmd_snapshot_info(args) -> int:
         },
         "mass": psi.mass,
         "time": psi.time,
-        "norm": psi.norm(),
+        "norm": norm,
     }
     print(json.dumps(info, indent=2, sort_keys=True))
     return 0

@@ -32,22 +32,23 @@ Each operator has one spectral core, and every composite (RK4 stages, the
 record, the identity checks, the projection CG) chains cores on spectra;
 norm ratios and inner products are taken there too, since the FFT scales
 both sides alike.  A core takes a spectrum on the grid or a band stack:
-the band's own modes, a (..., 2K_x + 1, 2K_y + 1, 2K_z + 1) spectrum in
-FFT order (0..K, -K..-1 per axis).  The grid is even on every axis and a
-band stack odd, so the trailing shape tells them apart; it picks the
-wavevectors of H(k) and pi.  Every move of the band between layouts is
-one copy rule, _copy_modes: its corner blocks written over the same modes
-of a new band stack (_band_stack), of a grid spectrum, or of a zeroed
-product-grid buffer.  The product grid is scratch space that only
-ExternalField and _sandwich know: _sandwich copies either input's band
-into it and adds the product's band back into its output.  Real
-space is used at the public boundary (ifftn o core o fftn), for max-norm
-residuals and for a record's state.  The generator is the free symbol
-H(k) of dynamics plus one sandwich of the pointwise coupling
-e(Phi_d - a.A_d), 12 scalar FFTs per apply on a 6-stack.  The record is
-dynamics.record with this generator and the covariant divergence pi.w:
-32 scalar FFTs.  evolve_em advances in dynamics.run, the run loop free
-evolution uses too.
+the band's own modes, a C-contiguous (..., 2K_x + 1, 2K_y + 1, 2K_z + 1)
+spectrum in centered order (-K..K per axis).  The grid is even on every
+axis and a band stack odd, so the trailing shape tells them apart; it
+picks the wavevectors of H(k) and pi.  Where a mode sits in an FFT-order
+array is one rule, _modes: through it the band is gathered into a new
+band stack (_band_stack) and written back over a grid spectrum, and the
+potentials' kept modes go from the grid to the product grid.  The product
+grid is scratch space that only ExternalField and _sandwich know:
+_sandwich writes either input's band into the product grid's leading
+(2K + 1)^3 block and reads the product's band back from the same block,
+one slice each way.  Real space is used at the public boundary
+(ifftn o core o fftn), for max-norm residuals and for a record's state.
+The generator is the free symbol H(k) of dynamics plus one sandwich of
+the pointwise coupling e(Phi_d - a.A_d), 12 scalar FFTs per apply on a
+6-stack.  The record is dynamics.record with this generator and the
+covariant divergence pi.w: 32 scalar FFTs.  evolve_em advances in
+dynamics.run, the run loop free evolution uses too.
 
 D M D maps the band into itself and annihilates the rest, and H(k) acts
 per mode, so band modes evolve under H(k) + D M D and the others under
@@ -96,7 +97,6 @@ plus a kernel sector at exactly m^2 (one SVD of the 2n^2 x n^2 stack
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -168,36 +168,19 @@ def _product_shape(grid: Grid, bandwidth: tuple) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=32)
-def _band_blocks(src: tuple, dst: tuple, bandwidth: tuple) -> tuple:
-    """Index pairs (into a grid of shape src, into one of shape dst) over the
-    trailing three axes, one per corner block of the modes |n_i| <=
-    bandwidth_i; both grids hold those modes apart from their Nyquist
-    modes."""
-    axes = []
-    for ns, nd, b in zip(src, dst, bandwidth):
-        pairs = [(slice(0, b + 1), slice(0, b + 1))]
-        if b:
-            pairs.append((slice(ns - b, ns), slice(nd - b, nd)))
-        axes.append(pairs)
-    return tuple(((..., *(p[0] for p in corner)), (..., *(p[1] for p in corner)))
-                 for corner in itertools.product(*axes))
-
-
-def _copy_modes(src: np.ndarray, dst: np.ndarray, bandwidth: tuple) -> np.ndarray:
-    """Write the modes |n_i| <= bandwidth_i of src over the same modes of dst
-    and return dst; src and dst are spectra of any trailing shapes that hold
-    those modes (a grid, a product grid or a band stack).  The other modes of
-    dst are left as they are."""
-    for s, d in _band_blocks(src.shape[-3:], dst.shape[-3:], bandwidth):
-        dst[d] = src[s]
-    return dst
+def _modes(shape: tuple, bandwidth: tuple) -> tuple:
+    """The index of the modes |n_i| <= bandwidth_i in an FFT-order array of
+    trailing shape `shape` (a grid or a product grid), in centered order,
+    -bandwidth_i..bandwidth_i per axis: x[_modes(...)] gathers them, in
+    that order, and x[_modes(...)] = y writes them back.  The one rule for
+    where a mode sits."""
+    return (..., *np.ix_(*(np.arange(-b, b + 1) % n for n, b in zip(shape, bandwidth))))
 
 
 def _band_stack(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """The band of x, a spectrum on grid, as a new band stack of x's dtype;
-    every entry of it is written."""
-    return _copy_modes(x, np.empty((*x.shape[:-3], *_band_shape(grid)), dtype=x.dtype),
-                       _band(grid))
+    """The band of x, a spectrum on grid, as a new C-contiguous band stack of
+    x's dtype (the gather alone leaves the leading axis innermost)."""
+    return np.ascontiguousarray(x[_modes(grid.shape, _band(grid))])
 
 
 @dataclass
@@ -250,10 +233,13 @@ class ExternalField:
 
     def _on_product_grid(self, spec: np.ndarray) -> np.ndarray:
         """The real field of spectrum spec, on the grid, truncated to the
-        dealiased band and the bandwidth and sampled on the product grid."""
+        dealiased band and the bandwidth and sampled on the product grid:
+        the kept modes go from the grid to the same modes of the product
+        grid, in FFT order on both."""
         kept = tuple(map(min, _band(self.grid), self.bandwidth))
         out = np.zeros((*spec.shape[:-3], *self.product_shape), dtype=np.complex128)
-        out = fields.ifftn(_copy_modes(spec, out, kept), out=out).real
+        out[_modes(self.product_shape, kept)] = spec[_modes(self.grid.shape, kept)]
+        out = fields.ifftn(out, out=out).real
         # the inverse transform divided by the product grid's points, the
         # values need the grid's
         out *= math.prod(self.product_shape) / self.grid.npoints
@@ -350,31 +336,39 @@ def _sandwich(ext: ExternalField, s: np.ndarray, pointwise, out: np.ndarray, sca
     on the grid or a band stack).  Each caller passes its product's
     physical factor as scale; a zero scale adds nothing and transforms
     nothing: out is returned before any allocation, so at e = 0 no coupled
-    term costs a transform.  D psi is s's band copied into buf, a
-    product-grid array of s's leading shape (a new one if None) zeroed
-    first, and transformed in place.  pointwise applies M(x), made of the
-    product-grid potentials ext.*_p, to that transform, may overwrite it
-    and returns a complex128 array that is its own, which the forward FFT
-    and the scale then overwrite.  M is linear in D psi, so the two transforms' differing
-    normalizations (N'/N into the product grid, N/N' out of it) cancel and
-    neither is applied.
+    term costs a transform.  D psi is s's band, in centered order, in the
+    leading (2K + 1)^3 block of buf, a product-grid array of s's leading
+    shape (a new one if None) zeroed first, and transformed in place.
+    pointwise applies M(x), made of the product-grid potentials ext.*_p,
+    to that transform, may overwrite it and returns a complex128 array that
+    is its own, which the forward FFT and the scale then overwrite.  M is
+    linear in D psi, so the two transforms' differing normalizations (N'/N
+    into the product grid, N/N' out of it) cancel and neither is applied.
 
-    Exact: D psi has modes |n_i| <= K_i and M, restricted to the potential's
-    bandwidth K_A, has |n_i| <= min(K_A, K_i), so on N' >= 2K + min(K_A, K) + 1
-    points no mode of their product aliases into the band.  The kept band
-    is the one the full grid gives; only the modes of the potential beyond
-    K_A, below 1e-12 of its largest, are left out.  The gain needs K_A < K; the
-    transform counts are those of the full grid."""
+    Exact: the band sits translated by +K per axis, which a cyclic product
+    commutes with, so the product's band is the same leading block.  D psi
+    has modes |n_i| <= K_i and M, restricted to the potential's bandwidth
+    K_A, has |n_i| <= min(K_A, K_i), so on N' >= 2K + min(K_A, K) + 1 points
+    no mode of their product aliases into the band, which is the full
+    grid's in exact arithmetic; only the potential's modes beyond K_A,
+    below 1e-12 of its largest, are left out.  Either layout fills the same
+    block, so a core's band is the same bits in both.  The gain needs
+    K_A < K; the transform counts are those of the full grid."""
     if scale == 0:
         return out
     if buf is None:
         buf = np.empty((*s.shape[:-3], *ext.product_shape), dtype=np.complex128)
+    sel = _modes(ext.grid.shape, _band(ext.grid)) if s.shape[-3:] == ext.grid.shape else (...,)
+    lead = (..., *map(slice, _band_shape(ext.grid)))
     buf.fill(0.0)
-    product = pointwise(fields.ifftn(_copy_modes(s, buf, _band(ext.grid)), out=buf))
+    buf[lead] = s[sel]
+    product = pointwise(fields.ifftn(buf, out=buf))
     fields.fftn(product, out=product)
     product *= scale
-    for dst, src in _band_blocks(out.shape[-3:], ext.product_shape, _band(ext.grid)):
-        out[dst] += product[src]
+    # one component at a time: numpy buffers a strided in-place add, and
+    # over the whole stack that doubled a step's peak memory on small grids
+    for i in np.ndindex(out.shape[:-3]):
+        out[i][sel] += product[i][lead]
     return out
 
 
@@ -496,14 +490,15 @@ def covariant_project(psi: WaveField, ext: ExternalField) -> ProjectionResult:
     the first scale or residual that is not finite."""
     _check_grids(psi, ext)
     k2, k2_band = _laplacians(psi.grid)
-    band = _band(psi.grid)
+    band = _modes(psi.grid.shape, _band(psi.grid))
     # the stopping test's residual on the grid: its band modes are written
     # before each test, the rest stays 0, as the exact solve leaves it
     rh_grid = np.zeros(psi.grid.shape, dtype=np.complex128)
     r_grid = np.empty_like(rh_grid)
 
     def converged(rh: np.ndarray, scale: float) -> tuple[bool, float]:
-        res = float(np.max(np.abs(fields.ifftn(_copy_modes(rh, rh_grid, band), out=r_grid))))
+        rh_grid[band] = rh
+        res = float(np.max(np.abs(fields.ifftn(rh_grid, out=r_grid))))
         if not (math.isfinite(res) and math.isfinite(scale)):
             raise NonFiniteState(f"covariant projection residual {res} at scale {scale}")
         return res <= _PROJECTION_TOL * scale, res
@@ -543,8 +538,8 @@ def covariant_project(psi: WaveField, ext: ExternalField) -> ProjectionResult:
         rh = _pi_dot_spectrum(ext, fields.fftn(w))
         phih = rh / k2  # exact off the band; the band's phi is written over it
         phib, it, res = band_cg(_band_stack(psi.grid, rh), scale)
-        np.subtract(w, fields.ifftn(_pi_vector_spectrum(ext, _copy_modes(phib, phih, band))),
-                    out=out)
+        phih[band] = phib
+        np.subtract(w, fields.ifftn(_pi_vector_spectrum(ext, phih)), out=out)
         return it, res
 
     data = np.empty_like(psi.data)
@@ -746,13 +741,15 @@ def _advance(sh: np.ndarray, ext: ExternalField, prop: dynamics.FreePropagator, 
     The band goes into a band stack and takes the steps; the rest, which
     H_A + e Phi leaves to H(k) alone, moves exactly: prop, the free closed
     form, advances all of sh over steps * dt into out, and the band is
-    written over it.  The band stack and the steps' workspace live only
-    while advancing."""
+    written over its modes.  The band stack and the steps' workspace live
+    only while advancing."""
     band = _band_stack(ext.grid, sh)
     work = _rk4_work(ext)
     for _ in range(steps):
         _rk4_step(band, ext, prop.mass, dt, work=work)
-    return _copy_modes(band, prop.evolve_spectrum(sh, steps * dt, out=out), _band(ext.grid))
+    prop.evolve_spectrum(sh, steps * dt, out=out)
+    out[_modes(ext.grid.shape, _band(ext.grid))] = band
+    return out
 
 
 def _em_diagnostics(psi: WaveField, sh: np.ndarray, ext: ExternalField) -> dynamics.DiagnosticsRecord:

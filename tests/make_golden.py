@@ -10,7 +10,9 @@ differ on another, and test_golden.py then fails and names this command.
 
     PYTHONPATH=src python tests/make_golden.py
 
-A change that moves a digest reruns it and says which output moved and why.
+A change that moves a digest reruns it and says which output moved and why;
+on overwriting a manifest the command prints each entry and demo whose exit
+code or digest moved, and which of its outputs did.
 """
 from __future__ import annotations
 
@@ -123,6 +125,29 @@ def run_demo(name: str) -> subprocess.CompletedProcess:
                           text=True, timeout=300)
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """One line per entry and demo of manifest new whose exit code or digest
+    differs from manifest old's, naming the outputs that moved."""
+    lines = []
+    if old["platform"] != new["platform"]:
+        lines.append(f"platform: {old['platform']} -> {new['platform']}")
+    before = {e["name"]: e for e in old["entries"]}
+    for entry in new["entries"]:
+        was = before.get(entry["name"])
+        if was is None:
+            lines.append(f"{entry['name']}: new entry")
+            continue
+        what = [f"exit {was['exit']} -> {entry['exit']}"] if was["exit"] != entry["exit"] else []
+        what += [k for k in ("stdout", "stderr") if was[k] != entry[k]]
+        what += [name for name in sorted({*was["files"], *entry["files"]})
+                 if was["files"].get(name) != entry["files"].get(name)]
+        if what:
+            lines.append(f"{entry['name']}: {', '.join(what)}")
+    lines += [f"demo {name}: stdout" for name, digest in new["demos"].items()
+              if old["demos"].get(name) != digest]
+    return lines
+
+
 def main() -> int:
     entries = []
     with tempfile.TemporaryDirectory() as directory:
@@ -138,10 +163,17 @@ def main() -> int:
         demos[name] = sha256(proc.stdout.encode())
     manifest = {"platform": platform_id(), "regenerate": REGENERATE, "entries": entries,
                 "demos": demos}
+    old = None
+    if os.path.exists(MANIFEST):
+        with open(MANIFEST) as fh:
+            old = json.load(fh)
     with open(MANIFEST, "w") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     print(f"wrote {len(entries)} entries and {len(demos)} demos to {MANIFEST}")
+    if old is not None:
+        lines = moved(old, manifest)
+        print("\n".join(f"moved: {line}" for line in lines) if lines else "nothing moved")
     return 0
 
 

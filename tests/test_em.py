@@ -543,17 +543,23 @@ def test_fused_operators_match_unfused_oracle(mass, field, grid):
 ], ids=["aniso", "4-point-axis", "nmax2-8"])
 def test_band_stack_holds_the_band(grid, field):
     # a band stack is the band's own modes, 2K_i + 1 per axis (odd, the grid
-    # even), every one of them written; embedded into zeros it is the
-    # dealiased spectrum exactly
+    # even), C-contiguous and in centered order, -K_i..K_i per axis; written
+    # into zeros it is the dealiased spectrum exactly
     ext = _field(field, grid)
     x = fields.fftn(_white_noise((6, *grid.shape), 4))
     s = em._band_stack(ext.grid, x)
+    band = em._band(grid)
     assert s.shape == (6, *(2 * ((n - 1) // 3) + 1 for n in grid.shape))
-    filled = em._copy_modes(x, np.full(s.shape, np.nan, complex), em._band(grid))
-    assert not np.isnan(filled).any()
-    assert np.array_equal(filled, s)
-    assert np.array_equal(em._copy_modes(s, np.zeros_like(x), em._band(grid)),
-                          x * em.dealias_mask(grid))
+    assert s.flags.c_contiguous
+    assert np.array_equal(s[(..., *band)], x[..., 0, 0, 0])  # k = 0 at index K
+    k = em._band_wavevectors(grid)
+    for axis, (kb, length) in enumerate(zip(band, (grid.lx, grid.ly, grid.lz))):
+        along = 2 * np.pi / length * np.arange(-kb, kb + 1)
+        along = along.reshape([-1 if a == axis else 1 for a in range(3)])
+        np.testing.assert_allclose(k[axis], np.broadcast_to(along, s.shape[1:]), rtol=1e-15, atol=0)
+    filled = np.zeros_like(x)
+    filled[em._modes(grid.shape, band)] = s
+    assert np.array_equal(filled, x * em.dealias_mask(grid))
 
 
 @pytest.mark.parametrize("grid, field, bandwidth, shape", [

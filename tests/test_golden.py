@@ -49,3 +49,17 @@ def test_cli_output_matches_manifest(entry, outputs):
     want = {k: entry[k] for k in ("exit", "stdout", "stderr", "files")}
     assert got == want, (f"{entry['name']} ({' '.join(entry['argv'])}) moved; if that is "
                          f"intended, regenerate with `{make_golden.REGENERATE}`")
+
+
+def test_make_golden_names_what_moved():
+    new = json.loads(json.dumps(MANIFEST))
+    entries = {e["name"]: e for e in new["entries"]}
+    was_exit = entries["verify-algebra"]["exit"]
+    entries["verify-algebra"]["exit"] = was_exit + 2
+    entries["dispersion-json"]["stdout"] = "0" * 64
+    entries["evolve-free-16"]["files"]["free.csv"] = "0" * 64
+    new["demos"][make_golden.DEMOS[0]] = "0" * 64
+    assert make_golden.moved(MANIFEST, MANIFEST) == []
+    assert make_golden.moved(MANIFEST, new) == [
+        f"verify-algebra: exit {was_exit} -> {was_exit + 2}", "dispersion-json: stdout",
+        "evolve-free-16: free.csv", f"demo {make_golden.DEMOS[0]}: stdout"]

@@ -198,6 +198,19 @@ def test_cli_snapshot_info_corrupt_exits_2(tmp_path, capsys, header):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_cli_snapshot_info_overflowing_norm_exits_2(tmp_path, capsys):
+    # every value finite, the norm past a double: it printed "norm": Infinity
+    # (not JSON) and exited 0, with an overflow warning on stderr
+    psi = fields.random_wave_field(fields.Grid.cubic(4), 1.0, 1.5, seed=3)
+    psi.data *= 1e200
+    p = tmp_path / "x.s1wf"
+    snapshots.write_snapshot(psi, p)
+    assert cli.main(["snapshot-info", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
