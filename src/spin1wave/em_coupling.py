@@ -173,8 +173,11 @@ def _modes(shape: tuple, bandwidth: tuple) -> tuple:
     trailing shape `shape` (a grid or a product grid), in centered order,
     -bandwidth_i..bandwidth_i per axis: x[_modes(...)] gathers them, in
     that order, and x[_modes(...)] = y writes them back.  The one rule for
-    where a mode sits."""
-    return (..., *np.ix_(*(np.arange(-b, b + 1) % n for n, b in zip(shape, bandwidth))))
+    where a mode sits; its index arrays are shared, so read-only."""
+    index = np.ix_(*(np.arange(-b, b + 1) % n for n, b in zip(shape, bandwidth)))
+    for axis in index:
+        axis.setflags(write=False)
+    return (..., *index)
 
 
 def _band_stack(grid: Grid, x: np.ndarray) -> np.ndarray:
@@ -233,9 +236,8 @@ class ExternalField:
 
     def _on_product_grid(self, spec: np.ndarray) -> np.ndarray:
         """The real field of spectrum spec, on the grid, truncated to the
-        dealiased band and the bandwidth and sampled on the product grid:
-        the kept modes go from the grid to the same modes of the product
-        grid, in FFT order on both."""
+        dealiased band and the bandwidth (the kept modes, copied in FFT
+        order) and sampled on the product grid."""
         kept = tuple(map(min, _band(self.grid), self.bandwidth))
         out = np.zeros((*spec.shape[:-3], *self.product_shape), dtype=np.complex128)
         out[_modes(self.product_shape, kept)] = spec[_modes(self.grid.shape, kept)]

@@ -180,9 +180,10 @@ def test_header_corruption_yields_format_error_or_valid_field(edits):
     assert g.npoints == _SMALL.grid.npoints  # the data size still matches
 
 
-@pytest.mark.parametrize("header", [b"NOPE", "nan-mass", "nan-data"])
+@pytest.mark.parametrize("header", [b"NOPE", "nan-mass", "nan-data", "overflowing-norm"])
 def test_cli_snapshot_info_corrupt_exits_2(tmp_path, capsys, header):
-    # with NaN data snapshot-info printed "norm": NaN and exited 0
+    # with NaN data snapshot-info printed "norm": NaN and exited 0; with
+    # finite data whose norm overflows, "norm": Infinity (not JSON)
     p = tmp_path / "x.s1wf"
     snapshots.write_snapshot(make_state(), p)
     raw = bytearray(p.read_bytes())
@@ -190,21 +191,11 @@ def test_cli_snapshot_info_corrupt_exits_2(tmp_path, capsys, header):
         raw[44:52] = struct.pack("<d", math.nan)
     elif header == "nan-data":
         raw[60:68] = struct.pack("<d", math.nan)
+    elif header == "overflowing-norm":
+        raw[60:68] = struct.pack("<d", 1e200)
     else:
         raw[:4] = header
     p.write_bytes(bytes(raw))
-    assert cli.main(["snapshot-info", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_cli_snapshot_info_overflowing_norm_exits_2(tmp_path, capsys):
-    # every value finite, the norm past a double: it printed "norm": Infinity
-    # (not JSON) and exited 0, with an overflow warning on stderr
-    psi = fields.random_wave_field(fields.Grid.cubic(4), 1.0, 1.5, seed=3)
-    psi.data *= 1e200
-    p = tmp_path / "x.s1wf"
-    snapshots.write_snapshot(psi, p)
     assert cli.main(["snapshot-info", str(p)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
